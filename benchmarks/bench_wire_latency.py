@@ -17,6 +17,14 @@ virtual-clock deltas land in the same JSON, so ``BENCH_wire.json`` holds the
 measured wire latencies *alongside* the cost model the rest of the suite is
 built on -- the calibration point between the two.
 
+A **degraded arm** follows on the same overlay: one of the five endpoints is
+closed without a goodbye, the client pays the one RPC timeout that makes the
+peer a suspect (recorded as ``first_strike_ms``), and the store / append /
+retrieve mix runs again on fresh keys while the four survivors still hand the
+dead contact out.  Its percentiles land under ``wall_clock_degraded``; the
+gate is p99 <= 3x the healthy arm's p99 per operation (healthy p99 floored at
+2 ms) -- a dead peer may cost its timeout once, not once per lookup.
+
 ``dharma dashboard`` renders the percentiles; ``dharma audit --wire`` sanity
 checks the file.  ``BENCH_SMOKE=1`` reduces the sample counts.
 """
@@ -49,6 +57,14 @@ OUTPUT_PATH = Path("BENCH_wire.json")
 
 NODE_CONFIG = NodeConfig(k=8, alpha=2, replicate=2, verify_credentials=False)
 TRANSPORT_CONFIG = UdpTransportConfig(timeout_ms=2_000.0, retries=1)
+#: With one peer dead, an iterative operation's p99 may be at most this many
+#: times the healthy p99 (the ROADMAP's "small multiple") ...
+DEGRADED_P99_FACTOR = 3.0
+#: ... where a healthy p99 under this floor counts as the floor: with <= 100
+#: samples p99 is the maximum, and a sub-millisecond loopback operation is at
+#: the mercy of one scheduler hiccup.  A stall is a whole RPC budget, three
+#: orders of magnitude above it.
+DEGRADED_P99_FLOOR_MS = 2.0
 
 
 def percentiles(samples_ms: list[float]) -> dict:
@@ -77,10 +93,34 @@ def timed(fn) -> float:
     return (time.perf_counter() - start) * 1_000.0
 
 
-def _measure_udp() -> dict[str, list[float]]:
-    """Spin up a UDP overlay and collect per-operation wall-clock samples."""
+def _iterative_mix(client: ServeNode, prefix: str, record) -> list[NodeID]:
+    """OP_SAMPLES stores, appends and retrieves on fresh ``prefix-i`` keys."""
+    keys = [NodeID.hash_of(f"{prefix}-{i}") for i in range(OP_SAMPLES)]
+    for i, key in enumerate(keys):
+        record(
+            "store",
+            timed(lambda k=key, j=i: client.node.store(
+                k, {"owner": "w", "type": "1", "entries": {"n": j + 1}}
+            )),
+        )
+    for key in keys:
+        record(
+            "append",
+            timed(lambda k=key: client.node.append(
+                k, "w", BlockType.RESOURCE_TAGS, {"m": 1}
+            )),
+        )
+    for key in keys:
+        record("retrieve", timed(lambda k=key: client.node.retrieve(k)))
+    return keys
+
+
+def _measure_udp() -> tuple[dict[str, list[float]], dict[str, list[float]], float]:
+    """Spin up a UDP overlay and collect per-operation wall-clock samples:
+    the healthy arm, the degraded arm and the cost of the first strike."""
     servers: list[ServeNode] = []
     latencies: dict[str, list[float]] = {}
+    degraded: dict[str, list[float]] = {}
 
     def record(op: str, duration_ms: float) -> None:
         latencies.setdefault(op, []).append(duration_ms)
@@ -99,25 +139,9 @@ def _measure_udp() -> dict[str, list[float]]:
         me, my_id = client.address, client.node_id
         targets = [s.address for s in servers[1:]]
 
-        # Keys used by the iterative-operation phase (stored up front so the
-        # FIND_VALUE phase has hits to fetch).
-        keys = [NodeID.hash_of(f"wire-{i}") for i in range(OP_SAMPLES)]
-        for i, key in enumerate(keys):
-            record(
-                "store",
-                timed(lambda k=key, j=i: client.node.store(
-                    k, {"owner": "w", "type": "1", "entries": {"n": j + 1}}
-                )),
-            )
-        for key in keys:
-            record(
-                "append",
-                timed(lambda k=key: client.node.append(
-                    k, "w", BlockType.RESOURCE_TAGS, {"m": 1}
-                )),
-            )
-        for key in keys:
-            record("retrieve", timed(lambda k=key: client.node.retrieve(k)))
+        # The iterative-operation phase comes first, so the FIND_VALUE phase
+        # below has hits to fetch.
+        keys = _iterative_mix(client, "wire", record)
 
         # Direct single RPCs, round-robin over the other endpoints.
         for i in range(RPC_SAMPLES):
@@ -159,10 +183,21 @@ def _measure_udp() -> dict[str, list[float]]:
                     ),
                 )),
             )
+
+        # Degraded arm: the last endpoint dies without a goodbye.  The client
+        # finds out first-hand, once; after that the survivors' mentions of
+        # the dead contact are hearsay and cost nothing.
+        victim = servers[-1]
+        victim_contact = client.probe(victim.address)
+        victim.transport.close()
+        first_strike_ms = timed(lambda: client.node.ping(victim_contact))
+        _iterative_mix(
+            client, "wire-degraded", lambda op, ms: degraded.setdefault(op, []).append(ms)
+        )
     finally:
         for server in servers:
             server.close()
-    return latencies
+    return latencies, degraded, first_strike_ms
 
 
 def _measure_simulated() -> dict[str, dict]:
@@ -207,8 +242,11 @@ def render_wire_table(summary: dict[str, dict]) -> str:
 
 class TestWireLatency:
     def test_wall_clock_percentiles_over_udp(self, benchmark):
-        latencies = benchmark.pedantic(_measure_udp, rounds=1, iterations=1)
+        latencies, degraded, first_strike_ms = benchmark.pedantic(
+            _measure_udp, rounds=1, iterations=1
+        )
         wall_clock = {op: percentiles(samples) for op, samples in latencies.items()}
+        wall_clock_degraded = {op: percentiles(samples) for op, samples in degraded.items()}
         virtual = _measure_simulated()
 
         print_banner(
@@ -217,6 +255,11 @@ class TestWireLatency:
         )
         print("wall clock (real UDP sockets):")
         print(render_wire_table(wall_clock))
+        print(
+            f"\nwall clock, 1 of {NUM_NODES} peers dead "
+            f"(first strike cost {first_strike_ms:.0f} ms, paid once):"
+        )
+        print(render_wire_table(wall_clock_degraded))
         print("\nvirtual time (SimulatedNetwork cost model, same iterative ops):")
         print(render_wire_table(virtual))
 
@@ -233,6 +276,13 @@ class TestWireLatency:
                 "max_datagram": TRANSPORT_CONFIG.max_datagram,
             },
             "wall_clock": wall_clock,
+            "wall_clock_degraded": wall_clock_degraded,
+            "degraded": {
+                "peers_killed": 1,
+                "first_strike_ms": first_strike_ms,
+                "p99_factor": DEGRADED_P99_FACTOR,
+                "p99_floor_ms": DEGRADED_P99_FLOOR_MS,
+            },
             "virtual_time": virtual,
         }
         OUTPUT_PATH.write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
@@ -246,3 +296,11 @@ class TestWireLatency:
         for op in ("store", "append", "retrieve"):
             assert wall_clock[op]["samples"] == OP_SAMPLES
             assert virtual[op]["samples"] == OP_SAMPLES
+            assert wall_clock_degraded[op]["samples"] == OP_SAMPLES
+            # The ROADMAP gate: after the first strike a dead peer no longer
+            # stalls anything -- p99 stays within a small multiple of healthy.
+            assert wall_clock_degraded[op]["p99_ms"] <= DEGRADED_P99_FACTOR * max(
+                wall_clock[op]["p99_ms"], DEGRADED_P99_FLOOR_MS
+            ), f"{op}: one dead peer still stalls lookups"
+        # The strike itself is the one full retry budget.
+        assert first_strike_ms >= TRANSPORT_CONFIG.timeout_ms

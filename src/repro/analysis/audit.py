@@ -41,7 +41,11 @@ sanity-checked rather than perf-gated: every recorded operation must carry a
 full, internally consistent percentile summary (sample counts match the
 declared counts, ``min <= p50 <= p90 <= p99 <= max``, nothing negative), and
 the wall-clock side must cover the direct-RPC and iterative operation sets
-the benchmark promises.
+the benchmark promises.  The one behavioural gate is the dead-peer arm
+(``wall_clock_degraded``): with one of the peers killed, each iterative
+operation's p99 must stay within the record's stated multiple of the healthy
+p99 -- a dead peer costs its timeout once, not once per lookup.  Records
+written before that arm existed only draw a warning.
 """
 
 from __future__ import annotations
@@ -404,11 +408,71 @@ def audit_wire(point: dict[str, Any]) -> tuple[list[AuditFinding], dict[str, int
         readings += _check_wire_summary(op, stats, expected, findings)
     for op, stats in virtual.items():
         readings += _check_wire_summary(f"virtual:{op}", stats, op_samples, findings)
+    degraded = point.get("wall_clock_degraded")
+    if not isinstance(degraded, dict):
+        findings.append(
+            AuditFinding(
+                "warning", "wire-no-degraded-arm",
+                "no wall_clock_degraded section (record predates the dead-peer arm)",
+            )
+        )
+        degraded = {}
+    else:
+        readings += _check_wire_degraded(point, wall_clock, degraded, op_samples, findings)
     checked = {
-        "wire operations": len(wall_clock) + len(virtual),
+        "wire operations": len(wall_clock) + len(virtual) + len(degraded),
         "wire readings": readings,
     }
     return findings, checked
+
+
+def _check_wire_degraded(
+    point: dict[str, Any],
+    healthy: dict[str, Any],
+    degraded: dict[str, Any],
+    op_samples: int | None,
+    findings: list[AuditFinding],
+) -> int:
+    """The dead-peer arm: every iterative operation recorded, and its p99
+    within the record's own ``p99_factor`` of the healthy p99 (floored at
+    ``p99_floor_ms``) -- a dead peer costs its timeout once, not per lookup."""
+    limits = point.get("degraded")
+    factor = limits.get("p99_factor") if isinstance(limits, dict) else None
+    floor = limits.get("p99_floor_ms") if isinstance(limits, dict) else None
+    if not isinstance(factor, (int, float)) or not isinstance(floor, (int, float)):
+        findings.append(
+            AuditFinding(
+                "error", "wire-bad-record",
+                "degraded section does not state its p99_factor / p99_floor_ms",
+            )
+        )
+        return 0
+    readings = 0
+    for op in _WIRE_ITERATIVE_OPS:
+        stats = degraded.get(op)
+        if stats is None:
+            findings.append(
+                AuditFinding(
+                    "error", "wire-missing-op",
+                    f"wall_clock_degraded has no record for operation {op!r}",
+                )
+            )
+            continue
+        checked = _check_wire_summary(f"degraded:{op}", stats, op_samples, findings)
+        readings += checked
+        healthy_p99 = (healthy.get(op) or {}).get("p99_ms")
+        if not checked or not isinstance(healthy_p99, (int, float)):
+            continue
+        limit = factor * max(float(healthy_p99), float(floor))
+        if stats["p99_ms"] > limit:
+            findings.append(
+                AuditFinding(
+                    "error", "wire-degraded-stall",
+                    f"operation {op!r} p99 is {stats['p99_ms']:.1f} ms with one peer dead, "
+                    f"over {factor:g}x the healthy {healthy_p99:.1f} ms (limit {limit:.1f} ms)",
+                )
+            )
+    return readings
 
 
 # --------------------------------------------------------------------------- #

@@ -183,6 +183,7 @@ def _wire_section(wire: dict[str, Any]) -> dict[str, Any]:
         "rpc_samples": wire.get("rpc_samples"),
         "op_samples": wire.get("op_samples"),
         "wall_clock": side(wire.get("wall_clock")),
+        "wall_clock_degraded": side(wire.get("wall_clock_degraded")),
         "virtual_time": side(wire.get("virtual_time")),
     }
 
@@ -414,6 +415,10 @@ def _render_wire(wire: dict[str, Any]) -> str:
         + ("  [smoke]" if wire.get("smoke") else "")
     ]
     lines.extend(_render_wire_side("wall clock (real sockets)", wire["wall_clock"]))
+    if wire.get("wall_clock_degraded"):
+        lines.extend(
+            _render_wire_side("wall clock, one peer dead", wire["wall_clock_degraded"])
+        )
     if wire.get("virtual_time"):
         lines.extend(
             _render_wire_side("virtual time (SimulatedNetwork model)", wire["virtual_time"])

@@ -928,7 +928,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stats = node.stats()
         print(
             f"served {sum(stats.rpcs_served.values())} RPCs "
-            f"({stats.routing_contacts} contacts, {stats.stored_items} stored items)",
+            f"({stats.routing_contacts} contacts, {stats.suspects} suspects, "
+            f"{stats.stored_items} stored items)",
             flush=True,
         )
         if args.stats_out is not None:

@@ -150,7 +150,9 @@ class BatchedLookupEngine:
             del self._routes[key]
             return None
         self._routes.move_to_end(key)
-        return contacts
+        # A route is hearsay too: replicas the access node has itself watched
+        # fail since are stepped over, not probed again.
+        return tuple(self.node.unsuspected(contacts)) or None
 
     def _remember_route(self, key: NodeID, contacts: Sequence[Contact]) -> None:
         if not contacts:

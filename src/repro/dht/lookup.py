@@ -38,6 +38,14 @@ class LookupTransport(Protocol):
         """
         ...
 
+    def is_suspect(self, node_id: NodeID) -> bool:
+        """Whether the initiator itself recently watched *node_id* fail.
+
+        Such a contact is dropped from the shortlist, unqueried, when its
+        turn comes, however many peers still vouch for it.
+        """
+        ...
+
 
 @dataclass(slots=True)
 class LookupOutcome:
@@ -124,6 +132,11 @@ def iterative_lookup(
         decorated = live if limit is None else live[:limit]
         return [c for _, _, c in decorated]
 
+    # The suspect check sits where a candidate is about to be queried -- once
+    # per RPC, not on every contact of every reply.  A suspect leaves the
+    # shortlist like a contact that failed, minus the RPC.
+    is_suspect = transport.is_suspect
+
     best_distance: int | None = None
     while outcome.rounds < max_rounds:
         candidates = [c for c in ranked(k) if c.node_id not in queried]
@@ -133,6 +146,9 @@ def iterative_lookup(
         outcome.rounds += 1
         improved = False
         for contact in batch:
+            if is_suspect(contact.node_id):
+                failed.add(contact.node_id)
+                continue
             queried.add(contact.node_id)
             outcome.messages += 1
             reply = transport.query(contact, target, find_value, top_n)
@@ -158,6 +174,9 @@ def iterative_lookup(
             # among the k closest, then stop.
             remaining = [c for c in ranked(k) if c.node_id not in queried]
             for contact in remaining:
+                if is_suspect(contact.node_id):
+                    failed.add(contact.node_id)
+                    continue
                 queried.add(contact.node_id)
                 outcome.messages += 1
                 reply = transport.query(contact, target, find_value, top_n)

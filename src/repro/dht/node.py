@@ -5,18 +5,36 @@ RPC endpoints, and offers the client-side operations the DHARMA layer builds
 on: ``store`` (PUT), ``retrieve`` (GET), ``append`` (commutative counter
 update) and the underlying iterative lookups.
 
-A node talks to its peers exclusively through the
-:class:`~repro.simulation.network.SimulatedNetwork`, so an overlay of any size
-lives in one process; the node is otherwise a faithful Kademlia participant
-(k-buckets refreshed by every message, ping-before-evict policy, lookup with
-``alpha`` concurrency, replication of stored values on the ``replicate``
-closest nodes).
+A node talks to its peers exclusively through a
+:class:`~repro.net.base.Transport` -- the in-process simulator or a real UDP
+socket, the node code is the same -- and is otherwise a faithful Kademlia
+participant (k-buckets refreshed by every message, ping-before-evict policy,
+lookup with ``alpha`` concurrency, replication of stored values on the
+``replicate`` closest nodes).
+
+Failure handling
+----------------
+
+What a node *saw* outranks what it is *told*.  A peer whose RPC spent the
+transport's whole retry budget (:class:`~repro.net.base.RequestTimeout`) or
+whose address is gone (:class:`~repro.simulation.network.NodeUnreachable`) is
+**struck**: evicted from the routing table and remembered as a suspect for
+:data:`SUSPECT_BASE_MS`, doubling per consecutive strike up to
+:data:`SUSPECT_CAP_MS`.  While the window runs, other peers mentioning it is
+hearsay and changes nothing: lookups do not query it, the routing table does
+not re-admit it, cached routes and replica walks step over it -- so a dead
+peer costs one timeout, not one per lookup.  First-hand contact lifts the
+suspicion at once (a request *from* that id, or an RPC it answers); after the
+window one mention buys it one more try.  A single lost datagram on the
+simulator (``MessageDropped``: no retry layer underneath) and an oversize
+frame (``DatagramTooLarge``: nothing was sent, or the peer answered) are not
+evidence of death and strike nobody.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,12 +58,29 @@ from repro.dht.messages import (
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact, make_routing_table
 from repro.dht.storage import LocalStorage
-from repro.net.base import Transport, TransportError
+from repro.net.base import DatagramTooLarge, RequestTimeout, Transport, TransportError
 from repro.net.simulated import as_transport
 from repro.perf import PERF
-from repro.simulation.network import SimulatedNetwork
+from repro.simulation.network import NodeUnreachable, SimulatedNetwork
 
-__all__ = ["NodeConfig", "KademliaNode", "reserve_addresses"]
+__all__ = [
+    "NodeConfig",
+    "KademliaNode",
+    "reserve_addresses",
+    "SUSPECT_BASE_MS",
+    "SUSPECT_CAP_MS",
+    "MAX_SUSPECTS",
+]
+
+#: How long (transport-clock ms) a first strike keeps a peer suspected; each
+#: consecutive strike doubles it (hivemind's blacklist: 5 s x 2^n).
+SUSPECT_BASE_MS = 5_000.0
+#: Ceiling of the doubling: a peer that stays dead is retried this often.
+SUSPECT_CAP_MS = 600_000.0
+#: Hard bound on remembered suspects per node, so a flood of dead or spoofed
+#: ids cannot grow the map: at the bound, the suspicion that ended (or ends)
+#: soonest makes room, so lapsed entries are the first to go.
+MAX_SUSPECTS = 64
 
 
 class _AddressAllocator:
@@ -146,6 +181,12 @@ class KademliaNode:
         #: payloads, fabricated FIND_NODE contacts) without subclassing.
         #: Honest operation never sets it.
         self.rpc_hook: Callable[[RPCRequest, Any], Any] | None = None
+        #: Failure memory, ``node id value -> (consecutive strikes, suspected
+        #: until)`` on the transport clock; keyed by the bare int because it
+        #: is consulted per RPC and ``NodeID.__hash__`` runs in Python.
+        #: Allocated by the first strike: a node that never watched a peer
+        #: die carries no map.
+        self._suspects: dict[int, tuple[int, float]] | None = None
         # Server-side RPC counters (how much load this node sustains).
         self.rpcs_served: dict[str, int] = {
             "ping": 0,
@@ -191,6 +232,10 @@ class KademliaNode:
         # served: with saturated tables (1k-node clusters) the synchronous
         # evict-pings would otherwise cascade node-to-node without bound.
         sender = Contact(node_id=request.sender_id, address=request.sender_address)
+        suspects = self._suspects
+        if suspects and request.sender_id.value in suspects:
+            # First-hand evidence of life lifts a suspicion at once.
+            suspects.pop(request.sender_id.value, None)
         if isinstance(request, PingRequest):
             if self._admit_contact(request.sender_id):
                 self.routing_table.record_contact(sender)
@@ -305,7 +350,11 @@ class KademliaNode:
 
     def _note_contact(self, contact: Contact) -> None:
         """Insert *contact*, applying the ping-before-evict policy when the
-        target bucket is full."""
+        target bucket is full.
+
+        For contacts heard from directly; hearsay goes through
+        :meth:`unsuspected` first (see :meth:`lookup_node`).
+        """
         if contact.node_id == self.node_id:
             return
         if not self._admit_contact(contact.node_id):
@@ -319,14 +368,97 @@ class KademliaNode:
             self.routing_table.record_contact(contact)
 
     def _call(self, contact: Contact, request: RPCRequest) -> Any | None:
-        """Issue one RPC; returns None (and evicts the contact) on failure."""
+        """Issue one RPC; returns None on failure.
+
+        Only a spent retry budget or a vanished address is evidence of death
+        and strikes the contact.  One lost datagram evicts it, as ever, but
+        leaves no memory; an oversize frame says nothing about the peer and
+        leaves the routing table alone.
+        """
         try:
             response = self.transport.send(self.address, contact.address, request)
+        except (RequestTimeout, NodeUnreachable):
+            self._strike(contact.node_id)
+            return None
+        except DatagramTooLarge:
+            return None
         except TransportError:
             self.routing_table.evict(contact.node_id)
             return None
         self.routing_table.record_contact(contact)
+        suspects = self._suspects
+        if suspects and contact.node_id.value in suspects:
+            suspects.pop(contact.node_id.value, None)
         return response
+
+    # ------------------------------------------------------------------ #
+    # failure memory
+    # ------------------------------------------------------------------ #
+
+    def _strike(self, node_id: NodeID) -> None:
+        """Evict *node_id* and suspect it for a window that doubles with every
+        consecutive strike.
+
+        Over UDP, handler threads clear suspicions while the client thread
+        strikes, so the map is only ever walked through a ``list`` copy.
+        """
+        self.routing_table.evict(node_id)
+        suspects = self._suspects
+        if suspects is None:
+            suspects = self._suspects = {}
+        key = node_id.value
+        now = self.transport.clock.now
+        strikes = suspects.get(key, (0, 0.0))[0] + 1
+        while key not in suspects and len(suspects) >= MAX_SUSPECTS:
+            soonest = min(list(suspects.items()), key=lambda item: item[1][1])[0]
+            suspects.pop(soonest, None)
+        window = min(SUSPECT_BASE_MS * 2.0 ** (strikes - 1), SUSPECT_CAP_MS)
+        suspects[key] = (strikes, now + window)
+        PERF.count("dht.suspect_strikes")
+
+    def is_suspect(self, node_id: NodeID) -> bool:
+        """True while *node_id*'s suspicion window runs: hearsay about it is
+        to be ignored (each such skip is counted in ``dht.suspect_skips``)."""
+        suspects = self._suspects
+        if suspects is None:
+            return False
+        entry = suspects.get(node_id.value)
+        if entry is None or entry[1] <= self.transport.clock.now:
+            return False
+        PERF.count("dht.suspect_skips")
+        return True
+
+    def unsuspected(self, contacts: Sequence[Contact]) -> Sequence[Contact]:
+        """*contacts* without the current suspects (as given when there are
+        none, which is the common case and costs one test)."""
+        suspects = self._suspects
+        if not suspects:
+            return contacts
+        return [
+            c
+            for c in contacts
+            if c.node_id.value not in suspects or not self.is_suspect(c.node_id)
+        ]
+
+    @property
+    def suspect_count(self) -> int:
+        """How many peers are suspected right now."""
+        now = self.transport.clock.now
+        return sum(1 for _, _, until in self.export_suspects() if until > now)
+
+    def export_suspects(self) -> list[tuple[NodeID, int, float]]:
+        """The failure memory as ``(node id, strikes, suspected until)`` rows,
+        oldest first (what a cluster snapshot stores)."""
+        return [
+            (NodeID(value), strikes, until)
+            for value, (strikes, until) in list((self._suspects or {}).items())
+        ]
+
+    def restore_suspects(self, rows: list[tuple[NodeID, int, float]]) -> None:
+        """Inverse of :meth:`export_suspects`."""
+        self._suspects = {
+            node_id.value: (strikes, until) for node_id, strikes, until in rows
+        } or None
 
     def ping(self, contact: Contact) -> bool:
         """PING *contact*; True if it answered."""
@@ -386,7 +518,8 @@ class KademliaNode:
             alpha=self.config.alpha,
             find_value=False,
         )
-        for contact in outcome.closest:
+        # Hearsay: the closest list also names contacts that never answered.
+        for contact in self.unsuspected(outcome.closest):
             self._note_contact(contact)
         return outcome
 
@@ -455,16 +588,17 @@ class KademliaNode:
 
         The lookup's closest list can contain contacts that were reported by
         peers but never answered themselves (they may have crashed since);
-        candidates are therefore walked in distance order until ``replicate``
-        replicas accept, instead of writing blindly to the first
-        ``replicate`` entries -- on a churning overlay the latter silently
-        decays replication until data dies with its last holder.
+        candidates are therefore walked in distance order, stepping over
+        current suspects, until ``replicate`` replicas accept, instead of
+        writing blindly to the first ``replicate`` entries -- on a churning
+        overlay the latter silently decays replication until data dies with
+        its last holder.
         """
         if identity is not None:
             value = SignedValue.create(identity, key, value)
         outcome = self.lookup_node(key)
         stored = 0
-        for contact in outcome.closest:
+        for contact in self.unsuspected(outcome.closest):
             if stored >= self.config.replicate:
                 break
             stored += self.store_at([contact], key, value)
@@ -533,7 +667,7 @@ class KademliaNode:
         """
         outcome = self.lookup_node(key)
         applied = 0
-        for contact in outcome.closest:
+        for contact in self.unsuspected(outcome.closest):
             if applied >= self.config.replicate:
                 break
             applied += self.append_at(

@@ -29,8 +29,9 @@ Invariants
 
 * **total failure taxonomy** -- :meth:`Transport.send` either returns the
   peer's response or raises a :class:`TransportError`; no other exception
-  escapes the seam, so the node layer's evict-on-failure policy holds over
-  any transport.
+  escapes the seam, so the node layer's failure policy (which subclasses
+  evict a contact, which also make it a suspect, which do neither) holds
+  over any transport.
 * **clock duck-type** -- every transport exposes ``clock.now`` in
   milliseconds (virtual for the simulator, wall for UDP), which is the only
   time source the node, engine and storage layers consult.
@@ -61,7 +62,9 @@ class TransportError(Exception):
 
     The simulated network's ``NodeUnreachable`` and ``MessageDropped`` are
     subclasses, as are the UDP transport's :class:`RequestTimeout` and
-    :class:`DatagramTooLarge`; the node layer catches this base class only.
+    :class:`DatagramTooLarge`.  The node layer catches the whole family but
+    tells them apart: only a timeout or an unreachable address is evidence
+    that the peer is dead.
     """
 
 

@@ -42,6 +42,8 @@ class ServeNodeStats:
     node_id: str
     joined: bool
     routing_contacts: int
+    #: Peers this node has itself watched fail and is currently shunning.
+    suspects: int
     stored_items: int
     rpcs_served: dict[str, int]
     transport: dict
@@ -134,6 +136,7 @@ class ServeNode:
             node_id=self.node_id.hex(),
             joined=self.node.joined,
             routing_contacts=len(self.node.routing_table),
+            suspects=self.node.suspect_count,
             stored_items=len(self.node.storage),
             rpcs_served=dict(self.node.rpcs_served),
             transport=self.transport.stats.snapshot(),

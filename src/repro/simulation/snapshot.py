@@ -33,6 +33,9 @@ Design notes
   churn (:meth:`~repro.simulation.churn.ChurnProcess.schedule_trace`) is
   checkpointable; dynamic churn draws follow-up events at execution time and
   has no label encoding.
+* A node's failure memory (which peers it watched fail, how often, until
+  when they stay suspected) steers its next lookups, so it travels with the
+  node -- as a ``suspects`` list that is left out while empty.
 * Default node addresses come from a process-wide counter; restore reserves
   every number seen in the snapshot so post-restore joiners cannot collide
   with restored nodes, even in a fresh process.
@@ -199,12 +202,21 @@ def _node_state(node: KademliaNode, users_by_id: dict[NodeID, str]) -> dict:
         }
         for key, record in node.storage.records_snapshot().items()
     ]
-    return {
+    state = {
         "membership": membership.hex(),
         "routing": routing.hex(),
         "rpcs_served": dict(node.rpcs_served),
         "storage": storage,
     }
+    suspects = node.export_suspects()
+    if suspects:
+        # Omitted while a node has none, so snapshots of runs in which no
+        # RPC ever failed are byte-identical to those written before the
+        # failure memory existed.
+        state["suspects"] = [
+            [node_id.hex(), strikes, until] for node_id, strikes, until in suspects
+        ]
+    return state
 
 
 def _maintenance_state(maintenance: OverlayMaintenance) -> dict:
@@ -400,6 +412,12 @@ def _restore_nodes(
                 writes=item["writes"],
                 reads=item["reads"],
             )
+        node.restore_suspects(
+            [
+                (NodeID.from_hex(node_id), int(strikes), until)
+                for node_id, strikes, until in record.get("suspects", ())
+            ]
+        )
         nodes.append(node)
     return nodes
 

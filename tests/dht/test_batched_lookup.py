@@ -94,6 +94,24 @@ class TestRouteCache:
         assert engine.stats.route_invalidations == 1
         assert engine._cached_route(key) is None
 
+    def test_cached_route_steps_over_a_replica_seen_dead(self, overlay, engine):
+        """A cached route is hearsay: once the access node has itself watched
+        a replica fail, the route is used without it -- no second timeout."""
+        key = remote_key(overlay, engine.node, "punk")
+        engine.node.store(key, {"v": 1})
+        engine.retrieve(key)
+        route = engine._cached_route(key)
+        victim = overlay.node_by_address(route[0].address)
+        overlay.network.unregister(victim.address)
+        assert not engine.node.ping(victim.contact)  # first-hand: one timeout
+        failed_before = overlay.network.stats.rpcs_failed_unreachable
+
+        assert victim.node_id not in {c.node_id for c in engine._cached_route(key)}
+        value, outcome = engine.retrieve(key)
+        assert value == {"v": 1} and outcome.failures == 0
+        assert engine.store(key, {"v": 2}).accepted_replicas >= 1
+        assert overlay.network.stats.rpcs_failed_unreachable == failed_before
+
     def test_route_ttl_expiry(self, overlay):
         engine = BatchedLookupEngine(
             overlay.nodes[0], BatchedLookupConfig(route_cache_ttl_ms=10.0)

@@ -15,16 +15,25 @@ def contact(value: int) -> Contact:
 
 class ScriptedTransport:
     """Transport whose topology is a static mapping node -> known contacts,
-    with optional value holders and dead nodes."""
+    with optional value holders, dead nodes and suspects (nodes the initiator
+    already watched fail)."""
 
-    def __init__(self, topology, values=None, dead=None):
+    def __init__(self, topology, values=None, dead=None, suspects=None):
         self.topology = {c.node_id: peers for c, peers in topology.items()}
         self.values = values or {}
         self.dead = dead or set()
+        self.suspects = suspects or set()
         self.queries = 0
+        self.queried = []
+        self.suspect_checks = 0
+
+    def is_suspect(self, node_id):
+        self.suspect_checks += 1
+        return node_id in self.suspects
 
     def query(self, target_contact, target, find_value, top_n):
         self.queries += 1
+        self.queried.append(target_contact.node_id)
         if target_contact.node_id in self.dead:
             return None
         if find_value and target_contact.node_id in self.values:
@@ -112,3 +121,56 @@ class TestFindValue:
         assert not outcome.found_value
         assert outcome.value is None
         assert {c.node_id.value for c in outcome.closest} == {5, 9}
+
+
+class TestSuspects:
+    """Hearsay about a contact the initiator watched fail is not evidence."""
+
+    def test_suspect_is_never_queried_and_not_in_closest(self):
+        c9, c5, c1 = contact(9), contact(5), contact(1)
+        # 5 is dead *and* suspected; every live peer still hands it out.
+        transport = ScriptedTransport(
+            {c9: [c5, c1], c1: [c5], c5: []}, dead={NodeID(5)}, suspects={NodeID(5)}
+        )
+        outcome = iterative_lookup(transport, NodeID(0), seeds=[c9], k=3, alpha=2)
+        assert NodeID(5) not in transport.queried
+        assert outcome.failures == 0
+        assert outcome.messages == transport.queries == 2
+        assert [c.node_id.value for c in outcome.closest] == [1, 9]
+
+    def test_next_closest_takes_the_place_of_a_suspect(self):
+        seeds = [contact(v) for v in (1, 2, 3, 4)]
+        transport = ScriptedTransport({c: [] for c in seeds}, suspects={NodeID(1)})
+        outcome = iterative_lookup(transport, NodeID(0), seeds=seeds, k=3, alpha=3)
+        # k = 3: with 1 dropped, 4 moves into the k closest and is queried.
+        assert sorted(n.value for n in transport.queried) == [2, 3, 4]
+        assert [c.node_id.value for c in outcome.closest] == [2, 3, 4]
+
+    def test_suspected_seed_alone_ends_the_lookup_without_an_rpc(self):
+        transport = ScriptedTransport({}, suspects={NodeID(7)})
+        outcome = iterative_lookup(transport, NodeID(0), seeds=[contact(7)], k=3)
+        assert transport.queries == 0
+        assert outcome.messages == 0 and not outcome.succeeded
+
+    def test_find_value_steps_over_a_suspect_replica(self):
+        c9, c5, c1 = contact(9), contact(5), contact(1)
+        transport = ScriptedTransport(
+            {c9: [c1, c5], c1: [], c5: []},
+            values={NodeID(5): {"entries": {"a": 1}}},
+            dead={NodeID(1)},
+            suspects={NodeID(1)},
+        )
+        outcome = iterative_lookup(
+            transport, NodeID(0), seeds=[c9], k=3, alpha=1, find_value=True
+        )
+        assert outcome.found_value and outcome.failures == 0
+        assert NodeID(1) not in transport.queried
+
+    def test_check_runs_on_chosen_candidates_not_on_every_reply_contact(self):
+        # One hub that returns 40 contacts; k = 4, so only the closest few are
+        # ever chosen.  The check must scale with queries, not with replies.
+        far = [contact(v) for v in range(100, 140)]
+        hub = contact(50)
+        transport = ScriptedTransport({hub: far, **{c: [] for c in far}})
+        iterative_lookup(transport, NodeID(0), seeds=[hub], k=4, alpha=2)
+        assert transport.suspect_checks <= 2 * transport.queries

@@ -4,8 +4,16 @@ import pytest
 
 from repro.core.blocks import BlockType
 from repro.dht.likir import CertificationService, LikirAuthError, SignedValue
-from repro.dht.node import KademliaNode, NodeConfig
+from repro.dht.node import (
+    MAX_SUSPECTS,
+    SUSPECT_BASE_MS,
+    SUSPECT_CAP_MS,
+    KademliaNode,
+    NodeConfig,
+)
 from repro.dht.node_id import NodeID
+from repro.dht.routing_table import Contact
+from repro.perf import PERF
 from repro.simulation.network import NetworkConfig, SimulatedNetwork
 
 
@@ -218,3 +226,146 @@ class TestLargerOverlay:
     def test_refresh_buckets_issues_lookups(self, trio):
         a, _b, _c = trio
         assert a.refresh_buckets() >= 1
+
+
+class TestFailureMemory:
+    """What a node watched fail outranks what other peers still tell it."""
+
+    @staticmethod
+    def strike(node, network, victim):
+        """Crash-like silence: *victim* stops answering, *node* finds out."""
+        network.partition(victim.address)
+        assert not node.ping(victim.contact)
+
+    def test_unreachable_peer_is_struck_evicted_and_suspected(self, trio, network):
+        a, _b, c = trio
+        self.strike(a, network, c)
+        assert c.node_id not in a.routing_table
+        assert a.is_suspect(c.node_id)
+        assert a.suspect_count == 1
+        [(node_id, strikes, until)] = a.export_suspects()
+        assert (node_id, strikes) == (c.node_id, 1)
+        assert until == network.clock.now + SUSPECT_BASE_MS
+
+    def test_hearsay_is_ignored_while_the_window_runs(self, trio, network):
+        a, b, c = trio
+        self.strike(a, network, c)
+        assert c.node_id in b.routing_table  # b never saw c fail: it keeps vouching
+        failed_before = network.stats.rpcs_failed_unreachable
+        for _ in range(5):
+            outcome = a.lookup_node(c.node_id)
+            assert outcome.failures == 0
+            assert c.node_id not in {contact.node_id for contact in outcome.closest}
+        assert network.stats.rpcs_failed_unreachable == failed_before
+        assert c.node_id not in a.routing_table
+
+    def test_after_the_window_one_mention_buys_one_more_try(self, trio, network):
+        a, _b, c = trio
+        self.strike(a, network, c)
+        network.clock.advance(SUSPECT_BASE_MS)
+        assert not a.is_suspect(c.node_id)
+        failed_before = network.stats.rpcs_failed_unreachable
+        a.lookup_node(c.node_id)
+        a.lookup_node(c.node_id)
+        # Exactly one retry, and the second strike doubles the window.
+        assert network.stats.rpcs_failed_unreachable == failed_before + 1
+        [(_, strikes, until)] = a.export_suspects()
+        assert strikes == 2
+        assert until - network.clock.now == pytest.approx(2 * SUSPECT_BASE_MS, abs=1_000.0)
+
+    def test_request_from_the_suspect_clears_it_at_once(self, trio, network):
+        a, _b, c = trio
+        self.strike(a, network, c)
+        network.heal(c.address)
+        assert c.ping(a.contact)  # first-hand: a serves a request from c
+        assert not a.is_suspect(c.node_id)
+        assert a.export_suspects() == []
+        assert c.node_id in a.routing_table
+
+    def test_answered_rpc_clears_the_strike_count(self, trio, network):
+        a, _b, c = trio
+        self.strike(a, network, c)
+        network.heal(c.address)
+        network.clock.advance(SUSPECT_BASE_MS)
+        assert a.ping(c.contact)
+        assert a.export_suspects() == []
+        self.strike(a, network, c)
+        assert a.export_suspects()[0][1] == 1  # not "consecutive" any more
+
+    def test_consecutive_strikes_double_the_window_up_to_the_cap(self, trio, network):
+        a, _b, c = trio
+        network.partition(c.address)
+        windows = []
+        for _ in range(10):
+            assert not a.ping(c.contact)
+            [(_, _, until)] = a.export_suspects()
+            windows.append(until - network.clock.now)
+            network.clock.advance_to(until)
+        expected = [min(SUSPECT_BASE_MS * 2**n, SUSPECT_CAP_MS) for n in range(10)]
+        assert windows == pytest.approx(expected)
+        assert windows[-1] == windows[-2] == SUSPECT_CAP_MS
+
+    def test_map_is_allocated_by_the_first_strike_only(self, trio, network):
+        a, b, c = trio
+        a.lookup_node(c.node_id)
+        a.store(NodeID.hash_of("k"), "v")
+        assert a._suspects is None and b._suspects is None
+        self.strike(a, network, c)
+        assert a._suspects is not None and b._suspects is None
+
+    def test_map_never_outgrows_its_cap(self, trio, network):
+        a, _b, _c = trio
+        ghosts = [
+            Contact(NodeID.hash_of(f"ghost-{i}"), f"nowhere-{i}")
+            for i in range(MAX_SUSPECTS + 20)
+        ]
+        for ghost in ghosts:
+            assert not a.ping(ghost)
+            assert len(a.export_suspects()) <= MAX_SUSPECTS
+        remembered = {node_id for node_id, _, _ in a.export_suspects()}
+        assert len(remembered) == MAX_SUSPECTS
+        # The suspicions ending soonest -- the oldest -- made room.
+        assert remembered == {ghost.node_id for ghost in ghosts[20:]}
+
+    def test_store_and_append_step_over_a_suspect_replica(self, trio, network):
+        a, b, c = trio
+        # c is the closest possible replica for keys next to its own id.
+        store_key, append_key = c.node_id, NodeID(c.node_id.value ^ 1)
+        self.strike(a, network, c)
+        failed_before = network.stats.rpcs_failed_unreachable
+        assert a.store(store_key, "v").accepted_replicas >= 1
+        outcome = a.append(append_key, "owner", BlockType.TAG_NEIGHBOURS, {"x": 1})
+        assert outcome.accepted_replicas >= 1
+        assert network.stats.rpcs_failed_unreachable == failed_before
+
+    def test_a_single_lost_datagram_evicts_but_does_not_strike(self, certification):
+        lossy = SimulatedNetwork(
+            NetworkConfig(min_latency_ms=1, max_latency_ms=2, loss_rate=0.99, seed=0)
+        )
+        a = make_node(lossy, certification, "la")
+        b = make_node(lossy, certification, "lb")
+        a.routing_table.record_contact(b.contact)
+        assert not a.ping(b.contact)  # MessageDropped: b is alive and registered
+        assert lossy.stats.messages_dropped == 1
+        assert b.node_id not in a.routing_table
+        assert not a.is_suspect(b.node_id) and a._suspects is None
+
+    def test_strikes_and_skips_are_counted(self, trio, network):
+        a, _b, c = trio
+        PERF.reset()
+        self.strike(a, network, c)
+        a.lookup_node(c.node_id)
+        assert PERF.counter("dht.suspect_strikes") == 1
+        assert PERF.counter("dht.suspect_skips") >= 1
+
+    def test_export_restore_round_trip(self, trio, network):
+        a, b, c = trio
+        self.strike(a, network, c)
+        self.strike(a, network, b)
+        rows = a.export_suspects()
+        other = make_node(network, CertificationService(seed=1), "other")
+        other.restore_suspects(rows)
+        assert other.export_suspects() == rows
+        assert other.is_suspect(c.node_id) and other.is_suspect(b.node_id)
+        other.restore_suspects([])
+        assert other._suspects is None

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import BlockType
+from repro.dht.node import KademliaNode, NodeConfig
 from repro.dht.node_id import ID_BITS, NodeID
 from repro.dht.routing_table import Contact, RoutingTable
 from repro.dht.storage import LocalStorage
+from repro.simulation.network import NetworkConfig, SimulatedNetwork
 
 node_ids = st.integers(min_value=0, max_value=(1 << ID_BITS) - 1).map(NodeID)
 
@@ -92,3 +94,56 @@ def test_index_side_filtering_returns_heaviest_entries(entries, top_n):
         kept_min = min(returned.values())
         dropped = {k: v for k, v in entries.items() if k not in returned}
         assert all(v <= kept_min for v in dropped.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dead=st.sets(st.integers(min_value=0, max_value=7), max_size=4),
+    loss_rate=st.sampled_from([0.0, 0.1, 0.3]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["lookup", "store", "append", "retrieve", "ping", "wait"]),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=7),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    seed=st.integers(min_value=0, max_value=1_000),
+)
+def test_a_peer_that_always_answers_is_never_suspected(dead, loss_rate, ops, seed):
+    """Whatever the live nodes do, and however many datagrams the network
+    loses, only peers that really stopped answering end up suspected."""
+    network = SimulatedNetwork(
+        NetworkConfig(min_latency_ms=1, max_latency_ms=5, loss_rate=loss_rate, seed=seed)
+    )
+    config = NodeConfig(k=4, alpha=2, replicate=2, verify_credentials=False)
+    nodes = [
+        KademliaNode(NodeID.hash_of(f"peer-{seed}-{i}"), network, config) for i in range(8)
+    ]
+    for node in nodes:
+        node.join(nodes[0].contact if node is not nodes[0] else None)
+    for index in dead:
+        network.partition(nodes[index].address)
+    live = [node for i, node in enumerate(nodes) if i not in dead]
+    dead_ids = {nodes[i].node_id for i in dead}
+
+    for kind, who, what in ops:
+        actor = live[who % len(live)]
+        key = NodeID.hash_of(f"key-{what}")
+        if kind == "lookup":
+            actor.lookup_node(nodes[what].node_id)
+        elif kind == "store":
+            actor.store(key, {"v": what})
+        elif kind == "append":
+            actor.append(NodeID.hash_of(f"ctr-{what}"), "o", BlockType.TAG_NEIGHBOURS, {"t": 1})
+        elif kind == "retrieve":
+            actor.retrieve(key)
+        elif kind == "ping":
+            actor.ping(nodes[what].contact)
+        else:
+            network.clock.advance(what * 2_000.0)
+
+    for node in live:
+        suspected = {node_id for node_id, _, _ in node.export_suspects()}
+        assert suspected <= dead_ids

@@ -12,6 +12,8 @@ node and drives the full stack through real sockets:
 * faceted search -- a catalogue published via the naive protocol, then a
   :class:`~repro.distributed.search_client.DistributedFacetedSearch` walk
   whose every block read crosses a process boundary;
+* a dead peer -- one extra serve process is SIGKILLed; the lookups that
+  keep being told about it finish within a bound and pay its timeout once;
 * Likir over sockets -- a second, smaller overlay runs ``dharma serve
   --verify --cert-seed``: independently started processes share only the
   seed, yet a credentialed STORE verifies everywhere while a forged one
@@ -35,7 +37,7 @@ import pytest
 
 from repro.core.blocks import BlockKey, BlockType
 from repro.dht.likir import CertificationService, Identity, LikirAuthError, SignedValue
-from repro.dht.node import NodeConfig
+from repro.dht.node import SUSPECT_BASE_MS, NodeConfig
 from repro.dht.node_id import NodeID
 from repro.distributed.block_store import BlockStore
 from repro.distributed.naive_protocol import NaiveProtocol
@@ -130,9 +132,6 @@ def overlay_processes():
 
 @pytest.fixture(scope="module")
 def access_node(overlay_processes):
-    # Module-scoped: every join leaves another dead endpoint in the serve
-    # processes' routing tables, and each dead contact costs a timeout per
-    # lookup that touches it -- one shared access point keeps the suite fast.
     node = ServeNode(
         node_config=NodeConfig(k=8, alpha=2, replicate=2, verify_credentials=False),
         transport_config=UdpTransportConfig(timeout_ms=400.0, retries=1),
@@ -292,8 +291,57 @@ def test_verified_store_crosses_processes_and_forgeries_do_not(verified_overlay)
 
 
 def test_uri_blocks_resolve(access_node):
+    # A resource no other test inserts: the URI block is last-writer-wins, so
+    # rewriting one that insert_resource already wrote would make the answer
+    # depend on which replica replies first.
     store = BlockStore(access_node.client(batched=False))
-    store.put_resource_uri("nevermind", "urn:album:nevermind")
-    assert store.get_resource_uri("nevermind") == "urn:album:nevermind"
-    key = BlockKey("nevermind", BlockType.RESOURCE_URI)
-    assert access_node.client(batched=False).get(key)["uri"] == "urn:album:nevermind"
+    store.put_resource_uri("the-bends", "urn:album:the-bends")
+    assert store.get_resource_uri("the-bends") == "urn:album:the-bends"
+    key = BlockKey("the-bends", BlockType.RESOURCE_URI)
+    assert access_node.client(batched=False).get(key)["uri"] == "urn:album:the-bends"
+
+
+def test_killed_peer_costs_one_timeout_not_one_per_lookup(overlay_processes):
+    """SIGKILL one serve process (no goodbye): the survivors keep handing its
+    contact out, but the client pays the RPC timeout for it once."""
+    extra_process, extra_address = spawn_server(join=overlay_processes[0])
+    client = ServeNode(
+        node_config=NodeConfig(k=8, alpha=2, replicate=2, verify_credentials=False),
+        # 100 + 200 ms per dead peer: the whole loop below stays well inside
+        # the first suspicion window even on a slow box.
+        transport_config=UdpTransportConfig(timeout_ms=100.0, retries=1),
+    )
+    try:
+        client.bootstrap(overlay_processes[0])
+        victim = client.probe(extra_address)
+        # The survivors know the victim first-hand (it joined through them)
+        # and hand it out: a lookup of its id finds it.
+        found = client.node.lookup_node(victim.node_id).closest
+        assert victim.node_id in {c.node_id for c in found}
+        extra_process.kill()
+        extra_process.wait(timeout=10)
+
+        started = time.monotonic()
+        for index in range(25):
+            # Keys next to the victim's id: every one of these lookups is
+            # told about the victim by the peers it queries.
+            key = NodeID(victim.node_id.value ^ (index + 1))
+            client.node.store(key, {"owner": "k", "type": "1", "entries": {"x": 1}})
+            value, _ = client.node.retrieve(key)
+            assert value["entries"] == {"x": 1}
+        elapsed = time.monotonic() - started
+
+        # Before the failure memory every one of the 50 lookups above paid
+        # the victim's 300 ms (> 15 s); now only the first does.
+        assert elapsed < SUSPECT_BASE_MS / 1_000.0
+        strikes = {node_id: count for node_id, count, _ in client.node.export_suspects()}
+        assert strikes[victim.node_id] == 1
+        # At most one failed RPC per dead peer (earlier tests' closed access
+        # nodes are dead peers of this overlay too).
+        assert client.transport.stats.rpcs_failed == len(strikes)
+        assert client.stats().suspects == len(strikes)
+    finally:
+        client.close()
+        if extra_process.poll() is None:  # pragma: no cover - only on failure
+            extra_process.kill()
+            extra_process.wait(timeout=10)

@@ -96,3 +96,21 @@ class TestClusterMetricsRecorder:
         assert "net.messages_sent" in counters
         assert set(gauges) >= {"nodes.live", "queue.pending", "cache.hit_rate"}
         assert any(name.startswith("maint.") for name in counters)
+
+    def test_failure_memory_counters_ride_the_stream(self):
+        """A crashed peer shows up as ``perf.dht.suspect_strikes`` /
+        ``perf.dht.suspect_skips`` in the very next sample."""
+        cluster = SimulatedCluster(
+            ClusterConfig(num_nodes=12, clients=1, bootstrap="fast", seed=5)
+        )
+        stream = MetricsStream()
+        recorder = ClusterMetricsRecorder(cluster, stream, interval_ms=1_000.0)
+        before, _ = recorder.collect()
+        dead = cluster.overlay.nodes[-1]
+        cluster.overlay.crash_node(dead)
+        witness = cluster.overlay.nodes[0]
+        witness.lookup_node(dead.node_id)  # pays the timeout, strikes
+        witness.lookup_node(dead.node_id)  # told about it again, skips
+        after, _ = recorder.collect()
+        assert after["perf.dht.suspect_strikes"] > before.get("perf.dht.suspect_strikes", 0)
+        assert after["perf.dht.suspect_skips"] > before.get("perf.dht.suspect_skips", 0)

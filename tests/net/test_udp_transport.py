@@ -326,3 +326,70 @@ class TestRegistration:
             UdpTransportConfig(backoff=0.5)
         with pytest.raises(ValueError):
             UdpTransportConfig(max_datagram=10)
+
+
+class TestNodeFailurePolicyOverUdp:
+    """Which transport errors tell a ``KademliaNode`` that a peer is dead."""
+
+    @staticmethod
+    def pair():
+        from repro.dht.node import NodeConfig
+        from repro.net.server import ServeNode
+
+        config = NodeConfig(k=8, alpha=2, replicate=1, verify_credentials=False)
+        a = ServeNode(node_config=config, transport_config=fast_config(max_datagram=512))
+        b = ServeNode(node_config=config, transport_config=fast_config(max_datagram=512))
+        b.bootstrap(None)
+        a.bootstrap(b.address)
+        return a, b
+
+    def test_oversize_store_leaves_a_live_contact_in_the_table_unsuspected(self):
+        a, b = self.pair()
+        try:
+            peer = a.probe(b.address)
+            big = {"owner": "o", "type": "1", "entries": {f"tag-{i}": 1 for i in range(200)}}
+            # The request never leaves a: its frame is over a's datagram bound.
+            assert a.node.store_at([peer], NodeID.hash_of("big"), big) == 0
+            assert a.transport.stats.of("store").failed == 1
+            assert peer.node_id in a.node.routing_table
+            assert not a.node.is_suspect(peer.node_id)
+            assert a.node.export_suspects() == []
+            # And b keeps answering a: nothing about the peer was wrong.
+            assert a.node.ping(peer)
+        finally:
+            a.close()
+            b.close()
+
+    def test_oversize_response_is_an_answer_not_a_death(self):
+        a, b = self.pair()
+        try:
+            peer = a.probe(b.address)
+            key = NodeID.hash_of("fat")
+            b.node.storage.put(key, {f"tag-{i}": 1 for i in range(200)})
+            # b answers -- with a fault frame, its reply would not fit.
+            assert a.node.query(peer, key, True, None) is None
+            assert b.transport.stats.oversize_dropped == 1
+            assert peer.node_id in a.node.routing_table
+            assert a.node.export_suspects() == []
+        finally:
+            a.close()
+            b.close()
+
+    def test_silent_peer_is_struck_once_and_not_asked_again(self):
+        a, b = self.pair()
+        try:
+            peer = a.probe(b.address)
+            b.close()  # the endpoint is gone: datagrams vanish
+            assert not a.node.ping(peer)  # spends the retry budget
+            assert a.node.is_suspect(peer.node_id)
+            assert peer.node_id not in a.node.routing_table
+            failed = a.transport.stats.rpcs_failed
+            # Hearsay: seed lookups with the dead contact; nothing is sent.
+            from repro.dht.lookup import iterative_lookup
+
+            outcome = iterative_lookup(a.node, peer.node_id, seeds=[peer], k=8, alpha=2)
+            assert outcome.messages == 0 and outcome.closest == []
+            assert a.transport.stats.rpcs_failed == failed
+        finally:
+            a.close()
+            b.close()

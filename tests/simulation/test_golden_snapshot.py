@@ -4,8 +4,12 @@
 the *legacy* ``RoutingTable``/eager-bucket implementation, checkpointing a
 24-node churn survival run at t=9s; ``golden_pre_compact_resume.json`` holds
 the report that run produced when resumed to completion under that same
-implementation.  The fixtures are frozen: regenerating them with current code
-would defeat their purpose.
+implementation.  The snapshot is frozen: regenerating it with current code
+would defeat its purpose.  The resume report pins node *behaviour* after the
+checkpoint as well, so it was re-recorded once -- by resuming the frozen
+snapshot under the legacy table -- when nodes began to remember peers they
+watched fail (ISSUE 14; four nodes crash after t=9s: 18,473 -> 18,278
+messages, availability 1.0 throughout on both sides).
 
 Two compatibility properties are pinned here:
 

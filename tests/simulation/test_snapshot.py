@@ -127,6 +127,28 @@ class TestSnapshotStructure:
         assert restored.overlay.clock.now == quiet_cluster.overlay.clock.now
         assert len(restored.queue) == len(quiet_cluster.queue)
 
+    def test_restore_then_resnapshot_is_identical_with_suspects(self):
+        """The identity also holds once nodes remember peers they saw die."""
+        cluster = SimulatedCluster(
+            ClusterConfig(num_nodes=12, clients=1, bootstrap="fast", seed=21)
+        )
+        dead = cluster.overlay.nodes[-3:]
+        for node in dead:
+            cluster.overlay.crash_node(node)
+        for node in cluster.overlay.nodes[:4]:
+            for corpse in dead:
+                node.lookup_node(corpse.node_id)
+        snapshot = snapshot_cluster(cluster)
+        assert any(record.get("suspects") for record in snapshot["nodes"])
+        restored, _, _ = restore_cluster(snapshot)
+        assert snapshot_cluster(restored) == snapshot
+
+    def test_nodes_without_suspects_carry_no_suspects_key(self, quiet_cluster):
+        # No RPC failed on the quiet cluster: the failure memory must leave
+        # no trace, or every pre-existing snapshot fixture would change.
+        snapshot = snapshot_cluster(quiet_cluster)
+        assert all("suspects" not in record for record in snapshot["nodes"])
+
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "not-a-snapshot.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
@@ -222,6 +244,19 @@ class TestDeterministicResume:
         assert resumed_report.crashes + resumed_report.graceful_leaves > 0
         assert resumed_report.blocks_written > 0
         assert resumed_report.integrity_violations == 0
+
+    def test_checkpoint_has_suspects_and_restores_them_verbatim(self, checkpointed):
+        """The 17 s checkpoint falls after crashes, so nodes remember dead
+        peers; that memory must survive restore -> re-snapshot unchanged (the
+        identical resumed report above depends on it)."""
+        checkpoint, _ = checkpointed
+        snapshot = load_snapshot(checkpoint)
+        rows = [row for record in snapshot["nodes"] for row in record.get("suspects", ())]
+        assert rows, "no node had a suspect at the checkpoint"
+        assert all(strikes >= 1 and until > 0 for _, strikes, until in rows)
+        restored, run, _ = restore_cluster(snapshot)
+        assert sum(len(n.export_suspects()) for n in restored.overlay.nodes) == len(rows)
+        assert snapshot_cluster(restored, benchmark=run)["nodes"] == snapshot["nodes"]
 
     def test_checkpoint_passes_audit(self, checkpointed):
         checkpoint, _ = checkpointed

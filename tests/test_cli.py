@@ -516,6 +516,14 @@ class TestObservabilityCommands:
                 "store": summary(2.0, 2), "append": summary(2.5, 2),
                 "retrieve": summary(0.5, 2),
             },
+            "wall_clock_degraded": {
+                "store": summary(2.2, 2), "append": summary(2.6, 2),
+                "retrieve": summary(0.6, 2),
+            },
+            "degraded": {
+                "peers_killed": 1, "first_strike_ms": 6000.0,
+                "p99_factor": 3.0, "p99_floor_ms": 2.0,
+            },
             "virtual_time": {
                 "store": summary(400.0, 2), "append": summary(450.0, 2),
                 "retrieve": summary(70.0, 2),
@@ -539,6 +547,7 @@ class TestObservabilityCommands:
         assert "wire latency" in out
         assert "wall clock (real sockets)" in out
         assert "virtual time (SimulatedNetwork model)" in out
+        assert "wall clock, one peer dead" in out
         assert "rpc_ping" in out and "p99" in out
 
     def test_dashboard_wire_json_output(self, tmp_path, capsys):
@@ -585,6 +594,35 @@ class TestObservabilityCommands:
         assert "wire-missing-op" in out
         assert "result: FAILED" in out
 
+    def test_audit_gates_the_dead_peer_arm(self, tmp_path, capsys):
+        import json as json_module
+
+        wire = tmp_path / "BENCH_wire.json"
+        # One dead peer stalls every store for a whole RPC budget again.
+        point = self._wire_point()
+        point["wall_clock_degraded"]["store"].update(p99_ms=6000.0, max_ms=6000.0)
+        del point["wall_clock_degraded"]["append"]
+        wire.write_text(json_module.dumps(point))
+        assert main(["audit", "--wire", str(wire)]) == 1
+        out = capsys.readouterr().out
+        assert "wire-degraded-stall" in out and "'store'" in out
+        assert "wall_clock_degraded has no record for operation 'append'" in out
+
+        # A sub-millisecond healthy p99 is floored: 5 ms against 1.5 ms is
+        # scheduler jitter, not a stall.
+        point = self._wire_point()
+        point["wall_clock_degraded"]["retrieve"].update(p99_ms=5.0, max_ms=5.0)
+        wire.write_text(json_module.dumps(point))
+        assert main(["audit", "--wire", str(wire)]) == 0
+        capsys.readouterr()
+
+        # A record from before the arm existed still audits, with a warning.
+        point = self._wire_point()
+        del point["wall_clock_degraded"], point["degraded"]
+        wire.write_text(json_module.dumps(point))
+        assert main(["audit", "--wire", str(wire)]) == 0
+        assert "wire-no-degraded-arm" in capsys.readouterr().out
+
     def test_audit_requires_an_input(self, capsys):
         assert main(["audit"]) == 2
         assert "nothing to audit" in capsys.readouterr().err
@@ -605,9 +643,11 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "listening on udp://127.0.0.1:" in out
         assert "founded a new overlay" in out
+        assert "0 suspects" in out
         stats = json_module.loads(stats_out.read_text())
         assert stats["joined"] is True
         assert stats["address"].startswith("127.0.0.1:")
+        assert stats["suspects"] == 0
 
     def test_audit_fails_on_violations(self, tmp_path, capsys):
         import json as json_module

@@ -15,10 +15,10 @@ network machinery.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
-from repro.dht.messages import ContactInfo
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 
@@ -30,7 +30,7 @@ class LookupTransport(Protocol):
 
     def query(
         self, contact: Contact, target: NodeID, find_value: bool, top_n: int | None
-    ) -> tuple[list[Contact], Any | None] | None:
+    ) -> tuple[Sequence[Contact], Any | None] | None:
         """Send one FIND_NODE / FIND_VALUE RPC to *contact*.
 
         Returns ``(closer_contacts, value_or_None)`` on success or ``None`` if
@@ -114,9 +114,11 @@ def iterative_lookup(
         raise ValueError("alpha must be >= 1")
 
     outcome = LookupOutcome(target=target)
-    shortlist: dict[NodeID, Contact] = {c.node_id: c for c in seeds}
-    queried: set[NodeID] = set()
-    failed: set[NodeID] = set()
+    # Keyed by the bare id value: these sets are consulted per contact per
+    # round, and ``NodeID.__hash__`` / ``__eq__`` run in Python.
+    shortlist: dict[int, Contact] = {c.node_id.value: c for c in seeds}
+    queried: set[int] = set()
+    failed: set[int] = set()
 
     target_value = target.value
 
@@ -125,9 +127,9 @@ def iterative_lookup(
         # id) prefix is unique per contact, so the sort never compares the
         # Contact itself and the ordering matches the keyed sort exactly.
         live = sorted(
-            (nid.value ^ target_value, nid.value, c)
-            for nid, c in shortlist.items()
-            if nid not in failed
+            (value ^ target_value, value, c)
+            for value, c in shortlist.items()
+            if value not in failed
         )
         decorated = live if limit is None else live[:limit]
         return [c for _, _, c in decorated]
@@ -139,7 +141,7 @@ def iterative_lookup(
 
     best_distance: int | None = None
     while outcome.rounds < max_rounds:
-        candidates = [c for c in ranked(k) if c.node_id not in queried]
+        candidates = [c for c in ranked(k) if c.node_id.value not in queried]
         if not candidates:
             break
         batch = candidates[:alpha]
@@ -147,14 +149,14 @@ def iterative_lookup(
         improved = False
         for contact in batch:
             if is_suspect(contact.node_id):
-                failed.add(contact.node_id)
+                failed.add(contact.node_id.value)
                 continue
-            queried.add(contact.node_id)
+            queried.add(contact.node_id.value)
             outcome.messages += 1
             reply = transport.query(contact, target, find_value, top_n)
             if reply is None:
                 outcome.failures += 1
-                failed.add(contact.node_id)
+                failed.add(contact.node_id.value)
                 continue
             closer_contacts, value = reply
             if find_value and value is not None:
@@ -163,8 +165,7 @@ def iterative_lookup(
                 outcome.closest = ranked(k)
                 return outcome
             for new_contact in closer_contacts:
-                if new_contact.node_id not in shortlist:
-                    shortlist[new_contact.node_id] = new_contact
+                shortlist.setdefault(new_contact.node_id.value, new_contact)
             distance = contact.distance_to(target)
             if best_distance is None or distance < best_distance:
                 best_distance = distance
@@ -172,17 +173,17 @@ def iterative_lookup(
         if not improved:
             # No progress this round: finish by querying any unqueried contact
             # among the k closest, then stop.
-            remaining = [c for c in ranked(k) if c.node_id not in queried]
+            remaining = [c for c in ranked(k) if c.node_id.value not in queried]
             for contact in remaining:
                 if is_suspect(contact.node_id):
-                    failed.add(contact.node_id)
+                    failed.add(contact.node_id.value)
                     continue
-                queried.add(contact.node_id)
+                queried.add(contact.node_id.value)
                 outcome.messages += 1
                 reply = transport.query(contact, target, find_value, top_n)
                 if reply is None:
                     outcome.failures += 1
-                    failed.add(contact.node_id)
+                    failed.add(contact.node_id.value)
                     continue
                 closer_contacts, value = reply
                 if find_value and value is not None:
@@ -191,14 +192,9 @@ def iterative_lookup(
                     outcome.closest = ranked(k)
                     return outcome
                 for new_contact in closer_contacts:
-                    if new_contact.node_id not in shortlist:
-                        shortlist[new_contact.node_id] = new_contact
+                    shortlist.setdefault(new_contact.node_id.value, new_contact)
             break
 
     outcome.closest = ranked(k)
     return outcome
 
-
-def contacts_from_wire(infos: tuple[ContactInfo, ...]) -> list[Contact]:
-    """Convert wire-format contact records into routing-table contacts."""
-    return [Contact(node_id=i.node_id, address=i.address) for i in infos]

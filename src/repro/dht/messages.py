@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.dht.likir import SignedValue
 from repro.dht.node_id import NodeID
+from repro.dht.routing_table import Contact
 
 __all__ = [
     "RPCRequest",
@@ -32,15 +34,12 @@ __all__ = [
     "FindValueRequest",
     "FindValueResponse",
     "ContactInfo",
+    "wire_size",
 ]
 
-
-@dataclass(frozen=True, slots=True)
-class ContactInfo:
-    """Wire representation of a routing-table contact."""
-
-    node_id: NodeID
-    address: str
+#: A contact on the wire is the routing table's own frozen record: replies
+#: carry the responder's contacts as they are, with no conversion either way.
+ContactInfo = Contact
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,3 +143,74 @@ class FindValueResponse(RPCResponse):
     found: bool = False
     value: Any = None
     contacts: tuple[ContactInfo, ...] = ()
+
+
+#: Frame header (magic, version, type byte, one-byte request id) plus the
+#: 20-byte sender/responder id every message opens with.
+_HEAD = 24
+
+
+def _value_size(value: Any) -> int:
+    """A stored value in the tagged union of ``core.codec.encode_value``: a
+    tag byte, one-byte lengths and counts, one-byte integers.  What the codec
+    has no tag for counts as its dataclass fields, or as the tag alone."""
+    if isinstance(value, (str, bytes)):
+        return 2 + len(value)
+    if isinstance(value, int):
+        return 2
+    if isinstance(value, float):
+        return 9
+    if isinstance(value, dict):
+        return 2 + sum([1 + len(name) + _value_size(item) for name, item in value.items()])
+    if isinstance(value, (list, tuple)):
+        return 2 + sum(map(_value_size, value))
+    if isinstance(value, SignedValue):
+        # Publisher, 40-digit key and credential, each behind a length byte.
+        return 43 + len(value.publisher) + len(value.credential) + _value_size(value.value)
+    fields = getattr(value, "__dataclass_fields__", ())
+    return 1 + sum([_value_size(getattr(value, name)) for name in fields])
+
+
+def _request_size(message: RPCRequest) -> int:
+    return _HEAD + 1 + len(message.sender_address)
+
+
+def _contacts_size(contacts: tuple[Contact, ...]) -> int:
+    # A count byte, then id, length byte and address per contact.
+    return 1 + 21 * len(contacts) + sum([len(contact.address) for contact in contacts])
+
+
+def _entries_size(entries: dict[str, int] | None) -> int:
+    # A count (or absence) byte, then length byte, name and counter per entry.
+    return 1 + 2 * len(entries) + sum(map(len, entries)) if entries else 1
+
+
+#: Frame size per message type: keys and targets are 20-byte ids, a stored
+#: value travels behind a one-byte envelope flag.
+_SIZERS = {
+    PingRequest: _request_size,
+    PingResponse: lambda m: _HEAD + 1,
+    StoreRequest: lambda m: _request_size(m) + 21 + _value_size(m.value),
+    StoreResponse: lambda m: _HEAD + 1,
+    AppendRequest: lambda m: (
+        _request_size(m) + 22 + len(m.owner) + len(m.block_type)
+        + _entries_size(m.increments) + _entries_size(m.increments_if_new)
+    ),
+    AppendResponse: lambda m: _HEAD + 2,
+    FindNodeRequest: lambda m: _request_size(m) + 21,
+    FindNodeResponse: lambda m: _HEAD + _contacts_size(m.contacts),
+    FindValueRequest: lambda m: _request_size(m) + 23,
+    FindValueResponse: lambda m: _HEAD + 2 + _value_size(m.value) + _contacts_size(m.contacts),
+}
+
+
+def wire_size(message: Any) -> int:
+    """Estimated bytes of *message* as a :mod:`repro.net.wire` frame.
+
+    Structural (fixed bytes per id, ``len`` of each address and name, a term
+    per contact and per entry; nothing is encoded or stringified), so the
+    simulator can afford it on both legs of every RPC.  Anything that is not
+    an RPC message is sized as a stored value.
+    """
+    sizer = _SIZERS.get(type(message))
+    return sizer(message) if sizer is not None else _value_size(message)

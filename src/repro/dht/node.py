@@ -40,11 +40,10 @@ from typing import Any
 
 from repro.core.blocks import BlockType
 from repro.dht.likir import CertificationService, Identity, LikirAuthError, SignedValue
-from repro.dht.lookup import LookupOutcome, contacts_from_wire, iterative_lookup
+from repro.dht.lookup import LookupOutcome, iterative_lookup
 from repro.dht.messages import (
     AppendRequest,
     AppendResponse,
-    ContactInfo,
     FindNodeRequest,
     FindNodeResponse,
     FindValueRequest,
@@ -315,7 +314,7 @@ class KademliaNode:
         closest = self.routing_table.closest_contacts(request.target, request.count)
         return FindNodeResponse(
             responder_id=self.node_id,
-            contacts=tuple(ContactInfo(c.node_id, c.address) for c in closest),
+            contacts=tuple(closest),
         )
 
     def _handle_find_value(self, request: FindValueRequest) -> FindValueResponse:
@@ -327,7 +326,7 @@ class KademliaNode:
         return FindValueResponse(
             responder_id=self.node_id,
             found=False,
-            contacts=tuple(ContactInfo(c.node_id, c.address) for c in closest),
+            contacts=tuple(closest),
         )
 
     # ------------------------------------------------------------------ #
@@ -472,7 +471,7 @@ class KademliaNode:
 
     def query(
         self, contact: Contact, target: NodeID, find_value: bool, top_n: int | None
-    ) -> tuple[list[Contact], Any | None] | None:
+    ) -> tuple[Sequence[Contact], Any | None] | None:
         """LookupTransport implementation used by :func:`iterative_lookup`."""
         if find_value:
             request: RPCRequest = FindValueRequest(
@@ -495,12 +494,12 @@ class KademliaNode:
         if isinstance(response, FindValueResponse):
             if response.found:
                 return ([], response.value)
-            return (self._admitted(contacts_from_wire(response.contacts)), None)
+            return (self._admitted(response.contacts), None)
         if isinstance(response, FindNodeResponse):
-            return (self._admitted(contacts_from_wire(response.contacts)), None)
+            return (self._admitted(response.contacts), None)
         return None
 
-    def _admitted(self, contacts: list[Contact]) -> list[Contact]:
+    def _admitted(self, contacts: Sequence[Contact]) -> Sequence[Contact]:
         """Filter uncertified contacts out of a lookup response (a poisoned
         peer steering the lookup toward Sybil ids must not succeed)."""
         if not self.config.certified_contacts or self.certification is None:
@@ -722,8 +721,9 @@ class KademliaNode:
         self.joined = True
 
     def refresh_buckets(self, rng: random.Random | None = None) -> int:
-        """Refresh stale buckets by looking up a random id in each non-empty
-        bucket's range; returns the number of refresh lookups issued."""
+        """Look up a random id in the range of *every* non-empty bucket, stale
+        or not (no per-bucket last-touched time is kept); returns the number
+        of refresh lookups issued."""
         rng = rng or random.Random(0)
         refreshed = 0
         for index, size in self.routing_table.bucket_utilisation().items():

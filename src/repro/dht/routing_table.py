@@ -19,9 +19,9 @@ Two interchangeable implementations live here:
 * :class:`CompactRoutingTable` -- the array-backed equivalent used by
   default: buckets are allocated lazily on first contact, each bucket keeps
   its contacts in two parallel flat lists (raw 160-bit int keys next to the
-  :class:`Contact` records), and k-closest selection runs a single
-  ``heapq.nsmallest`` pass over ``(distance, id, contact)`` tuples instead of
-  fully sorting every known contact with a per-call lambda on each
+  :class:`Contact` records), and k-closest selection walks the buckets in
+  ascending distance to the target and sorts only the ones it needs instead
+  of fully sorting every known contact with a per-call lambda on each
   FIND_NODE/FIND_VALUE answer.
 
 Both expose the exact same contract (``record_contact`` / ``evict`` /
@@ -34,7 +34,6 @@ cluster equivalence run, and restore each other's snapshot records verbatim.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -409,11 +408,9 @@ class CompactRoutingTable:
 
     A node's table only materialises the buckets it actually uses (a
     converged Kademlia table populates ~log2(n) of its 160 buckets), and
-    :meth:`closest_contacts` -- the FIND_NODE/FIND_VALUE hot path -- selects
-    the k closest via one ``heapq.nsmallest`` pass over ``(distance, id,
-    contact)`` tuples.  The ``(distance, id)`` prefix is unique per contact,
-    so tuple comparison never reaches the contact and the selection is
-    deterministic and identical to the reference full sort.
+    :meth:`closest_contacts` -- the FIND_NODE/FIND_VALUE hot path -- visits
+    buckets nearest-first and stops at ``count``: the same list, in the same
+    order, as the reference full ``(distance, id)`` sort.
     """
 
     __slots__ = ("owner_id", "k", "_owner_value", "_buckets")
@@ -465,15 +462,23 @@ class CompactRoutingTable:
         if count <= 0:
             return []
         target_value = target.value
-        best = heapq.nsmallest(
-            count,
-            (
-                (value ^ target_value, value, contact)
-                for bucket in self._buckets.values()
-                for value, contact in zip(bucket._ids, bucket._contacts)
-            ),
+        delta = self._owner_value ^ target_value
+        # XOR with the target maps bucket i onto the aligned distance range
+        # that starts at delta with bit i flipped and the lower bits cleared
+        # (set bits of delta from the top down, then clear bits from the
+        # bottom up): the ranges are disjoint, so visit buckets by that
+        # start, sort inside each (distances are unique, the sort never
+        # reaches the contact) and stop once count are in hand.
+        nearest_first = sorted(
+            [((delta >> index ^ 1) << index, b) for index, b in self._buckets.items()]
         )
-        return [contact for _, _, contact in best]
+        closest: list[Contact] = []
+        for _, bucket in nearest_first:
+            ranked = sorted(zip(map(target_value.__xor__, bucket._ids), bucket._contacts))
+            closest += [contact for _, contact in ranked]
+            if len(closest) >= count:
+                break
+        return closest[:count]
 
     # -- updates ----------------------------------------------------------- #
 

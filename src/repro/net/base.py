@@ -43,6 +43,7 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any
 
 __all__ = [
@@ -169,13 +170,9 @@ class WallClock:
 RPCHandler = Callable[[str, Any], Any]
 
 
-def rpc_name(message: Any) -> str:
-    """The stats key of an RPC message: ``FindNodeRequest`` -> ``find_node``.
-
-    Works on both requests and responses; unknown objects map to their
-    lower-cased class name so accounting stays total.
-    """
-    name = type(message).__name__
+@cache
+def _rpc_name_of(cls: type) -> str:
+    name = cls.__name__
     for suffix in ("Request", "Response"):
         if name.endswith(suffix):
             name = name[: -len(suffix)]
@@ -186,6 +183,16 @@ def rpc_name(message: Any) -> str:
             out.append("_")
         out.append(char.lower())
     return "".join(out)
+
+
+def rpc_name(message: Any) -> str:
+    """The stats key of an RPC message: ``FindNodeRequest`` -> ``find_node``.
+
+    Works on both requests and responses; unknown objects map to their
+    lower-cased class name so accounting stays total.  Derived once per
+    message class.
+    """
+    return _rpc_name_of(type(message))
 
 
 class Transport(ABC):

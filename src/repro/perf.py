@@ -1,12 +1,13 @@
 """Lightweight performance counters and timers.
 
-The repository's north star is "as fast as the hardware allows", which is
-only meaningful if the hot paths are observable.  This module provides a
-process-wide :data:`PERF` registry of named counters and wall-clock timers
-that the core instruments at coarse granularity (one event per freeze, per
-search run, per codec pass -- never per inner-loop step, so the overhead is
-unmeasurable).  The ``dharma profile`` CLI subcommand drives a workload with
-the registry enabled and prints/exports the resulting snapshot.
+Performance that is measured needs observable hot paths: aggregate counts
+and times here, per-layer attribution of one operation in the repository
+benchmark (``benchmarks/e2e``).  This module provides a process-wide
+:data:`PERF` registry of named counters and wall-clock timers that the core
+instruments at coarse granularity (one event per freeze, per search run, per
+codec pass -- never per inner-loop step, so the overhead is unmeasurable).
+The ``dharma profile`` CLI subcommand drives a workload with the registry
+enabled and prints/exports the resulting snapshot.
 
 Usage::
 

@@ -11,10 +11,11 @@ returns the handler's response.  Two failure modes are modelled:
   request or the response is dropped: :class:`MessageDropped` is raised after
   the configured timeout has been charged to the virtual clock.
 
-The network also keeps :class:`NetworkStats`: total messages, bytes (estimated
-from payload sizes), per-node received-message counters (used to study
-hotspots), and drop counts.  All randomness is drawn from a seeded generator
-so simulations are reproducible.
+The network also keeps :class:`NetworkStats`: total messages, bytes (each
+message's estimated :mod:`repro.net.wire` frame size, both legs of an RPC),
+per-node received-message counters (used to study hotspots), and drop counts.
+All randomness is drawn from a seeded generator so simulations are
+reproducible.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ class SimulatedNetwork:
         self.clock = clock or SimulationClock()
         self.stats = NetworkStats()
         self._rng = random.Random(self.config.seed)
+        # Imported here because repro.dht's package __init__ imports the node
+        # layer, which imports this module back.
+        from repro.dht.messages import wire_size
+
+        self._wire_size = wire_size
         self._handlers: dict[str, RPCHandler] = {}
         self._partitioned: set[str] = set()
 
@@ -151,11 +157,6 @@ class SimulatedNetwork:
         cfg = self.config
         return self._rng.uniform(cfg.min_latency_ms, cfg.max_latency_ms)
 
-    def _estimate_size(self, payload: Any) -> int:
-        # A rough payload-size estimate: good enough to compare protocols
-        # without the cost of real serialisation on every message.
-        return len(repr(payload))
-
     def send(self, sender: str, destination: str, payload: Any) -> Any:
         """Deliver an RPC from *sender* to *destination* and return the reply.
 
@@ -164,7 +165,7 @@ class SimulatedNetwork:
         failure, two one-way latencies on success).
         """
         self.stats.messages_sent += 1
-        self.stats.bytes_transferred += self._estimate_size(payload)
+        self.stats.bytes_transferred += self._wire_size(payload)
 
         handler = self._handlers.get(destination)
         if handler is None or destination in self._partitioned or sender in self._partitioned:
@@ -188,7 +189,7 @@ class SimulatedNetwork:
 
         # Response leg.
         self.stats.messages_sent += 1
-        self.stats.bytes_transferred += self._estimate_size(response)
+        self.stats.bytes_transferred += self._wire_size(response)
         if self.config.loss_rate and self._rng.random() < self.config.loss_rate:
             self.stats.messages_dropped += 1
             self.clock.advance(self.config.timeout_ms)

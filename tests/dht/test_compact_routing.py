@@ -1,7 +1,7 @@
 """The compact routing table is behaviourally identical to the legacy one.
 
 `CompactRoutingTable` re-implements `RoutingTable` over lazily allocated,
-array-backed buckets with an ``nsmallest`` k-closest selection.  Its whole
+array-backed buckets with a bucket-ordered k-closest selection.  Its whole
 value rests on being indistinguishable through the public contract, so these
 tests drive both implementations through randomized operation sequences
 (record / evict / closest / export / restore) and require every observable
@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dht.node_id import ID_BITS, NodeID, NodeIDInterner
 from repro.dht.routing_table import (
@@ -111,6 +113,60 @@ class TestRandomizedEquivalence:
             assert legacy.contacts() == compact.contacts()
             assert legacy.replacement_candidates() == compact.replacement_candidates()
         assert owner not in legacy and owner not in compact
+
+
+ID_SPACE = 1 << ID_BITS
+#: XOR distances from the owner that land in a *chosen* bucket: uniform ids
+#: only ever reach the top few buckets, and the walk order is decided in the
+#: sparse low ones.
+bucket_distances = st.builds(
+    lambda index, low: (1 << index) | (low & ((1 << index) - 1)),
+    st.integers(0, ID_BITS - 1),
+    st.integers(0, ID_SPACE - 1),
+)
+
+
+class TestClosestContactsProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        owner=st.integers(0, ID_SPACE - 1),
+        k=st.integers(1, 4),
+        pool=st.lists(bucket_distances, min_size=1, max_size=40, unique=True),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 39)), max_size=120),
+        data=st.data(),
+    )
+    def test_equals_the_full_sort_and_the_legacy_table(self, owner, k, pool, ops, data):
+        """Any table (single-contact buckets, buckets emptied by ``evict``,
+        replacement-cache promotions), any target, any count: the bucket walk
+        returns the ``(distance, id)`` sort's prefix, order included."""
+        owner_id = NodeID(owner)
+        contacts = [Contact(NodeID(owner ^ d), f"addr-{i}") for i, d in enumerate(pool)]
+        legacy = RoutingTable(owner_id, k=k)
+        compact = CompactRoutingTable(owner_id, k=k)
+        for evict, pick in ops:
+            contact = contacts[pick % len(contacts)]
+            if evict:
+                legacy.evict(contact.node_id)
+                compact.evict(contact.node_id)
+            else:
+                assert legacy.record_contact(contact) == compact.record_contact(contact)
+        stored = list(compact.contacts())
+        assert stored == list(legacy.contacts())
+
+        target = data.draw(
+            st.one_of(
+                st.just(owner_id),
+                st.sampled_from([c.node_id for c in contacts]),
+                st.builds(NodeID, st.integers(0, ID_SPACE - 1)),
+                st.builds(lambda d: NodeID(owner ^ d), bucket_distances),
+            ),
+            label="target",
+        )
+        reference = sorted(stored, key=lambda c: (c.distance_to(target), c.node_id.value))
+        for count in (0, 1, k, len(stored) + 5, None):
+            expected = reference[: k if count is None else count]
+            assert compact.closest_contacts(target, count) == expected
+            assert legacy.closest_contacts(target, count) == expected
 
 
 class TestCompactSpecifics:

@@ -11,7 +11,13 @@ import pytest
 
 from repro.core.blocks import BlockType
 from repro.dht.likir import CertificationService, Identity, LikirAuthError, SignedValue
-from repro.dht.messages import AppendRequest, StoreRequest
+from repro.dht.messages import (
+    AppendRequest,
+    ContactInfo,
+    FindNodeResponse,
+    FindValueResponse,
+    StoreRequest,
+)
 from repro.dht.node import KademliaNode, NodeConfig
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
@@ -201,3 +207,25 @@ class TestCertifiedContacts:
         ]
         admitted = node._admitted(contacts)
         assert [c.address for c in admitted] == ["peer-addr"]
+
+    @pytest.mark.parametrize("find_value", [False, True])
+    def test_reply_forged_through_rpc_hook_is_filtered(self, network, certification, find_value):
+        """Replies carry routing-table contacts as they are (one contact
+        type, no conversion on receipt): admission still runs on every one."""
+        node = make_node(network, certification, "a", certified_contacts=True)
+        compromised = make_node(network, certification, "b")
+        honest = certification.register("peer")
+        forged = (
+            ContactInfo(NodeID.hash_of("sybil-1"), "s1"),
+            ContactInfo(honest.node_id, "peer-addr"),
+            ContactInfo(NodeID.hash_of("sybil-2"), "s2"),
+        )
+        reply = FindValueResponse if find_value else FindNodeResponse
+        compromised.rpc_hook = lambda request, response: reply(
+            responder_id=response.responder_id, contacts=forged
+        )
+        rejected_before = PERF.counter("likir.sybil_rejected")
+        contacts, value = node.query(compromised.contact, NodeID.hash_of("k"), find_value, None)
+        assert value is None
+        assert list(contacts) == [Contact(honest.node_id, "peer-addr")]
+        assert PERF.counter("likir.sybil_rejected") == rejected_before + 2

@@ -35,8 +35,10 @@ from repro.dht.messages import (
     PingResponse,
     StoreRequest,
     StoreResponse,
+    wire_size,
 )
 from repro.dht.node_id import NodeID
+from repro.dht.routing_table import Contact
 from repro.net.wire import RemoteFault, decode_frame, encode_frame, fault_frame, raise_fault
 
 A = NodeID.hash_of("a")
@@ -152,6 +154,68 @@ class TestGoldenBytes:
         # Byte 2 is the frame type: 0x20..0x29 in declaration order, 0x2F fault.
         types = [bytes.fromhex(expected)[2] for _, _, expected in GOLDEN]
         assert types == [0x20 + i for i in range(10)] + [0x2F]
+
+
+def _contacts(count: int) -> tuple[ContactInfo, ...]:
+    return tuple(
+        ContactInfo(NodeID.hash_of(f"n{i}"), f"node-{i:06d}") for i in range(count)
+    )
+
+
+def _counter_block(entries: int) -> dict:
+    return {
+        "owner": "album-000304",
+        "type": "1",
+        "entries": {f"tag-{i:03d}": i + 1 for i in range(entries)},
+    }
+
+
+def _signed(value) -> SignedValue:
+    return SignedValue.create(Identity(user="client-000", node_id=A, secret=b"s" * 20), K, value)
+
+
+class TestWireSizeEstimate:
+    """``wire_size`` is what the simulator charges to ``bytes_transferred``:
+    it must follow the real codec (the old ``len(repr(m))`` read ~2x high)."""
+
+    #: One message of simulator shape per frame type, next to the goldens.
+    REPRESENTATIVE = [m for _, m, _ in GOLDEN] + [
+        req(StoreRequest, key=K, value=_signed(_counter_block(5))),
+        req(StoreRequest, key=K, value=_counter_block(50)),
+        req(
+            AppendRequest,
+            key=K,
+            owner="album-000304",
+            block_type="2",
+            increments={"rock": 1, "indie": 2},
+        ),
+        FindNodeResponse(responder_id=B, contacts=_contacts(8)),
+        FindValueResponse(responder_id=B, found=False, contacts=_contacts(8)),
+        FindValueResponse(responder_id=B, found=True, value=_signed(_counter_block(5))),
+    ]
+
+    def test_one_contact_type(self):
+        assert ContactInfo is Contact
+
+    @pytest.mark.parametrize("message", REPRESENTATIVE, ids=lambda m: type(m).__name__)
+    def test_within_a_fifth_of_the_encoded_frame(self, message):
+        real = len(encode_frame(0, message))
+        assert abs(wire_size(message) - real) <= 0.2 * real, (wire_size(message), real)
+
+    def test_covers_every_frame_type(self):
+        from repro.net.wire import _ENCODERS
+
+        assert {type(m) for m in self.REPRESENTATIVE} == set(_ENCODERS)
+
+    def test_grows_with_contacts_and_entries(self):
+        def one(n):
+            return wire_size(FindNodeResponse(responder_id=B, contacts=_contacts(n)))
+
+        def store(n):
+            return wire_size(req(StoreRequest, key=K, value=_counter_block(n)))
+
+        assert one(8) > one(1) > one(0)
+        assert store(50) > store(5)
 
 
 class TestSignedValues:

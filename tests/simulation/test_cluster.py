@@ -1,7 +1,10 @@
 """Tests for the in-process cluster harness."""
 
+import sys
+
 import pytest
 
+from repro.datasets import generate_lastfm_like
 from repro.simulation.cluster import (
     ClusterConfig,
     SimulatedCluster,
@@ -136,6 +139,39 @@ class TestChurnWiring:
         # Maintenance followed the membership changes.
         assert len(cluster.maintenance) == len(live)
         assert cluster.maintenance.stats.republish_runs > 0
+
+
+class TestPerMessageCallBudget:
+    #: Python-level function calls per simulated message on the tag path.
+    #: 28 at the commit that set it (CPython 3.11; 3.12+ inline comprehensions
+    #: and read lower); 62 one commit earlier, when every message was sized
+    #: through ``repr``, every reply converted its contacts twice, k-closest
+    #: heaped the whole table and the lookup hashed ``NodeID`` objects.
+    CEILING = 36
+
+    def test_tag_path_stays_inside_its_call_budget(self):
+        """A deterministic stand-in for a timing test: bookkeeping that creeps
+        back into the per-message path shows up as calls, on any machine."""
+        cluster = SimulatedCluster(ClusterConfig(num_nodes=64, clients=2, seed=3))
+        workload = TaggingWorkload.from_triples(generate_lastfm_like("tiny").triples())
+        stats = cluster.overlay.network.stats
+        sent_before = stats.messages_sent
+        calls = 0
+
+        def count_calls(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count_calls)
+        try:
+            result = cluster.run_workload(workload, limit=20, ignore_errors=False)
+        finally:
+            sys.setprofile(previous)
+        messages = stats.messages_sent - sent_before
+        assert result.errors == 0 and messages > 1_000
+        assert calls / messages <= self.CEILING, f"{calls / messages:.1f} calls/message"
 
 
 class TestBenchmarkEntryPoint:

@@ -160,6 +160,37 @@ class TestStats:
         assert network.stats.messages_sent == 0
         assert network.stats.hotspots() == []
 
+    def test_both_legs_are_charged_their_frame_size(self):
+        from repro.dht.messages import PingRequest, PingResponse, wire_size
+        from repro.dht.node_id import NodeID
+
+        request = PingRequest(sender_id=NodeID.hash_of("a"), sender_address="a")
+        response = PingResponse(responder_id=NodeID.hash_of("b"))
+        network = SimulatedNetwork(NetworkConfig(seed=0))
+        network.register("a", echo_handler)
+        network.register("b", lambda sender, payload: response)
+        network.send("a", "b", request)
+        assert network.stats.bytes_transferred == wire_size(request) + wire_size(response)
+        # An unreachable destination still costs the request leg.
+        with pytest.raises(NodeUnreachable):
+            network.send("a", "ghost", request)
+        assert network.stats.bytes_transferred == 2 * wire_size(request) + wire_size(response)
+
+    def test_sizing_never_stringifies_the_payload(self):
+        class Unprintable:
+            def __repr__(self):
+                raise AssertionError("payload was stringified")
+
+            __str__ = __repr__
+
+        payload = Unprintable()
+        network = SimulatedNetwork(NetworkConfig(seed=0))
+        network.register("a", echo_handler)
+        network.register("b", lambda sender, received: received)
+        assert network.send("a", "b", payload) is payload
+        assert network.stats.messages_delivered == 2
+        assert network.stats.bytes_transferred > 0
+
     def test_seeded_networks_behave_identically(self):
         def run(seed):
             network = SimulatedNetwork(NetworkConfig(min_latency_ms=1, max_latency_ms=50, seed=seed))

@@ -4,7 +4,7 @@ Every other benchmark in this harness measures the *virtual-time* cost model
 of :class:`~repro.simulation.network.SimulatedNetwork` (per-hop latency drawn
 from ``NetworkConfig``, charged to a virtual clock).  This one puts the same
 RPCs on real sockets: a small overlay of :class:`~repro.net.server.ServeNode`
-endpoints -- each its own asyncio UDP transport on 127.0.0.1 -- serves
+endpoints -- each its own UDP transport on 127.0.0.1 -- serves
 
 * direct single RPCs (PING / FIND_NODE / FIND_VALUE / STORE), timed around
   one :meth:`~repro.net.udp.UdpTransport.send`, and

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run one DHARMA node on a real UDP socket (asyncio transport)",
+        help="run one DHARMA node on a real UDP socket",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="interface to bind (default 127.0.0.1)")
@@ -869,23 +869,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         certification = CertificationService(seed=args.cert_seed, stateless=True)
         if args.node_name:
             node_id = certification.register(args.node_name).node_id
-    node = ServeNode(
-        host=args.host,
-        port=args.port,
-        node_id=node_id,
-        node_config=NodeConfig(
-            k=args.k,
-            alpha=args.alpha,
-            replicate=args.replicate,
-            verify_credentials=args.verify,
-        ),
-        certification=certification,
-        transport_config=UdpTransportConfig(
-            timeout_ms=args.timeout_ms,
-            retries=args.retries,
-            max_datagram=args.max_datagram,
-        ),
-    )
+    try:
+        node = ServeNode(
+            host=args.host,
+            port=args.port,
+            node_id=node_id,
+            node_config=NodeConfig(
+                k=args.k,
+                alpha=args.alpha,
+                replicate=args.replicate,
+                verify_credentials=args.verify,
+            ),
+            certification=certification,
+            transport_config=UdpTransportConfig(
+                timeout_ms=args.timeout_ms,
+                retries=args.retries,
+                max_datagram=args.max_datagram,
+            ),
+        )
+    except OSError as exc:
+        print(f"cannot bind udp://{args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 1
     try:
         # The "listening" line is the machine-readable handshake: the smoke
         # test (and any operator script) parses the udp:// endpoint from it,

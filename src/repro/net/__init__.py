@@ -9,7 +9,7 @@ handler, deliver a request, report failures as
   experiment: a thin adapter over the in-process
   :class:`~repro.simulation.network.SimulatedNetwork` preserving its
   virtual-clock charging bit for bit;
-* :class:`~repro.net.udp.UdpTransport` -- a real asyncio UDP RPC layer
+* :class:`~repro.net.udp.UdpTransport` -- a real UDP RPC layer
   (request-id correlation, timeout/retry with backoff, max-datagram
   enforcement) used by ``dharma serve`` to run one node per OS process.
 

@@ -9,15 +9,15 @@ as :class:`TransportError` subclasses.  Two implementations exist:
   in-process :class:`~repro.simulation.network.SimulatedNetwork`, preserving
   its virtual-clock charging bit for bit (the default for every experiment
   and benchmark);
-* :class:`~repro.net.udp.UdpTransport` -- a real asyncio UDP RPC layer with
+* :class:`~repro.net.udp.UdpTransport` -- a real UDP RPC layer with
   request-id correlation, timeout/retry with exponential backoff and
   max-datagram enforcement, used by ``dharma serve`` to run one node per OS
   process.
 
 The node layer is synchronous (the iterative lookup issues one RPC at a time
 and blocks on the reply), so :meth:`Transport.send` is a blocking call on
-both implementations; the UDP transport pumps its asyncio event loop on a
-background thread and bridges with futures.
+both implementations; the UDP transport sends from the caller's thread and
+blocks it until its receiver thread hands over the reply.
 
 Every transport keeps :class:`TransportStats`: per-message-type counters of
 RPCs sent, succeeded and failed (plus retries and wire bytes where the

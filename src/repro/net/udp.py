@@ -1,26 +1,32 @@
-"""Real asyncio UDP RPC transport.
+"""Real UDP RPC transport: one socket, one receiver thread, handler workers.
 
-:class:`UdpTransport` puts one Kademlia node on one UDP socket.  The node
-layer is synchronous (the iterative lookup blocks on each RPC), so the
-transport runs its asyncio event loop on a daemon thread and bridges:
+:class:`UdpTransport` puts one Kademlia node on one bound UDP socket.  The
+node layer is synchronous (the iterative lookup blocks on each RPC) and so
+is the transport -- no event loop, three kinds of thread:
 
-* **outbound** -- :meth:`UdpTransport.send` encodes the request as one wire
-  frame (:mod:`repro.net.wire`), submits an async request coroutine with
-  ``run_coroutine_threadsafe`` and blocks on its future.  The coroutine
-  retransmits on timeout with exponential backoff (same request id each
-  attempt, so a late reply to an earlier attempt still correlates) and
-  raises :class:`~repro.net.base.RequestTimeout` when the budget is spent.
-* **inbound** -- request frames are dispatched to the registered handler on
-  the loop's thread-pool executor, never on the loop thread itself: a
-  handler may issue blocking RPCs of its own (ping-before-evict does) and
-  would otherwise deadlock the loop that must pump its replies.
+* **the caller's thread** -- :meth:`UdpTransport.send` encodes the request as
+  one wire frame (:mod:`repro.net.wire`), registers a waiter under the
+  request id, ``sendto``s the frame and blocks on the waiter.  It retransmits
+  on timeout with exponential backoff (same frame and request id, so a late
+  reply to an earlier attempt still correlates) and raises
+  :class:`~repro.net.base.RequestTimeout` when the budget is spent.
+* **one receiver thread** (``udp-recv``) -- blocks in ``recvfrom``, decodes,
+  and either wakes the waiter a response belongs to or consults the replay
+  cache and queues the request for the workers.  It never runs a handler.
+* **a fixed pool of handler workers** (``udp-work-N``) -- run the registered
+  handler, encode the response, enforce the datagram bound, fill the replay
+  cache and ``sendto`` the reply.  A handler may issue blocking RPCs through
+  this very transport (ping-before-evict does): that parks one worker, not
+  the endpoint, because the receiver keeps pumping replies.
 
 Retransmission makes every RPC at-least-once, but APPEND is not idempotent
 (each delivery increments counters).  The server therefore keeps a bounded
 **replay cache** of encoded responses keyed ``(client address, request
 id)``: a duplicate request is answered from the cache without re-executing
 the handler, and a duplicate that arrives while the original is still
-executing is simply dropped (the client will retry again).
+executing is simply dropped (the client will retry again).  Request ids
+start at a random 32-bit origin per transport, so a client restarted on the
+same ``host:port`` does not collide with its previous incarnation's entries.
 
 Handler exceptions travel back as fault frames and re-raise client-side
 with the matching local type (:func:`repro.net.wire.raise_fault`), mirroring
@@ -33,10 +39,13 @@ fast instead of timing out.
 
 from __future__ import annotations
 
-import asyncio
+import itertools
+import os
+import socket
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from queue import Empty, SimpleQueue
 from typing import Any
 
 from repro.core.codec import CodecError
@@ -100,25 +109,13 @@ def _parse_address(address: str) -> tuple[str, int]:
 #: Replay-cache sentinel: the original execution has not finished yet.
 _IN_FLIGHT = object()
 
-
-class _Protocol(asyncio.DatagramProtocol):
-    """Datagram glue: every inbound packet goes to the transport."""
-
-    def __init__(self, owner: "UdpTransport") -> None:
-        self._owner = owner
-
-    def connection_made(self, transport) -> None:
-        self._owner._endpoint = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self._owner._on_datagram(data, addr)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - OS dependent
-        pass
+#: Handler worker threads per endpoint (``ThreadPoolExecutor``'s default
+#: size): a handler parked in a nested RPC stalls one of them, not the node.
+_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
 
 class UdpTransport(Transport):
-    """One node's UDP endpoint, event loop included."""
+    """One node's UDP endpoint: socket, receiver thread and handler workers."""
 
     def __init__(
         self,
@@ -131,31 +128,36 @@ class UdpTransport(Transport):
         self.stats = TransportStats()
         self._handler: RPCHandler | None = None
         self._handler_address: str | None = None
-        self._endpoint = None
-        self._pending: dict[int, asyncio.Future] = {}
+        #: request id -> the queue its blocked :meth:`send` waits on.  Written
+        #: by caller threads, read by the receiver, drained by :meth:`close`.
+        self._pending: dict[int, SimpleQueue] = {}
+        #: Touched by the receiver (lookup, ``_IN_FLIGHT``) and the workers
+        #: (fill, evict), hence the lock.
         self._replay: OrderedDict[tuple[Any, int], Any] = OrderedDict()
-        self._next_id = 0
-        self._id_lock = threading.Lock()
+        self._replay_lock = threading.Lock()
+        # Unique and increasing within this transport; the random origin
+        # keeps a restarted client's ids clear of the replies a server still
+        # caches for its previous incarnation on the same host:port.
+        self._ids = itertools.count(int.from_bytes(os.urandom(4), "big") + 1)
+        self._jobs: SimpleQueue = SimpleQueue()
         self._closed = False
 
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="udp-transport", daemon=True
-        )
-        self._thread.start()
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            asyncio.run_coroutine_threadsafe(self._open(host, port), self._loop).result(10)
-        except BaseException:
-            self._stop_loop()
+            self._sock.bind((host, port))
+        except OSError:
+            self._sock.close()
             raise
-        sock_host, sock_port = self._endpoint.get_extra_info("sockname")[:2]
+        sock_host, sock_port = self._sock.getsockname()[:2]
         self._address = f"{sock_host}:{sock_port}"
-
-    async def _open(self, host: str, port: int) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.create_datagram_endpoint(
-            lambda: _Protocol(self), local_addr=(host, port)
-        )
+        # No thread exists before the bind has succeeded.
+        self._threads = [threading.Thread(target=self._receive, name="udp-recv", daemon=True)]
+        self._threads += [
+            threading.Thread(target=self._work, name=f"udp-work-{index}", daemon=True)
+            for index in range(_WORKERS)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # -- Transport contract -------------------------------------------------- #
 
@@ -190,17 +192,14 @@ class UdpTransport(Transport):
         per_type.sent += 1
         try:
             addr = _parse_address(destination)
-            request_id = self._take_id()
+            request_id = next(self._ids)
             frame = encode_frame(request_id, request)
             if len(frame) > self.config.max_datagram:
                 raise DatagramTooLarge(
                     f"{rpc_name(request)} request is {len(frame)} bytes "
                     f"(max {self.config.max_datagram})"
                 )
-            future = asyncio.run_coroutine_threadsafe(
-                self._request(addr, frame, request_id, per_type), self._loop
-            )
-            message, nbytes = future.result()
+            message, nbytes = self._request(addr, frame, request_id, per_type)
         except TransportError:
             per_type.failed += 1
             raise
@@ -223,25 +222,26 @@ class UdpTransport(Transport):
         return message
 
     def close(self) -> None:
+        """Fail every blocked :meth:`send`, stop the threads, free the port."""
         if self._closed:
             return
         self._closed = True
         self._handler = None
         self._handler_address = None
-
-        def _shutdown() -> None:
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(RequestTimeout("transport closed"))
-            self._pending.clear()
-            if self._endpoint is not None:
-                self._endpoint.close()
-            self._loop.stop()
-
-        self._loop.call_soon_threadsafe(_shutdown)
-        self._thread.join(timeout=5)
-        if not self._loop.is_running():  # pragma: no branch
-            self._loop.close()
+        # A send that registers after this snapshot sees ``_closed`` itself.
+        for waiter in list(self._pending.values()):
+            waiter.put(None)
+        for _ in range(_WORKERS):
+            self._jobs.put(None)
+        try:
+            # Closing the descriptor does not wake a thread blocked in
+            # recvfrom; shutting the socket down does (it reads b"").
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # ENOTCONN on an unconnected socket; the wake-up still happens
+        for thread in self._threads:
+            thread.join(timeout=5)
+        self._sock.close()
 
     def __enter__(self) -> "UdpTransport":
         return self
@@ -252,39 +252,63 @@ class UdpTransport(Transport):
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"UdpTransport({self._address})"
 
-    # -- client side --------------------------------------------------------- #
+    # -- client side (caller's thread) ---------------------------------------- #
 
-    def _take_id(self) -> int:
-        with self._id_lock:
-            self._next_id += 1
-            return self._next_id
-
-    async def _request(
+    def _request(
         self, addr: tuple[str, int], frame: bytes, request_id: int, per_type
     ) -> tuple[Any, int]:
-        timeout = self.config.timeout_ms / 1_000.0
-        attempt = 0
+        config = self.config
+        timeout = config.timeout_ms / 1_000.0
+        waiter: SimpleQueue = SimpleQueue()
+        self._pending[request_id] = waiter
         try:
-            while True:
-                future: asyncio.Future = self._loop.create_future()
-                self._pending[request_id] = future
-                self._endpoint.sendto(frame, addr)
+            if self._closed:  # close() may have drained _pending already
+                raise RequestTimeout("transport closed")
+            for attempt in range(config.retries + 1):
+                if attempt:
+                    per_type.retries += 1
+                    timeout *= config.backoff
+                self._sendto(frame, addr)
                 per_type.bytes_sent += len(frame)
                 try:
-                    return await asyncio.wait_for(future, timeout)
-                except asyncio.TimeoutError:
-                    attempt += 1
-                    if attempt > self.config.retries:
-                        raise RequestTimeout(
-                            f"no response from {addr[0]}:{addr[1]} after "
-                            f"{attempt} attempt(s)"
-                        ) from None
-                    per_type.retries += 1
-                    timeout *= self.config.backoff
+                    reply = waiter.get(timeout=timeout)
+                except Empty:
+                    continue
+                if reply is None:
+                    raise RequestTimeout("transport closed")
+                return reply
+            raise RequestTimeout(
+                f"no response from {addr[0]}:{addr[1]} after "
+                f"{config.retries + 1} attempt(s)"
+            )
         finally:
-            self._pending.pop(request_id, None)
+            del self._pending[request_id]
 
-    # -- inbound (loop thread) ----------------------------------------------- #
+    def _sendto(self, frame: bytes, addr) -> None:
+        """A datagram the OS refuses is a datagram lost: the client's
+        retransmission (and the replay cache) already cover that."""
+        try:
+            self._sock.sendto(frame, addr)
+        except OSError:
+            pass
+
+    # -- inbound (receiver thread) -------------------------------------------- #
+
+    def _receive(self) -> None:
+        recvfrom = self._sock.recvfrom
+        while not self._closed:
+            try:
+                data, addr = recvfrom(65_535)  # the largest UDP payload
+            except OSError:
+                continue
+            if self._closed:
+                return  # the empty read close() woke us with
+            try:
+                self._on_datagram(data, addr)
+            except Exception:
+                # The thread boundary: nothing a peer sends may stop the
+                # endpoint from receiving, so the datagram is counted bad.
+                self.stats.malformed_frames += 1
 
     def _on_datagram(self, data: bytes, addr) -> None:
         try:
@@ -295,35 +319,43 @@ class UdpTransport(Transport):
         if isinstance(message, RPCRequest):
             self._serve(request_id, message, addr)
             return
-        future = self._pending.get(request_id)
-        if future is not None and not future.done():
-            future.set_result((message, len(data)))
-        # else: reply to an attempt that already timed out -- drop it.
+        waiter = self._pending.get(request_id)
+        if waiter is not None:
+            waiter.put((message, len(data)))
+        # else: reply to a request that already timed out -- drop it.
 
     def _serve(self, request_id: int, message: RPCRequest, addr) -> None:
         handler = self._handler
         if handler is None:
             # Node left but the socket is still draining: answer with a
             # fault so the caller fails fast instead of timing out.
-            self._endpoint.sendto(
-                fault_frame(request_id, RuntimeError("no node on this endpoint")), addr
-            )
+            self._sendto(fault_frame(request_id, RuntimeError("no node on this endpoint")), addr)
             return
         key = (addr, request_id)
-        cached = self._replay.get(key)
-        if cached is _IN_FLIGHT:
-            return  # original execution still running; client will retry
-        if cached is not None:
-            self._replay.move_to_end(key)
+        with self._replay_lock:
+            cached = self._replay.get(key)
+            if cached is None:
+                self._replay[key] = _IN_FLIGHT
+            elif cached is not _IN_FLIGHT:
+                self._replay.move_to_end(key)
+        if cached is None:
+            # Handlers run on the workers, never here: serving a STORE
+            # triggers routing-table upkeep that may issue blocking pings
+            # through this very transport, which needs this thread free to
+            # pump the replies.
+            self._jobs.put((handler, request_id, message, addr))
+        elif cached is not _IN_FLIGHT:
             self.stats.replays_served += 1
-            self._endpoint.sendto(cached, addr)
-            return
-        self._replay[key] = _IN_FLIGHT
-        sender_address = f"{addr[0]}:{addr[1]}"
+            self._sendto(cached, addr)
+        # else: original execution still running; the client will retry.
 
-        def work() -> bytes:
+    # -- handler workers ------------------------------------------------------- #
+
+    def _work(self) -> None:
+        while (job := self._jobs.get()) is not None and not self._closed:
+            handler, request_id, message, addr = job
             try:
-                response = handler(sender_address, message)
+                response = handler(f"{addr[0]}:{addr[1]}", message)
                 frame = encode_frame(request_id, response)
                 if len(frame) > self.config.max_datagram:
                     self.stats.oversize_dropped += 1
@@ -336,18 +368,8 @@ class UdpTransport(Transport):
                     )
             except Exception as exc:
                 frame = fault_frame(request_id, exc)
-            return frame
-
-        def done(task: asyncio.Future) -> None:
-            frame = task.result()
-            self._replay[key] = frame
-            while len(self._replay) > self.config.replay_cache_size:
-                self._replay.popitem(last=False)
-            if self._endpoint is not None:
-                self._endpoint.sendto(frame, addr)
-
-        # Handlers run on the executor, never the loop thread: serving a
-        # STORE triggers routing-table upkeep that may issue blocking pings
-        # through this very transport, which needs the loop free to pump
-        # the replies.
-        self._loop.run_in_executor(None, work).add_done_callback(done)
+            with self._replay_lock:
+                self._replay[(addr, request_id)] = frame
+                while len(self._replay) > self.config.replay_cache_size:
+                    self._replay.popitem(last=False)
+            self._sendto(frame, addr)

@@ -1,18 +1,27 @@
-"""The asyncio UDP transport, exercised over real loopback sockets.
+"""The threaded UDP transport, exercised over real loopback sockets.
 
 Each test binds ephemeral ports on 127.0.0.1, so the suite runs anywhere a
 loopback interface exists (CI included) and needs no fixed port numbers.
-Timeout-path tests use a sub-100ms budget to stay fast.
+Timeout-path tests use a sub-100ms budget to stay fast.  Every wait on a
+thread or an event is bounded, and ``pyproject.toml`` turns an exception
+that kills a transport thread into a test failure instead of a hang.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.net.udp as udp_module
 from repro.dht.likir import LikirAuthError
 from repro.dht.messages import (
+    AppendRequest,
+    AppendResponse,
     FindValueRequest,
     FindValueResponse,
     PingRequest,
@@ -23,7 +32,7 @@ from repro.dht.messages import (
 from repro.dht.node_id import NodeID
 from repro.net.base import DatagramTooLarge, RequestTimeout, TransportError
 from repro.net.udp import UdpTransport, UdpTransportConfig
-from repro.net.wire import encode_frame
+from repro.net.wire import decode_frame, encode_frame
 
 A = NodeID.hash_of("client")
 B = NodeID.hash_of("server")
@@ -55,6 +64,42 @@ def ping(client: UdpTransport, destination: str) -> PingRequest:
         destination,
         PingRequest(sender_id=A, sender_address=client.local_address()),
     )
+
+
+def find_value(client: UdpTransport, destination: str, key: NodeID) -> FindValueResponse:
+    return client.send(
+        client.local_address(),
+        destination,
+        FindValueRequest(
+            sender_id=A, sender_address=client.local_address(), key=key, count=20
+        ),
+    )
+
+
+def sockaddr(transport: UdpTransport) -> tuple[str, int]:
+    host, port = transport.local_address().rsplit(":", 1)
+    return host, int(port)
+
+
+def append_request(key: str) -> AppendRequest:
+    return AppendRequest(
+        sender_id=A,
+        sender_address="127.0.0.1:1",
+        key=NodeID.hash_of(key),
+        owner="o",
+        block_type="1",
+        increments={"tag": 1},
+    )
+
+
+def run_threads(target, count: int, timeout_s: float = 10.0) -> None:
+    """Run ``target(i)`` on *count* threads; every join is bounded."""
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout_s)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestRequestResponse:
@@ -99,25 +144,12 @@ class TestRequestResponse:
         def worker(i: int) -> None:
             key = NodeID.hash_of(f"key-{i}")
             try:
-                response = client.send(
-                    client.local_address(),
-                    server.local_address(),
-                    FindValueRequest(
-                        sender_id=A,
-                        sender_address=client.local_address(),
-                        key=key,
-                        count=20,
-                    ),
-                )
+                response = find_value(client, server.local_address(), key)
                 results[i] = response.value == key.hex()
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_threads(worker, 16)
         assert not errors
         assert len(results) == 16 and all(results.values())
 
@@ -141,8 +173,6 @@ class TestTimeoutsAndRetries:
         def handler(sender_address, request):
             if not calls:
                 calls.append("slow")
-                import time
-
                 time.sleep(0.12)  # outlive the 80ms first-attempt window
             return PingResponse(responder_id=B)
 
@@ -162,12 +192,93 @@ class TestTimeoutsAndRetries:
             ping(client, server.local_address())
 
 
+    def test_close_fails_a_blocked_send_at_once(self):
+        """Not after the retry budget (here 2 + 4 + 8 s)."""
+        client = UdpTransport()
+        outcome: list = []
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind(("127.0.0.1", 0))
+            host, port = silent.getsockname()
+
+            def blocked() -> None:
+                try:
+                    ping(client, f"{host}:{port}")
+                except TransportError as exc:
+                    outcome.append((exc, time.monotonic()))
+
+            sender = threading.Thread(target=blocked)
+            sender.start()
+            silent.settimeout(2)
+            silent.recvfrom(65536)  # the request is out: send() is waiting
+            closed_at = time.monotonic()
+            client.close()
+            sender.join(5)
+        assert not sender.is_alive()
+        ((exc, raised_at),) = outcome
+        assert isinstance(exc, RequestTimeout) and "transport closed" in str(exc)
+        assert raised_at - closed_at < 0.2
+        assert client.stats.of("ping").failed == 1
+
+    def test_refused_sendto_counts_as_a_lost_datagram(self, client, server):
+        """The OS refusing one datagram is loss: the retransmission gets through."""
+
+        class RefusesOnce:
+            def __init__(self, sock):
+                self._sock = sock
+                self.refused = 0
+
+            def sendto(self, frame, addr):
+                if not self.refused:
+                    self.refused += 1
+                    raise OSError("network is unreachable")
+                return self._sock.sendto(frame, addr)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+        server.register(server.local_address(), lambda s, r: PingResponse(responder_id=B))
+        client._sock = flaky = RefusesOnce(client._sock)
+        assert ping(client, server.local_address()).alive
+        assert flaky.refused == 1
+        stats = client.stats.of("ping")
+        assert (stats.retries, stats.succeeded, stats.failed) == (1, 1, 0)
+
+
+class TestLifecycle:
+    def test_close_frees_the_port_and_every_thread(self):
+        baseline = set(threading.enumerate())
+        transport = UdpTransport()
+        assert set(threading.enumerate()) > baseline
+        transport.close()
+        assert set(threading.enumerate()) == baseline
+        # The same host:port binds again immediately -- as a plain socket and
+        # as the next incarnation of the endpoint.
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(sockaddr(transport))
+        host, port = sockaddr(transport)
+        with UdpTransport(host, port) as again:
+            assert again.local_address() == transport.local_address()
+        assert set(threading.enumerate()) == baseline
+
+    def test_every_transport_thread_is_named(self, client):
+        """So ``--durations`` / faulthandler output says whose thread hangs."""
+        names = sorted(t.name for t in threading.enumerate() if t.name.startswith("udp-"))
+        assert names == sorted(
+            ["udp-recv", *(f"udp-work-{i}" for i in range(udp_module._WORKERS))]
+        )
+
+    def test_taken_port_raises_oserror_and_starts_no_thread(self, server):
+        baseline = set(threading.enumerate())
+        host, port = sockaddr(server)
+        with pytest.raises(OSError):
+            UdpTransport(host, port)
+        assert set(threading.enumerate()) == baseline
+
+
 class TestReplayCache:
     def test_duplicate_request_is_not_re_executed(self, server):
         """The cache is keyed (client endpoint, request id): the same frame
         from the same socket is answered from cache, handler untouched."""
-        import socket
-
         executions = []
 
         def handler(sender_address, request):
@@ -198,8 +309,6 @@ class TestReplayCache:
         """Two clients may coincidentally use the same request id: the cache
         must key on the source endpoint too, or one client gets the other's
         answer."""
-        import socket
-
         executions = []
 
         def handler(sender_address, request):
@@ -222,6 +331,135 @@ class TestReplayCache:
                 sock.recvfrom(65536)
         assert len(executions) == 2
         assert server.stats.replays_served == 0
+
+
+    def test_duplicate_of_an_executing_request_is_dropped(self, server):
+        started, release = threading.Event(), threading.Event()
+        executions = []
+
+        def handler(sender_address, request):
+            executions.append(request.key)
+            if request.key == NodeID.hash_of("slow"):
+                started.set()
+                assert release.wait(5)
+            return AppendResponse(responder_id=B, block_size=len(executions))
+
+        server.register(server.local_address(), handler)
+        slow, fence = encode_frame(9, append_request("slow")), encode_frame(10, append_request("f"))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(2)
+            sock.sendto(slow, sockaddr(server))
+            assert started.wait(2)
+            sock.sendto(slow, sockaddr(server))  # the original is still executing
+            # Datagrams are taken in order: once the fence is answered the
+            # duplicate has been seen -- and nothing came back for it.
+            sock.sendto(fence, sockaddr(server))
+            assert decode_frame(sock.recvfrom(65536)[0])[0] == 10
+            release.set()
+            assert decode_frame(sock.recvfrom(65536)[0])[0] == 9
+            sock.settimeout(0.05)
+            with pytest.raises(TimeoutError):
+                sock.recvfrom(65536)
+        assert executions.count(NodeID.hash_of("slow")) == 1
+        assert server.stats.replays_served == 0
+
+    def test_restarted_client_is_not_answered_from_its_previous_life(self, server):
+        """Two successive transports on one host:port (``ServeNode``'s
+        deterministic restart) must not share replay-cache keys: the second
+        one's first request is executed, not answered with the first one's
+        cached reply."""
+        executed = []
+
+        def handler(sender_address, request):
+            executed.append(type(request).__name__)
+            if isinstance(request, PingRequest):
+                return PingResponse(responder_id=B)
+            return AppendResponse(responder_id=B, block_size=1)
+
+        server.register(server.local_address(), handler)
+        with UdpTransport(config=fast_config()) as first:
+            host, port = sockaddr(first)
+            assert ping(first, server.local_address()).alive
+        with UdpTransport(host, port, config=fast_config()) as second:
+            response = second.send(
+                second.local_address(), server.local_address(), append_request("k")
+            )
+        assert response == AppendResponse(responder_id=B, block_size=1)
+        assert executed == ["PingRequest", "AppendRequest"]
+        assert server.stats.replays_served == 0
+
+    def test_request_ids_increase_from_a_random_32_bit_origin(self):
+        def ids_on_the_wire(silent, sends: int) -> list[int]:
+            with UdpTransport(config=fast_config(timeout_ms=10.0, retries=0)) as transport:
+                for _ in range(sends):
+                    with pytest.raises(RequestTimeout):
+                        ping(transport, "%s:%d" % silent.getsockname())
+            return [decode_frame(silent.recvfrom(65536)[0])[0] for _ in range(sends)]
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.settimeout(2)
+            first, second = ids_on_the_wire(silent, 3), ids_on_the_wire(silent, 1)
+        assert first == [first[0], first[0] + 1, first[0] + 2]
+        assert 0 < first[0] <= 2**32 and 0 < second[0] <= 2**32
+        assert second[0] != 1 and first[0] != second[0]  # one chance in 2**32 each
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 6))
+    def test_any_schedule_of_copies_executes_each_append_once(self, data, count):
+        """Duplicated, re-ordered and late copies of N APPEND frames (cache
+        larger than N): each ``(addr, id)`` runs the handler exactly once and
+        every reply to one id is byte-identical."""
+        # One step = (which frame, whether to wait for its reply first --
+        # a *late* copy, which the cache must then answer).
+        steps = data.draw(
+            st.lists(st.tuples(st.integers(0, count - 1), st.booleans()), max_size=3 * count)
+        )
+        steps += [(index, False) for index in range(count)]  # every frame at least once
+        steps = data.draw(st.permutations(steps))
+        frames = [encode_frame(100 + i, append_request(f"k-{i}")) for i in range(count)]
+        executions: list = []
+        lock = threading.Lock()
+
+        def handler(sender_address, request):
+            with lock:  # the reply depends on the order of execution
+                executions.append(request.key)
+                return AppendResponse(responder_id=B, block_size=len(executions))
+
+        replies: dict[int, list[bytes]] = {}
+
+        def drain(sock, until, budget_s: float = 5.0) -> None:
+            deadline = time.monotonic() + budget_s
+            while not until() and time.monotonic() < deadline:
+                try:
+                    frame = sock.recvfrom(65536)[0]
+                except TimeoutError:
+                    continue
+                replies.setdefault(decode_frame(frame)[0] - 100, []).append(frame)
+
+        late = 0
+        with UdpTransport(config=fast_config(replay_cache_size=count + 1)) as server, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            server.register(server.local_address(), handler)
+            sock.settimeout(0.01)
+            sent: set[int] = set()
+            for index, wait_first in steps:
+                if wait_first and index in sent:
+                    drain(sock, lambda: index in replies)
+                    late += 1
+                sock.sendto(frames[index], sockaddr(server))
+                sent.add(index)
+            # A late copy is one whose first reply we hold: the cache had it.
+            drain(
+                sock,
+                lambda: len(replies) == count and server.stats.replays_served >= late,
+            )
+            drain(sock, lambda: False, budget_s=0.03)  # answers to trailing copies
+            replays = server.stats.replays_served
+        assert sorted(executions) == sorted(NodeID.hash_of(f"k-{i}") for i in range(count))
+        assert sorted(replies) == list(range(count))
+        assert all(len(set(copies)) == 1 for copies in replies.values())
+        assert replays >= late
 
 
 class TestFaults:
@@ -285,9 +523,6 @@ class TestDatagramBounds:
 
 class TestMalformedInput:
     def test_garbage_datagrams_are_counted_and_dropped(self, client, server):
-        import socket
-        import time
-
         server.register(server.local_address(), lambda s, r: PingResponse(responder_id=B))
         host, port = server.local_address().rsplit(":", 1)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
@@ -301,6 +536,101 @@ class TestMalformedInput:
         assert server.stats.malformed_frames >= 3
         # The endpoint survived: a well-formed RPC still works.
         assert ping(client, server.local_address()).alive
+
+
+    def test_exception_escaping_the_decoder_does_not_kill_the_receiver(
+        self, client, server, monkeypatch
+    ):
+        def decode(data):
+            if data == b"boom":
+                raise ValueError("not a CodecError")
+            return decode_frame(data)
+
+        monkeypatch.setattr(udp_module, "decode_frame", decode)
+        server.register(server.local_address(), lambda s, r: PingResponse(responder_id=B))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.sendto(b"boom", sockaddr(server))
+        deadline = time.monotonic() + 2
+        while not server.stats.malformed_frames and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.stats.malformed_frames == 1
+        assert ping(client, server.local_address()).alive
+
+
+class TestThreadingModel:
+    """Handlers run on the workers; replies are pumped by the receiver."""
+
+    @staticmethod
+    def patient() -> UdpTransport:
+        # One attempt, long enough that no test below sees a retransmission.
+        return UdpTransport(config=UdpTransportConfig(timeout_ms=5_000.0, retries=0))
+
+    def test_nested_rpc_completes_while_every_other_worker_is_parked(self):
+        workers = udp_module._WORKERS
+        parked = threading.Semaphore(0)
+        release = threading.Event()
+        with self.patient() as client, self.patient() as server, self.patient() as echo:
+            echo.register(echo.local_address(), lambda s, r: PingResponse(responder_id=A))
+
+            def handler(sender_address, request):
+                if isinstance(request, PingRequest):
+                    parked.release()
+                    assert release.wait(5)
+                    return PingResponse(responder_id=B)
+                # A handler issuing a blocking RPC through its own transport.
+                nested = ping(server, echo.local_address())
+                return FindValueResponse(
+                    responder_id=B, found=True, value=nested.responder_id.hex(), contacts=()
+                )
+
+            server.register(server.local_address(), handler)
+            answered = []
+
+            def slow_caller() -> None:
+                answered.append(ping(client, server.local_address()))
+
+            callers = [threading.Thread(target=slow_caller) for _ in range(workers - 1)]
+            for caller in callers:
+                caller.start()
+            for _ in callers:
+                assert parked.acquire(timeout=5)
+            try:
+                response = find_value(client, server.local_address(), NodeID.hash_of("k"))
+                assert response.value == A.hex()
+                assert not answered  # the others are still parked
+            finally:
+                release.set()
+                for caller in callers:
+                    caller.join(5)
+            assert len(answered) == workers - 1
+
+    def test_twice_the_pool_of_slow_handlers_is_all_answered(self):
+        count = 2 * udp_module._WORKERS
+        running, peak = [], []
+        lock = threading.Lock()
+
+        def handler(sender_address, request):
+            with lock:
+                running.append(request.key)
+                peak.append(len(running))
+            time.sleep(0.05)
+            with lock:
+                running.remove(request.key)
+            return FindValueResponse(
+                responder_id=B, found=True, value=request.key.hex(), contacts=()
+            )
+
+        results: dict[int, bool] = {}
+        with self.patient() as client, self.patient() as server:
+            server.register(server.local_address(), handler)
+
+            def caller(i: int) -> None:
+                key = NodeID.hash_of(f"key-{i}")
+                results[i] = find_value(client, server.local_address(), key).value == key.hex()
+
+            run_threads(caller, count)
+        assert len(results) == count and all(results.values())
+        assert 1 < max(peak) <= udp_module._WORKERS  # in parallel, within the pool
 
 
 class TestRegistration:

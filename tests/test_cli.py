@@ -649,6 +649,21 @@ class TestObservabilityCommands:
         assert stats["address"].startswith("127.0.0.1:")
         assert stats["suspects"] == 0
 
+    def test_serve_on_a_taken_port_reports_the_bind_error(self, capsys):
+        import socket
+        import threading
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+            holder.bind(("127.0.0.1", 0))
+            port = holder.getsockname()[1]
+            threads = set(threading.enumerate())
+            assert main(["serve", "--port", str(port), "--run-seconds", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()  # one line, not a traceback
+        assert line.startswith(f"cannot bind udp://127.0.0.1:{port}: ")
+        assert set(threading.enumerate()) == threads
+
     def test_audit_fails_on_violations(self, tmp_path, capsys):
         import json as json_module
 

@@ -40,11 +40,9 @@ from pathlib import Path
 
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
 from repro.metrics import MetricsStream
-from repro.simulation.cluster import (
-    attack_cluster_config,
-    run_attack_benchmark,
-    run_cluster_benchmark,
-)
+from repro.perf import PERF
+from repro.simulation.cluster import attack_cluster_config, run_cluster_benchmark
+from repro.simulation.experiment import run_attack_benchmark
 from repro.simulation.workload import TaggingWorkload
 
 NUM_NODES = smoke_scaled(300, 48)
@@ -81,6 +79,10 @@ def _run(workload: TaggingWorkload, verification: bool, seed: int = 0):
     )
     stream = None
     if verification:
+        # PERF is process-global and the stream exports its counters: without
+        # the reset, a single-process `pytest benchmarks/` run records whatever
+        # the benches collected before this one left behind.
+        PERF.reset()
         METRICS_PATH.unlink(missing_ok=True)
         stream = MetricsStream(path=str(METRICS_PATH), prom_path=str(PROM_PATH))
     try:

@@ -39,7 +39,9 @@ from pathlib import Path
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
 from repro.analysis.survival import render_survival_comparison, survival_deltas
 from repro.metrics import MetricsStream
-from repro.simulation.cluster import churn_cluster_config, run_survival_benchmark
+from repro.perf import PERF
+from repro.simulation.cluster import churn_cluster_config
+from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.workload import TaggingWorkload
 
 NUM_NODES = smoke_scaled(500, 48)
@@ -71,6 +73,10 @@ def _run(workload: TaggingWorkload, maintenance: bool, seed: int = 0):
     )
     stream = None
     if maintenance:
+        # PERF is process-global and the stream exports its counters: without
+        # the reset, a single-process `pytest benchmarks/` run records whatever
+        # the benches collected before this one left behind.
+        PERF.reset()
         METRICS_PATH.unlink(missing_ok=True)
         stream = MetricsStream(path=str(METRICS_PATH), prom_path=str(PROM_PATH))
     try:

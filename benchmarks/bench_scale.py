@@ -35,7 +35,8 @@ from pathlib import Path
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
 from repro.metrics import MetricsStream
 from repro.perf import PERF
-from repro.simulation.cluster import churn_cluster_config, run_survival_benchmark
+from repro.simulation.cluster import churn_cluster_config
+from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.workload import TaggingWorkload
 
 #: Node counts of the ladder -- identical in smoke and full mode (the point

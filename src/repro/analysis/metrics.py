@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from scipy import stats as _scipy_stats
-
 __all__ = ["kendall_tau", "cosine_similarity", "recall", "sim1_fraction"]
 
 
@@ -38,7 +36,11 @@ def kendall_tau(reference: Sequence[float], candidate: Sequence[float]) -> float
         return None
     if len(set(reference)) < 2 or len(set(candidate)) < 2:
         return None
-    tau, _p = _scipy_stats.kendalltau(reference, candidate)
+    # Imported here: scipy costs ~0.7 s and ~65 MB, and `import repro` (every
+    # `dharma` command and `dharma serve` child) reaches this module.
+    from scipy.stats import kendalltau
+
+    tau, _p = kendalltau(reference, candidate)
     if math.isnan(tau):
         return None
     return float(tau)

@@ -1,6 +1,6 @@
 """Survival analysis of churn runs (extension of the Section V evaluation).
 
-The churn-survival benchmark (:func:`repro.simulation.cluster.run_survival_benchmark`)
+The churn-survival benchmark (:func:`repro.simulation.experiment.run_survival_benchmark`)
 produces an availability trajectory plus a final audit per configuration.
 This module turns those raw reports into the distributions the ``churn-bench``
 CLI and ``bench_churn_survival.py`` print:
@@ -24,7 +24,7 @@ from repro.analysis.cdf import cdf_series
 from repro.analysis.report import format_mapping, format_table
 
 if TYPE_CHECKING:  # avoid importing the cluster harness at module load
-    from repro.simulation.cluster import SurvivalReport
+    from repro.simulation.experiment import SurvivalReport
 
 __all__ = [
     "SURVIVAL_METRICS",
@@ -34,7 +34,7 @@ __all__ = [
     "render_survival_comparison",
 ]
 
-#: The :meth:`~repro.simulation.cluster.SurvivalReport.summary` fields the
+#: The :meth:`~repro.simulation.experiment.SurvivalReport.summary` fields the
 #: CLI table and the benchmark report print, in display order (one list so
 #: the two cannot drift apart).
 SURVIVAL_METRICS = [
@@ -47,7 +47,7 @@ SURVIVAL_METRICS = [
 
 @dataclass(slots=True)
 class SurvivalSummary:
-    """Distilled view of one :class:`~repro.simulation.cluster.SurvivalReport`."""
+    """Distilled view of one :class:`~repro.simulation.experiment.SurvivalReport`."""
 
     maintenance_on: bool
     final_availability: float

@@ -61,10 +61,9 @@ from repro.simulation.cluster import (
     ClusterConfig,
     attack_cluster_config,
     churn_cluster_config,
-    run_attack_benchmark,
     run_cluster_benchmark,
-    run_survival_benchmark,
 )
+from repro.simulation.experiment import run_attack_benchmark, run_survival_benchmark
 from repro.simulation.workload import TaggingWorkload
 
 __all__ = ["main", "build_parser"]
@@ -169,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop at the checkpoint instead of finishing (resume later)")
     churn.add_argument("--resume-from", default=None,
                        help="resume a halted run from this snapshot instead of starting fresh")
+    churn.set_defaults(usage_error=churn.error)
 
     attack = sub.add_parser(
         "attack-bench",
@@ -502,6 +502,10 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
     from repro.analysis.survival import render_survival_comparison
     from repro.metrics import MetricsStream
 
+    if (args.checkpoint_at is None) != (args.checkpoint_out is None):
+        args.usage_error("--checkpoint-at and --checkpoint-out must be given together")
+    if args.halt_at_checkpoint and args.checkpoint_at is None:
+        args.usage_error("--halt-at-checkpoint requires --checkpoint-at and --checkpoint-out")
     if args.resume_from is not None:
         from repro.simulation.snapshot import resume_survival_benchmark
 

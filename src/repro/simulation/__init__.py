@@ -11,8 +11,12 @@ The :mod:`~repro.simulation.event_queue` module offers a small discrete-event
 scheduler used by churn models and periodic maintenance;
 :mod:`~repro.simulation.churn` provides node join/leave processes, and
 :mod:`~repro.simulation.workload` replays tagging workloads against a
-distributed DHARMA service.
+distributed DHARMA service.  :mod:`~repro.simulation.cluster` scales that to
+1,000+ nodes, and :mod:`~repro.simulation.experiment` runs a cluster under
+churn or attack and audits what survived.
 """
+
+from importlib import import_module
 
 from repro.simulation.clock import SimulationClock
 from repro.simulation.event_queue import Event, EventQueue
@@ -26,28 +30,24 @@ from repro.simulation.network import (
 from repro.simulation.churn import ChurnConfig, ChurnProcess
 from repro.simulation.workload import TaggingWorkload, WorkloadEvent, WorkloadStats
 
-#: Cluster-harness exports resolved lazily (PEP 562): the cluster module sits
-#: on top of repro.dht, which itself imports repro.simulation.network, so a
-#: top-level import here would be circular.
-_CLUSTER_EXPORTS = frozenset(
-    {
-        "ClusterConfig",
-        "ClusterReport",
-        "SearchSample",
-        "SimulatedCluster",
-        "SurvivalReport",
-        "churn_cluster_config",
-        "run_cluster_benchmark",
-        "run_survival_benchmark",
-    }
-)
+#: Cluster-harness and experiment exports resolved lazily (PEP 562), name ->
+#: submodule: both sit on top of repro.dht, which itself imports
+#: repro.simulation.network, so a top-level import here would be circular.
+_LAZY_EXPORTS = {
+    "ClusterConfig": "cluster",
+    "ClusterReport": "cluster",
+    "SearchSample": "cluster",
+    "SimulatedCluster": "cluster",
+    "churn_cluster_config": "cluster",
+    "run_cluster_benchmark": "cluster",
+    "SurvivalReport": "experiment",
+    "run_survival_benchmark": "experiment",
+}
 
 
 def __getattr__(name: str):
-    if name in _CLUSTER_EXPORTS:
-        from repro.simulation import cluster
-
-        return getattr(cluster, name)
+    if name in _LAZY_EXPORTS:
+        return getattr(import_module(f"{__name__}.{_LAZY_EXPORTS[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -29,12 +29,12 @@ produced.
 Churn experiments flip :attr:`ClusterConfig.churn` (a
 :class:`~repro.simulation.churn.ChurnProcess` on the shared event queue) and
 :attr:`ClusterConfig.maintenance` (per-node periodic republish + bucket
-refresh from :mod:`repro.dht.maintenance`).  :func:`run_survival_benchmark`
-builds on both: it writes a tagging workload, snapshots every stored block,
-runs the overlay under churn while probing availability and appending to a
-sample of counter blocks, then audits what survived -- block availability and
-counter integrity (no surviving entry may ever be *lower* than its pre-churn
-value) -- into a :class:`SurvivalReport`.
+refresh from :mod:`repro.dht.maintenance`); attack experiments flip
+:attr:`ClusterConfig.adversary`.  The experiments that drive a cluster under
+such faults and audit what survived -- ``run_survival_benchmark`` and
+``run_attack_benchmark`` -- live in :mod:`repro.simulation.experiment`; this
+module only shapes their configs (:func:`churn_cluster_config`,
+:func:`attack_cluster_config`).
 """
 
 from __future__ import annotations
@@ -43,19 +43,15 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.approximation import default_approximation
-from repro.core.blocks import BlockType
 from repro.dht.bootstrap import Overlay, build_overlay
-from repro.dht.likir import CertificationService, LikirAuthError
+from repro.dht.likir import CertificationService
 from repro.dht.maintenance import MaintenanceConfig, OverlayMaintenance
 from repro.dht.node import KademliaNode, NodeConfig
-from repro.dht.node_id import NodeID, NodeIDInterner
+from repro.dht.node_id import NodeIDInterner
 from repro.dht.routing_table import Contact
-from repro.dht.storage import is_counter_payload, merge_counter_entries
 from repro.distributed.tagging_service import DharmaService, ServiceConfig
-from repro.perf import PERF
 from repro.simulation.adversary import AdversaryConfig, AdversaryProcess, AttackTarget
 from repro.simulation.churn import ChurnConfig, ChurnProcess
 from repro.simulation.event_queue import EventQueue
@@ -67,13 +63,9 @@ __all__ = [
     "SearchSample",
     "ClusterReport",
     "SimulatedCluster",
-    "SurvivalReport",
-    "AttackReport",
     "churn_cluster_config",
     "attack_cluster_config",
     "run_cluster_benchmark",
-    "run_survival_benchmark",
-    "run_attack_benchmark",
 ]
 
 
@@ -652,7 +644,7 @@ def run_cluster_benchmark(
 
 
 # --------------------------------------------------------------------- #
-# churn survival
+# config shapes of the fault experiments (repro.simulation.experiment)
 # --------------------------------------------------------------------- #
 
 
@@ -701,368 +693,6 @@ def churn_cluster_config(
     )
 
 
-@dataclass
-class SurvivalReport:
-    """Outcome of one churn-survival run (see :func:`run_survival_benchmark`)."""
-
-    config: ClusterConfig
-    maintenance_on: bool
-    #: Distinct block keys stored before churn started.
-    blocks_written: int = 0
-    #: How many of those are counter blocks (integrity-checked).
-    counter_blocks: int = 0
-    duration_s: float = 0.0
-    #: ``(seconds since churn start, availability of the probe sample)``.
-    samples: list[tuple[float, float]] = field(default_factory=list)
-    #: Fraction of pre-churn blocks still readable at end of run.
-    final_availability: float = 0.0
-    lost_blocks: int = 0
-    #: Surviving counter entries found *below* their expected floor (must be
-    #: zero: counters are monotone and merges keep the per-entry max).
-    integrity_violations: int = 0
-    entries_checked: int = 0
-    #: Mid-churn APPENDs applied (their deltas are part of the floor).
-    churn_appends: int = 0
-    joins: int = 0
-    graceful_leaves: int = 0
-    crashes: int = 0
-    live_nodes_end: int = 0
-    maintenance_stats: dict[str, int] = field(default_factory=dict)
-    messages_total: int = 0
-    virtual_time_s: float = 0.0
-    wall_time_s: float = 0.0
-
-    def summary(self) -> dict[str, float]:
-        """Flat mapping for tables and JSON reports."""
-        return {
-            "nodes": self.config.num_nodes,
-            "maintenance": int(self.maintenance_on),
-            "blocks_written": self.blocks_written,
-            "counter_blocks": self.counter_blocks,
-            "duration_s": self.duration_s,
-            "final_availability": self.final_availability,
-            "lost_blocks": self.lost_blocks,
-            "integrity_violations": self.integrity_violations,
-            "entries_checked": self.entries_checked,
-            "churn_appends": self.churn_appends,
-            "joins": self.joins,
-            "graceful_leaves": self.graceful_leaves,
-            "crashes": self.crashes,
-            "live_nodes_end": self.live_nodes_end,
-            "messages_total": self.messages_total,
-            "virtual_time_s": self.virtual_time_s,
-            "wall_time_s": self.wall_time_s,
-            **{f"maint_{k}": v for k, v in self.maintenance_stats.items()},
-        }
-
-
-def _expected_blocks(overlay: Overlay) -> dict[NodeID, dict[str, Any] | None]:
-    """Snapshot every stored block across live replicas.
-
-    Counter blocks map to their *floor* payload -- the entry-wise **minimum**
-    over the replicas holding the block, i.e. what every replica already
-    agreed on.  Replicas can legitimately diverge by the last not-yet-
-    republished APPEND (a write's third target sometimes misses the true
-    closest set), and no ``replicate``-way scheme can promise to survive the
-    crash of the single copy carrying such an increment; the durable promise
-    under test is that nothing ever drops *below* the replicated state.
-    Opaque blocks map to ``None`` (presence-checked only).
-    """
-    replicas: dict[NodeID, list[dict[str, Any]]] = {}
-    expected: dict[NodeID, dict[str, Any] | None] = {}
-    for node in overlay.live_nodes():
-        for key, value in node.storage.items_snapshot().items():
-            if is_counter_payload(value):
-                replicas.setdefault(key, []).append(value)
-            else:
-                expected.setdefault(key, None)
-    for key, payloads in replicas.items():
-        floor = dict(payloads[0]["entries"])
-        for payload in payloads[1:]:
-            entries = payload["entries"]
-            for entry in list(floor):
-                count = entries.get(entry, 0)
-                if count < floor[entry]:
-                    floor[entry] = count
-        expected[key] = {
-            **payloads[0],
-            "entries": {entry: count for entry, count in floor.items() if count},
-        }
-    return expected
-
-
-def _retrieve(overlay: Overlay, key: NodeID, attempts: int = 2) -> Any | None:
-    """Read *key* through random live access nodes (a client would retry)."""
-    for _ in range(attempts):
-        value, _ = overlay.random_node().retrieve(key)
-        if value is not None:
-            return value
-    return None
-
-
-def _retrieve_merged(overlay: Overlay, key: NodeID, reads: int = 3) -> Any | None:
-    """Read *key* through several access nodes, merging counter replicas.
-
-    A FIND_VALUE returns the first replica encountered on the lookup path,
-    which under churn may be a stale old holder or a thin block freshly
-    created by a concurrent APPEND at a new responsible node.  A client that
-    cares about counter integrity therefore reads through more than one
-    access point and takes the entry-wise maximum (the same monotone join the
-    replicas themselves use).
-    """
-    merged: Any | None = None
-    for _ in range(reads):
-        value, _ = overlay.random_node().retrieve(key)
-        if value is None:
-            continue
-        if not is_counter_payload(value):
-            return value
-        if merged is None:
-            merged = value
-        else:
-            # The same monotone join the replicas apply on STORE.
-            merge_counter_entries(merged["entries"], value["entries"])
-    return merged
-
-
-class SurvivalRunState:
-    """Mid-flight state of one survival benchmark.
-
-    Everything the probe/append ticks and the final audit touch lives here,
-    which makes the run *checkpointable*: the snapshot layer
-    (:mod:`repro.simulation.snapshot`) serialises this state alongside the
-    cluster, and a resumed run re-creates the pending ``survival-probe-N`` /
-    ``survival-append-N`` events against a restored instance.
-    """
-
-    def __init__(
-        self,
-        cluster: SimulatedCluster,
-        report: SurvivalReport,
-        expected: dict[NodeID, dict[str, Any] | None],
-        probe: list[NodeID],
-        appended: list[NodeID],
-        churn_start_ms: float,
-        sample_every_s: float,
-        prior_wall_s: float = 0.0,
-    ) -> None:
-        self.cluster = cluster
-        self.report = report
-        self.expected = expected
-        self.probe = probe
-        self.appended = appended
-        self.churn_start_ms = churn_start_ms
-        self.sample_every_s = sample_every_s
-        #: Wall seconds consumed before the last checkpoint (resumed runs
-        #: report the sum, so wall_time_s stays a total across restarts).
-        self.prior_wall_s = prior_wall_s
-
-    # -- periodic ticks ----------------------------------------------------- #
-
-    def probe_tick(self) -> None:
-        overlay = self.cluster.overlay
-        readable = sum(1 for key in self.probe if _retrieve(overlay, key) is not None)
-        availability = readable / len(self.probe) if self.probe else 1.0
-        self.report.samples.append(
-            ((overlay.clock.now - self.churn_start_ms) / 1000.0, availability)
-        )
-
-    def append_tick(self) -> None:
-        # Concurrent APPENDs while republish snapshots fly around: the
-        # merge-on-store rule is what keeps these from being erased.
-        overlay = self.cluster.overlay
-        for key in self.appended:
-            payload = self.expected[key]
-            assert payload is not None
-            entry = f"churn-probe-{payload['owner']}"
-            outcome = overlay.random_node().append(
-                key, payload["owner"], BlockType(payload["type"]), {entry: 1}
-            )
-            if outcome.accepted_replicas < self.cluster.config.replicate:
-                # The write is under-replicated (some store candidates were
-                # dead); like the pre-churn floor, the audit only promises
-                # durability for fully replicated state, so the floor must
-                # not rise on a write a single crash could legitimately kill.
-                continue
-            payload["entries"][entry] = payload["entries"].get(entry, 0) + 1
-            self.report.churn_appends += 1
-
-    def schedule_ticks(self) -> None:
-        """Pre-schedule every probe/append tick of the run (fresh runs only;
-        a resumed run gets its remaining ticks back from the snapshot)."""
-        duration_s = self.report.duration_s
-        sample_every_s = self.sample_every_s
-        ticks = int(duration_s // sample_every_s) if sample_every_s > 0 else 0
-        # The last APPENDs land at least two republish intervals before the
-        # end of the run, so the final maintenance pass has merged them into
-        # the currently responsible replicas by audit time.
-        append_cutoff = (
-            duration_s * 1000.0 - 2.0 * self.cluster.config.republish_interval_ms
-        )
-        for tick in range(1, ticks + 1):
-            at = self.churn_start_ms + tick * sample_every_s * 1000.0
-            self.cluster.queue.schedule_at(at, self.probe_tick, label=f"survival-probe-{tick}")
-            if at - self.churn_start_ms <= append_cutoff:
-                self.cluster.queue.schedule_at(
-                    at, self.append_tick, label=f"survival-append-{tick}"
-                )
-
-    # -- live metrics -------------------------------------------------------- #
-
-    def metrics_gauges(self) -> dict[str, float]:
-        """Per-interval survival gauges exported on the metrics stream."""
-        samples = self.report.samples
-        return {
-            "survival.availability": samples[-1][1] if samples else 1.0,
-            "survival.blocks_written": float(self.report.blocks_written),
-            "survival.churn_appends": float(self.report.churn_appends),
-        }
-
-    # -- final audit --------------------------------------------------------- #
-
-    def finish(self, wall_started: float) -> SurvivalReport:
-        """Audit every pre-churn key and fill in the report's end-state."""
-        cluster, report = self.cluster, self.report
-        overlay = cluster.overlay
-        for key, payload in self.expected.items():
-            value = _retrieve_merged(overlay, key)
-            if value is None:
-                report.lost_blocks += 1
-                continue
-            if payload is None or not is_counter_payload(value):
-                continue
-            entries = value["entries"]
-            for entry, floor in payload["entries"].items():
-                report.entries_checked += 1
-                if entries.get(entry, 0) < floor:
-                    report.integrity_violations += 1
-        report.final_availability = (
-            1.0 - report.lost_blocks / report.blocks_written if report.blocks_written else 1.0
-        )
-        if cluster.churn is not None:
-            report.joins = cluster.churn.joins
-            report.graceful_leaves = cluster.churn.graceful_leaves
-            report.crashes = cluster.churn.crashes
-        if cluster.maintenance is not None:
-            report.maintenance_stats = cluster.maintenance.stats.snapshot()
-        report.live_nodes_end = len(overlay.live_nodes())
-        report.messages_total = overlay.network.stats.messages_sent
-        report.virtual_time_s = overlay.clock.now / 1000.0
-        report.wall_time_s = self.prior_wall_s + (time.perf_counter() - wall_started)
-        return report
-
-
-def run_survival_benchmark(
-    config: ClusterConfig,
-    workload: TaggingWorkload,
-    ops: int | None = None,
-    duration_s: float = 480.0,
-    sample_every_s: float = 30.0,
-    probe_keys: int = 100,
-    append_keys: int = 10,
-    metrics_stream: "MetricsStream | None" = None,
-    metrics_interval_s: float | None = None,
-    checkpoint_path: str | None = None,
-    checkpoint_at_s: float | None = None,
-    halt_at_checkpoint: bool = False,
-) -> SurvivalReport | None:
-    """Measure block survival and counter integrity under churn.
-
-    The run has three phases: (1) replay *ops* tagging events on a quiet
-    overlay and snapshot every stored block -- the pre-churn floor; (2) start
-    the churn process and run *duration_s* virtual seconds, probing the
-    availability of a key sample every *sample_every_s* and APPENDing to a
-    few counter blocks (so republished snapshots have concurrent writes to
-    not lose); (3) audit every pre-churn key through the surviving overlay:
-    a block is *lost* when no access node can retrieve it, and a surviving
-    counter entry *violates integrity* when it reads below its floor
-    (pre-churn value plus the mid-churn deltas applied to it).
-
-    With *metrics_stream*, a :class:`~repro.metrics.stream.ClusterMetricsRecorder`
-    samples the run every *metrics_interval_s* virtual seconds (default: the
-    probe cadence); sampling is read-only and draws no randomness, so metrics
-    do not perturb the run.  With *checkpoint_path* and *checkpoint_at_s*,
-    the cluster state is snapshotted that many virtual seconds into the churn
-    phase; *halt_at_checkpoint* then returns ``None`` instead of finishing
-    (simulating a killed run -- resume it with
-    :func:`repro.simulation.snapshot.resume_survival_benchmark`).
-    """
-    started = time.perf_counter()
-    cluster = SimulatedCluster(config)
-    overlay = cluster.overlay
-    cluster.run_workload(workload, limit=ops)
-
-    expected = _expected_blocks(overlay)
-    counter_keys = [key for key, payload in expected.items() if payload is not None]
-    report = SurvivalReport(
-        config=config,
-        maintenance_on=config.maintenance,
-        blocks_written=len(expected),
-        counter_blocks=len(counter_keys),
-        duration_s=duration_s,
-    )
-    rng = random.Random(config.seed)
-    probe = rng.sample(sorted(expected, key=lambda k: k.value), min(probe_keys, len(expected)))
-    appended = rng.sample(
-        sorted(counter_keys, key=lambda k: k.value), min(append_keys, len(counter_keys))
-    )
-
-    run = SurvivalRunState(
-        cluster,
-        report,
-        expected,
-        probe,
-        appended,
-        churn_start_ms=overlay.clock.now,
-        sample_every_s=sample_every_s,
-    )
-    run.schedule_ticks()
-
-    recorder = None
-    if metrics_stream is not None:
-        from repro.metrics.stream import ClusterMetricsRecorder
-
-        recorder = ClusterMetricsRecorder(
-            cluster,
-            metrics_stream,
-            interval_ms=(metrics_interval_s or sample_every_s) * 1000.0,
-            extra_gauges=run.metrics_gauges,
-        )
-        recorder.start()
-
-    # Pre-scheduled trace: the maintenance-on and -off runs face the exact
-    # same membership schedule, so availability deltas measure maintenance,
-    # not clock-inflation artefacts.
-    cluster.start_churn(trace_horizon_ms=duration_s * 1000.0)
-
-    remaining_ms = duration_s * 1000.0
-    if checkpoint_at_s is not None:
-        if checkpoint_path is None:
-            raise ValueError("checkpoint_at_s requires checkpoint_path")
-        checkpoint_ms = min(max(checkpoint_at_s, 0.0) * 1000.0, remaining_ms)
-        cluster.run_for(checkpoint_ms)
-        remaining_ms -= checkpoint_ms
-        run.prior_wall_s = time.perf_counter() - started
-        from repro.simulation.snapshot import save_snapshot
-
-        save_snapshot(checkpoint_path, cluster, benchmark=run, recorder=recorder)
-        if halt_at_checkpoint:
-            if recorder is not None:
-                recorder.stop()
-            return None
-    cluster.run_for(remaining_ms)
-
-    result = run.finish(started)
-    if recorder is not None:
-        recorder.stop()
-    return result
-
-
-# --------------------------------------------------------------------- #
-# adversarial attack benchmark
-# --------------------------------------------------------------------- #
-
-
 def attack_cluster_config(
     num_nodes: int,
     verification: bool,
@@ -1107,293 +737,3 @@ def attack_cluster_config(
         append_forge_rate=append_forge_rate,
         stale_republish_rate=stale_republish_rate,
     )
-
-
-@dataclass
-class AttackReport:
-    """Outcome of one attack run (see :func:`run_attack_benchmark`)."""
-
-    config: ClusterConfig
-    verification_on: bool
-    #: Distinct block keys stored before the attack started.
-    blocks_written: int = 0
-    counter_blocks: int = 0
-    #: Victim blocks the campaign aims forged writes at.
-    targets: int = 0
-    duration_s: float = 0.0
-    #: ``(seconds since attack start, availability of the probe sample)``.
-    samples: list[tuple[float, float]] = field(default_factory=list)
-    #: Availability of the probe sample at the end of the run.
-    final_availability: float = 0.0
-    lost_blocks: int = 0
-    #: Audit findings: counter entries below their honest floor plus foreign
-    #: ``attack-*`` entries an adversary smuggled in (must be zero with
-    #: verification on).
-    integrity_violations: int = 0
-    foreign_entries: int = 0
-    entries_checked: int = 0
-    #: Reads that raised ``LikirAuthError`` on a forged value (the client
-    #: retried another access node -- enforcement working, not data loss).
-    forged_reads_rejected: int = 0
-    #: Honest APPENDs issued at the victim counters during the attack, and
-    #: how many blew up on a corrupted replica (verification-off damage).
-    honest_appends: int = 0
-    honest_append_failures: int = 0
-    #: Final adversary share of honest k-closest views of the victim key.
-    eclipse_progress: float = 0.0
-    #: Raw adversary counters (sybil joins, per-kind forge outcomes, ...).
-    attack: dict[str, int] = field(default_factory=dict)
-    #: ``likir.*`` enforcement counter deltas over the whole run.
-    likir_verified: int = 0
-    likir_rejected: int = 0
-    sybil_contacts_rejected: int = 0
-    messages_total: int = 0
-    virtual_time_s: float = 0.0
-    wall_time_s: float = 0.0
-
-    def summary(self) -> dict[str, float]:
-        """Flat mapping for tables and JSON reports."""
-        out = {
-            "nodes": self.config.num_nodes,
-            "verification": int(self.verification_on),
-            "blocks_written": self.blocks_written,
-            "counter_blocks": self.counter_blocks,
-            "targets": self.targets,
-            "duration_s": self.duration_s,
-            "final_availability": self.final_availability,
-            "lost_blocks": self.lost_blocks,
-            "integrity_violations": self.integrity_violations,
-            "foreign_entries": self.foreign_entries,
-            "entries_checked": self.entries_checked,
-            "forged_reads_rejected": self.forged_reads_rejected,
-            "honest_appends": self.honest_appends,
-            "honest_append_failures": self.honest_append_failures,
-            "eclipse_progress": self.eclipse_progress,
-            "likir_verified": self.likir_verified,
-            "likir_rejected": self.likir_rejected,
-            "sybil_contacts_rejected": self.sybil_contacts_rejected,
-            "messages_total": self.messages_total,
-            "virtual_time_s": self.virtual_time_s,
-            "wall_time_s": self.wall_time_s,
-        }
-        for name, count in self.attack.items():
-            out[f"attack_{name}"] = count
-        return out
-
-    def fingerprint(self) -> dict[str, Any]:
-        """Everything deterministic under a fixed seed (determinism pin).
-
-        The full summary minus wall time, plus the availability timeline --
-        two runs of the same seeded config must agree on this exactly.
-        """
-        out: dict[str, Any] = {
-            key: value for key, value in self.summary().items() if key != "wall_time_s"
-        }
-        out["samples"] = tuple(self.samples)
-        return out
-
-
-def _attack_retrieve(
-    overlay: Overlay, key: NodeID, report: AttackReport, attempts: int = 3
-) -> Any | None:
-    """Read *key* like a defensive client: a forged value that fails
-    verification is not data loss -- count the rejection and retry through
-    another access node."""
-    for _ in range(attempts):
-        try:
-            value, _ = overlay.random_node().retrieve(key)
-        except LikirAuthError:
-            report.forged_reads_rejected += 1
-            continue
-        if value is not None:
-            return value
-    return None
-
-
-def _attack_retrieve_merged(
-    overlay: Overlay, key: NodeID, report: AttackReport, reads: int = 3
-) -> Any | None:
-    """Merged counter read (see :func:`_retrieve_merged`) with the same
-    auth-aware retry policy as :func:`_attack_retrieve`."""
-    merged: Any | None = None
-    for _ in range(reads):
-        try:
-            value, _ = overlay.random_node().retrieve(key)
-        except LikirAuthError:
-            report.forged_reads_rejected += 1
-            continue
-        if value is None:
-            continue
-        if not is_counter_payload(value):
-            return value
-        if merged is None:
-            merged = {**value, "entries": dict(value["entries"])}
-        else:
-            merge_counter_entries(merged["entries"], value["entries"])
-    return merged
-
-
-def run_attack_benchmark(
-    config: ClusterConfig,
-    workload: TaggingWorkload,
-    ops: int | None = None,
-    duration_s: float = 120.0,
-    sample_every_s: float = 10.0,
-    probe_keys: int = 60,
-    target_keys: int = 4,
-    metrics_stream: "MetricsStream | None" = None,
-    metrics_interval_s: float | None = None,
-) -> AttackReport:
-    """Measure availability and integrity under a scripted attack campaign.
-
-    The run has three phases, mirroring :func:`run_survival_benchmark`: (1)
-    replay *ops* tagging events on a quiet overlay and snapshot every stored
-    block -- the honest floor; (2) pre-schedule the adversary's campaign
-    against *target_keys* victim counter blocks and run *duration_s* virtual
-    seconds, probing availability every *sample_every_s* through
-    auth-defensive reads and issuing honest APPENDs at the victims (so stale
-    republishes are truly stale and a rollback is detectable); (3) audit
-    every pre-attack key: a block is *lost* when no access node can retrieve
-    it, and a counter *violates integrity* when an entry reads below its
-    floor or carries a foreign ``attack-*`` entry.
-
-    Because the campaign is drawn entirely from ``config.seed``, running this
-    twice with verification on and off puts the identical attack trace
-    against both postures -- the measured delta is enforcement.
-    """
-    started = time.perf_counter()
-    if not config.adversary:
-        raise ValueError("run_attack_benchmark requires ClusterConfig.adversary")
-    verified_before = PERF.counter("likir.verified")
-    rejected_before = PERF.counter("likir.rejected")
-    sybil_before = PERF.counter("likir.sybil_rejected")
-
-    cluster = SimulatedCluster(config)
-    overlay = cluster.overlay
-    cluster.run_workload(workload, limit=ops)
-
-    expected = _expected_blocks(overlay)
-    counter_keys = [key for key, payload in expected.items() if payload is not None]
-    if not counter_keys:
-        raise ValueError("the attack benchmark needs counter blocks to target")
-    report = AttackReport(
-        config=config,
-        verification_on=config.verify_credentials,
-        blocks_written=len(expected),
-        counter_blocks=len(counter_keys),
-        duration_s=duration_s,
-    )
-    rng = random.Random(config.seed)
-    victim_keys = rng.sample(
-        sorted(counter_keys, key=lambda k: k.value), min(target_keys, len(counter_keys))
-    )
-    # The target payload is frozen at attack start: it is the stale snapshot
-    # the republish storm replays, while the live floor keeps rising below.
-    targets = [
-        AttackTarget(
-            key=key,
-            payload={**expected[key], "entries": dict(expected[key]["entries"])},
-        )
-        for key in victim_keys
-    ]
-    report.targets = len(targets)
-    probe = rng.sample(
-        sorted(expected, key=lambda k: k.value), min(probe_keys, len(expected))
-    )
-    # The victims must be in the probe sample, or availability would not see
-    # the keys under fire.
-    probe.extend(key for key in victim_keys if key not in probe)
-    attack_start_ms = overlay.clock.now
-
-    def probe_tick() -> None:
-        readable = sum(
-            1 for key in probe if _attack_retrieve(overlay, key, report) is not None
-        )
-        availability = readable / len(probe) if probe else 1.0
-        report.samples.append(
-            ((overlay.clock.now - attack_start_ms) / 1000.0, availability)
-        )
-
-    def append_tick() -> None:
-        # Honest writers keep working through the attack; on a wholesale-
-        # corrupted replica (verification off) the APPEND blows up on block
-        # metadata and is counted as collateral damage.
-        for target in targets:
-            payload = expected[target.key]
-            assert payload is not None
-            entry = f"probe-{payload['owner']}"
-            report.honest_appends += 1
-            try:
-                outcome = overlay.random_node().append(
-                    target.key, payload["owner"], BlockType(payload["type"]), {entry: 1}
-                )
-            except Exception:
-                report.honest_append_failures += 1
-                continue
-            if outcome.accepted_replicas >= cluster.config.replicate:
-                payload["entries"][entry] = payload["entries"].get(entry, 0) + 1
-
-    ticks = int(duration_s // sample_every_s) if sample_every_s > 0 else 0
-    for tick in range(1, ticks + 1):
-        at = attack_start_ms + tick * sample_every_s * 1000.0
-        cluster.queue.schedule_at(at, probe_tick, label=f"attack-probe-{tick}")
-        cluster.queue.schedule_at(at, append_tick, label=f"attack-honest-append-{tick}")
-
-    recorder = None
-    if metrics_stream is not None:
-        from repro.metrics.stream import ClusterMetricsRecorder
-
-        def attack_gauges() -> dict[str, float]:
-            adversary = cluster.adversary
-            return {
-                "attack.availability": report.samples[-1][1] if report.samples else 1.0,
-                "attack.eclipse_progress": (
-                    adversary.eclipse_progress() if adversary is not None else 0.0
-                ),
-                "attack.forged_writes_sent": float(
-                    adversary.forged_writes_sent() if adversary is not None else 0
-                ),
-            }
-
-        recorder = ClusterMetricsRecorder(
-            cluster,
-            metrics_stream,
-            interval_ms=(metrics_interval_s or sample_every_s) * 1000.0,
-            extra_gauges=attack_gauges,
-        )
-        recorder.start()
-
-    adversary = cluster.start_attack(targets, trace_horizon_ms=duration_s * 1000.0)
-    cluster.run_for(duration_s * 1000.0)
-
-    # Final availability sample, then the integrity audit.
-    probe_tick()
-    report.final_availability = report.samples[-1][1]
-    for key, payload in expected.items():
-        value = _attack_retrieve_merged(overlay, key, report)
-        if value is None:
-            report.lost_blocks += 1
-            continue
-        if payload is None or not is_counter_payload(value):
-            continue
-        entries = value["entries"]
-        for entry, floor in payload["entries"].items():
-            report.entries_checked += 1
-            if entries.get(entry, 0) < floor:
-                report.integrity_violations += 1
-        for entry in entries:
-            if entry.startswith("attack-"):
-                report.foreign_entries += 1
-                report.integrity_violations += 1
-
-    report.eclipse_progress = adversary.eclipse_progress()
-    report.attack = adversary.counters()
-    report.likir_verified = PERF.counter("likir.verified") - verified_before
-    report.likir_rejected = PERF.counter("likir.rejected") - rejected_before
-    report.sybil_contacts_rejected = PERF.counter("likir.sybil_rejected") - sybil_before
-    report.messages_total = overlay.network.stats.messages_sent
-    report.virtual_time_s = overlay.clock.now / 1000.0
-    report.wall_time_s = time.perf_counter() - started
-    if recorder is not None:
-        recorder.stop()
-    return report

@@ -7,7 +7,7 @@ and the pending events of the shared queue.  This module serialises all of it
 into one JSON document so a long survival run can be killed at any checkpoint
 and resumed later -- **deterministically**: the resumed run executes the exact
 same event sequence, RNG draws and RPCs as an uninterrupted one, and produces
-the identical :class:`~repro.simulation.cluster.SurvivalReport`.
+the identical :class:`~repro.simulation.experiment.SurvivalReport`.
 
 Design notes
 ------------
@@ -29,7 +29,7 @@ Design notes
   trace encodes its parameters in the label
   (``churn-join:<at>:<session>:<horizon>``), maintenance ticks name their
   node (``maint-republish:<address>``), and benchmark probes map back to the
-  restored :class:`~repro.simulation.cluster.SurvivalRunState`.  Only traced
+  restored :class:`~repro.simulation.experiment.SurvivalRun`.  Only traced
   churn (:meth:`~repro.simulation.churn.ChurnProcess.schedule_trace`) is
   checkpointable; dynamic churn draws follow-up events at execution time and
   has no label encoding.
@@ -71,13 +71,9 @@ from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 from repro.perf import PERF
 from repro.simulation.churn import ChurnProcess
-from repro.simulation.cluster import (
-    ClusterConfig,
-    SimulatedCluster,
-    SurvivalReport,
-    SurvivalRunState,
-)
+from repro.simulation.cluster import ClusterConfig, SimulatedCluster
 from repro.simulation.event_queue import EventQueue
+from repro.simulation.experiment import SurvivalReport, SurvivalRun
 from repro.simulation.network import NetworkConfig, SimulatedNetwork
 
 __all__ = [
@@ -235,11 +231,11 @@ def _maintenance_state(maintenance: OverlayMaintenance) -> dict:
     }
 
 
-def _benchmark_state(run: SurvivalRunState) -> dict:
+def _benchmark_state(run: SurvivalRun) -> dict:
     report = run.report
     return {
         "sample_every_s": run.sample_every_s,
-        "churn_start_ms": run.churn_start_ms,
+        "churn_start_ms": run.start_ms,
         "prior_wall_s": run.prior_wall_s,
         "report": {
             "duration_s": report.duration_s,
@@ -262,7 +258,7 @@ def _benchmark_state(run: SurvivalRunState) -> dict:
 
 def snapshot_cluster(
     cluster: SimulatedCluster,
-    benchmark: SurvivalRunState | None = None,
+    benchmark: SurvivalRun | None = None,
     recorder: Any | None = None,
 ) -> dict:
     """Serialise *cluster* (and optionally a mid-flight survival run and a
@@ -334,7 +330,7 @@ def snapshot_cluster(
 def save_snapshot(
     path: str | Path,
     cluster: SimulatedCluster,
-    benchmark: SurvivalRunState | None = None,
+    benchmark: SurvivalRun | None = None,
     recorder: Any | None = None,
 ) -> dict:
     """Snapshot *cluster* and write it to *path* as JSON.  Returns the dict."""
@@ -422,7 +418,7 @@ def _restore_nodes(
     return nodes
 
 
-def _restore_benchmark(snapshot_section: dict, cluster: SimulatedCluster) -> SurvivalRunState:
+def _restore_benchmark(snapshot_section: dict, cluster: SimulatedCluster) -> SurvivalRun:
     report_data = snapshot_section["report"]
     report = SurvivalReport(
         config=cluster.config,
@@ -439,13 +435,13 @@ def _restore_benchmark(snapshot_section: dict, cluster: SimulatedCluster) -> Sur
         )
         for item in snapshot_section["expected"]
     }
-    return SurvivalRunState(
+    return SurvivalRun(
         cluster,
         report,
         expected,
         probe=[NodeID.from_hex(h) for h in snapshot_section["probe"]],
         appended=[NodeID.from_hex(h) for h in snapshot_section["appended"]],
-        churn_start_ms=snapshot_section["churn_start_ms"],
+        start_ms=snapshot_section["churn_start_ms"],
         sample_every_s=snapshot_section["sample_every_s"],
         prior_wall_s=snapshot_section["prior_wall_s"],
     )
@@ -454,7 +450,7 @@ def _restore_benchmark(snapshot_section: dict, cluster: SimulatedCluster) -> Sur
 def _replay_events(
     snapshot: dict,
     cluster: SimulatedCluster,
-    run: SurvivalRunState | None,
+    run: SurvivalRun | None,
     recorder: Any | None,
 ) -> None:
     from repro.metrics.stream import METRICS_TICK_LABEL
@@ -497,14 +493,11 @@ def _replay_events(
                 lambda t=join_at, s=session, h=horizon, c=churn: c._do_traced_join(t, s, h),
                 label=label,
             )
-        elif label.startswith("survival-probe-"):
+        elif label.startswith((SurvivalRun.PROBE_LABEL, SurvivalRun.APPEND_LABEL)):
             if run is None:
                 raise SnapshotError(f"event {label!r} but no benchmark context in snapshot")
-            queue.schedule_at(at, run.probe_tick, label=label)
-        elif label.startswith("survival-append-"):
-            if run is None:
-                raise SnapshotError(f"event {label!r} but no benchmark context in snapshot")
-            queue.schedule_at(at, run.append_tick, label=label)
+            probe = label.startswith(SurvivalRun.PROBE_LABEL)
+            queue.schedule_at(at, run.probe_tick if probe else run.append_tick, label=label)
         elif label == METRICS_TICK_LABEL:
             # Metrics are optional on resume: without a recorder the tick is
             # dropped (sampling is read-only, so skipping it cannot change
@@ -518,11 +511,11 @@ def _replay_events(
 def restore_cluster(
     snapshot: dict,
     metrics_stream: Any | None = None,
-) -> tuple[SimulatedCluster, SurvivalRunState | None, Any | None]:
+) -> tuple[SimulatedCluster, SurvivalRun | None, Any | None]:
     """Rebuild a :class:`SimulatedCluster` from a snapshot dict.
 
     Returns ``(cluster, run, recorder)``: *run* is the restored
-    :class:`SurvivalRunState` when the snapshot carries benchmark context
+    :class:`SurvivalRun` when the snapshot carries benchmark context
     (else ``None``); *recorder* is a re-armed
     :class:`~repro.metrics.stream.ClusterMetricsRecorder` when the snapshot
     carries one **and** *metrics_stream* is given (else ``None``).
@@ -634,6 +627,8 @@ def restore_cluster(
             extra_gauges=run.metrics_gauges if run is not None else None,
         )
         recorder.restore_state(state)
+        if run is not None:
+            run.recorder = recorder  # the run stops it when it finishes
 
     _replay_events(snapshot, cluster, run, recorder)
     return cluster, run, recorder
@@ -643,7 +638,7 @@ def resume_survival_benchmark(
     path: str | Path,
     metrics_stream: Any | None = None,
 ) -> SurvivalReport:
-    """Resume a checkpointed :func:`~repro.simulation.cluster.run_survival_benchmark`.
+    """Resume a checkpointed :func:`~repro.simulation.experiment.run_survival_benchmark`.
 
     Loads the snapshot at *path*, restores the cluster and the mid-flight
     benchmark state, runs the remaining virtual time and performs the final
@@ -652,12 +647,8 @@ def resume_survival_benchmark(
     """
     started = time.perf_counter()
     snapshot = load_snapshot(path)
-    cluster, run, recorder = restore_cluster(snapshot, metrics_stream=metrics_stream)
+    cluster, run, _recorder = restore_cluster(snapshot, metrics_stream=metrics_stream)
     if run is None:
         raise SnapshotError(f"{path} has no survival-benchmark context to resume")
-    end_ms = run.churn_start_ms + run.report.duration_s * 1000.0
-    cluster.run_for(max(0.0, end_ms - cluster.queue.clock.now))
-    report = run.finish(started)
-    if recorder is not None:
-        recorder.stop()
-    return report
+    cluster.queue.run_until(run.end_ms)
+    return run.finish(started)

@@ -12,7 +12,8 @@ from repro.dht.bootstrap import build_overlay
 from repro.dht.maintenance import MaintenanceConfig, OverlayMaintenance
 from repro.dht.node import NodeConfig
 from repro.dht.node_id import NodeID
-from repro.simulation.cluster import churn_cluster_config, run_survival_benchmark
+from repro.simulation.cluster import churn_cluster_config
+from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.network import NetworkConfig
 from repro.simulation.workload import TaggingWorkload

@@ -1,8 +1,8 @@
 """Multi-process smoke test: a real DHARMA overlay over localhost UDP.
 
 Five ``dharma serve`` processes are spawned as real OS processes, each with
-its own asyncio UDP endpoint; the test process attaches a sixth in-process
-node and drives the full stack through real sockets:
+its own UDP endpoint (one socket, plain threads); the test process attaches
+a sixth in-process node and drives the full stack through real sockets:
 
 * bootstrap -- four processes join through the first one's udp:// address
   learned by parsing the "listening" handshake line;

@@ -10,10 +10,8 @@ enough for the unit suite.
 import pytest
 
 from repro.simulation.adversary import FORGE_KINDS, AdversaryConfig
-from repro.simulation.cluster import (
-    attack_cluster_config,
-    run_attack_benchmark,
-)
+from repro.simulation.cluster import attack_cluster_config
+from repro.simulation.experiment import run_attack_benchmark
 from repro.simulation.workload import TaggingWorkload
 
 TRIPLES = [
@@ -78,14 +76,15 @@ class TestAdversaryConfig:
         assert adversary.seed == config.seed
 
 
-class TestAttackOutcomes:
-    @pytest.fixture(scope="class")
-    def arms(self, workload):
-        return {
-            "on": run_small(verification=True, workload=workload),
-            "off": run_small(verification=False, workload=workload),
-        }
+@pytest.fixture(scope="module")
+def arms(workload):
+    return {
+        "on": run_small(verification=True, workload=workload),
+        "off": run_small(verification=False, workload=workload),
+    }
 
+
+class TestAttackOutcomes:
     def test_identical_campaign_across_postures(self, arms):
         """Every *_sent counter agrees: both arms faced the same trace."""
         sent_on = {
@@ -140,3 +139,72 @@ class TestAttackOutcomes:
         cluster = SimulatedCluster(ClusterConfig(num_nodes=8, bootstrap="fast"))
         with pytest.raises(RuntimeError):
             cluster.start_attack(targets=[], trace_horizon_ms=1000.0)
+
+
+def assert_summary(report, expected: dict):
+    summary = report.summary()
+    assert {key: summary[key] for key in expected} == expected
+
+
+class TestAttackPins:
+    """Literal pins of the seeded arms, recorded before the survival and
+    attack runners were merged: a rerun agreeing with itself (above) cannot
+    tell whether a refactor changed what the experiment does."""
+
+    def test_verification_on_arm(self, arms):
+        assert_summary(arms["on"], {
+            "messages_total": 3960,
+            "virtual_time_s": 30.404572203076828,
+            "likir_verified": 74,
+            "likir_rejected": 120,
+            "sybil_contacts_rejected": 248,
+            "entries_checked": 81,
+            "integrity_violations": 0,
+            "foreign_entries": 0,
+            "forged_reads_rejected": 0,
+            "honest_appends": 6,
+            "honest_append_failures": 0,
+            "final_availability": 1.0,
+        })
+        assert arms["on"].samples[-1] == (30.006515998482634, 1.0)
+
+    def test_verification_off_arm(self, arms):
+        assert_summary(arms["off"], {
+            "messages_total": 4135,
+            "virtual_time_s": 30.40417903860203,
+            "integrity_violations": 2,
+            "foreign_entries": 1,
+            "entries_checked": 80,
+            "honest_appends": 6,
+            "honest_append_failures": 3,
+            "attack_lies_served": 2,
+            "attack_blackholed_appends": 9,
+            "eclipse_progress": 0.125,
+        })
+        assert arms["off"].samples[-1] == (30.006631706854396, 1.0)
+
+    def test_a_forged_read_is_rejected_and_retried(self):
+        """64 nodes, seed 5: one probe read raises ``LikirAuthError`` on a
+        compromised responder's forgery, so the count-and-retry branch of
+        the read path sits inside a pin."""
+        from repro.datasets.lastfm_synthetic import generate_lastfm_like
+
+        report = run_attack_benchmark(
+            attack_cluster_config(64, True, seed=5),
+            TaggingWorkload.from_triples(generate_lastfm_like("tiny").triples()),
+            ops=150,
+            duration_s=40.0,
+        )
+        assert_summary(report, {
+            "messages_total": 17230,
+            "virtual_time_s": 41.57593690191032,
+            "forged_reads_rejected": 1,
+            "attack_lies_served": 37,
+            "likir_verified": 346,
+            "likir_rejected": 433,
+            "entries_checked": 169,
+            "honest_appends": 16,
+            "integrity_violations": 0,
+            "lost_blocks": 0,
+        })
+        assert report.samples[-1] == (40.02172508174441, 1.0)

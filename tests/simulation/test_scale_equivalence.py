@@ -28,7 +28,8 @@ import pytest
 
 from repro.datasets.lastfm_synthetic import generate_lastfm_like
 from repro.dht.routing_table import routing_table_implementation
-from repro.simulation.cluster import churn_cluster_config, run_survival_benchmark
+from repro.simulation.cluster import churn_cluster_config
+from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.workload import TaggingWorkload
 
 # Baseline captured from the legacy RoutingTable implementation.

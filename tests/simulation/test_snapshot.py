@@ -13,12 +13,8 @@ import pytest
 from repro.analysis.audit import audit_metrics, audit_snapshot
 from repro.core.codec import decode_membership, decode_routing_table
 from repro.metrics import MetricsStream, read_metrics_log
-from repro.simulation.cluster import (
-    ClusterConfig,
-    SimulatedCluster,
-    churn_cluster_config,
-    run_survival_benchmark,
-)
+from repro.simulation.cluster import ClusterConfig, SimulatedCluster, churn_cluster_config
+from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,

@@ -44,6 +44,32 @@ class TestParser:
             args = parser.parse_args([command, *extra])
             assert args.command == command
 
+    def test_importing_the_cli_does_not_load_scipy(self):
+        """Every ``dharma`` command and ``dharma serve`` child pays for what
+        ``import repro.cli`` pulls in; scipy (~0.7 s, ~65 MB) is needed by
+        one analysis function only."""
+        import subprocess
+        import sys
+
+        probe = "import sys, repro.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint-at", "5"],
+        ["--checkpoint-out", "ck.json"],
+        ["--halt-at-checkpoint"],
+        ["--checkpoint-out", "ck.json", "--halt-at-checkpoint"],
+    ])
+    def test_churn_bench_rejects_half_a_checkpoint(self, flags, tmp_path, monkeypatch, capsys):
+        """Refused while parsing -- not after the cluster is built and the
+        workload replayed, and not by silently writing no snapshot."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["churn-bench", "--nodes", "16", "--ops", "4", "--duration", "10", *flags])
+        assert exit_info.value.code == 2
+        assert "--checkpoint-" in capsys.readouterr().err
+        assert not (tmp_path / "ck.json").exists()
+
 
 class TestCommands:
     def test_generate_writes_tsv(self, tmp_path, capsys):

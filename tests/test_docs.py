@@ -6,6 +6,7 @@ CI runs this module in its docs job, so adding a subcommand without
 documenting it (or documenting one that no longer exists) fails the build.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -74,3 +75,17 @@ class TestDocsExist:
             assert f"src/repro/{package}/" in text, (
                 f"docs/ARCHITECTURE.md does not describe src/repro/{package}/"
             )
+
+
+class TestCheckedInBenchmarkPoints:
+    def test_no_checked_in_point_is_a_smoke_run(self):
+        """README and docs quote the checked-in ``BENCH_*.json``; a point
+        recorded under ``BENCH_SMOKE=1`` (shrunk cluster, relaxed gates)
+        backs none of those numbers."""
+        points = sorted(REPO_ROOT.glob("BENCH_*.json"))
+        assert points, "no BENCH_*.json at the repo root"
+        smoke = [
+            path.name for path in points
+            if json.loads(path.read_text(encoding="utf-8")).get("smoke") is not False
+        ]
+        assert not smoke, f"re-record without BENCH_SMOKE: {smoke}"

@@ -12,8 +12,12 @@ with it off.  Every adversarial draw happens at trace-scheduling time, so
 both arms face the byte-identical campaign; the measured delta is
 enforcement, not luck.
 
-Gates (both modes):
+Gates (both modes; stated once, over the written point, by
+``repro.analysis.audit.audit_attack`` -- the script ends by auditing its own
+file, exactly as ``dharma audit --attack BENCH_attack.json`` does offline):
 
+* both arms faced the identical campaign, which joined Sybils, forged
+  writes and ran beside honest APPENDs;
 * with verification on, **zero** integrity violations and availability of
   the probe sample stays at or above the floor -- forged values never
   reach a reader and honest data survives the campaign;
@@ -34,11 +38,13 @@ is relaxed there (tiny probe samples quantise coarsely).
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
+from repro.analysis.audit import run_audit
+from repro.analysis.report import write_json
+from repro.analysis.survival import attack_point
 from repro.metrics import MetricsStream
 from repro.perf import PERF
 from repro.simulation.cluster import attack_cluster_config, run_cluster_benchmark
@@ -133,15 +139,6 @@ def _honest_overhead(workload: TaggingWorkload, seed: int = 0) -> dict[str, floa
     }
 
 
-def _sent_counters(report) -> dict[str, float]:
-    """The campaign-side counters: what the adversary *attempted*."""
-    return {
-        key: value
-        for key, value in report.summary().items()
-        if key.startswith("attack_") and key.endswith("_sent")
-    }
-
-
 class TestAttackResilience:
     def test_verification_preserves_integrity_under_identical_campaign(
         self, benchmark, bench_dataset
@@ -177,69 +174,27 @@ class TestAttackResilience:
             f"(budget x{OVERHEAD_BUDGET:.2f})"
         )
 
-        point = {
-            "bench": "attack_resilience",
-            "preset": BENCH_PRESET,
-            "smoke": BENCH_SMOKE,
-            "timestamp": time.time(),
-            "nodes": NUM_NODES,
-            "ops": OPS,
-            "duration_s": DURATION_S,
-            "sybil_count": SYBIL_COUNT,
-            "forge_rate": FORGE_RATE,
-            "append_forge_rate": APPEND_FORGE_RATE,
-            "stale_republish_rate": STALE_REPUBLISH_RATE,
-            "targets": TARGET_KEYS,
-            "availability_floor": MIN_AVAILABILITY,
-            "overhead_budget": OVERHEAD_BUDGET,
-            "honest_overhead": overhead,
-            "verification_on": {**on.summary(), "samples": on.samples},
-            "verification_off": {**off.summary(), "samples": off.samples},
-        }
-        OUTPUT_PATH.write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
+        point = attack_point(
+            [on, off],
+            preset=BENCH_PRESET,
+            smoke=BENCH_SMOKE,
+            timestamp=time.time(),
+            ops=OPS,
+            sybil_count=SYBIL_COUNT,
+            forge_rate=FORGE_RATE,
+            append_forge_rate=APPEND_FORGE_RATE,
+            stale_republish_rate=STALE_REPUBLISH_RATE,
+            targets=TARGET_KEYS,
+            availability_floor=MIN_AVAILABILITY,
+            overhead_budget=OVERHEAD_BUDGET,
+            honest_overhead=overhead,
+        )
+        write_json(OUTPUT_PATH, point)
         print(f"\ntrajectory point written to {OUTPUT_PATH.resolve()}")
         if METRICS_PATH.exists():
             print(f"verification-on metrics streamed to {METRICS_PATH.resolve()}")
             assert METRICS_PATH.stat().st_size > 0
             assert PROM_PATH.exists()
 
-        # Both arms faced the byte-identical pre-scheduled campaign.
-        assert _sent_counters(on) == _sent_counters(off)
-        assert on.attack.get("sybil_joins", 0) > 0, "the campaign joined no sybils"
-        assert sum(_sent_counters(on).values()) > 0, "the campaign sent no forgeries"
-        assert on.honest_appends > 0, "no honest APPENDs were exercised"
-
-        # Gate 1: enforcement keeps forged data out and honest data up.
-        assert on.integrity_violations == 0, (
-            f"{on.integrity_violations} integrity violations despite verification "
-            f"({on.foreign_entries} foreign entries)"
-        )
-        assert on.final_availability >= MIN_AVAILABILITY, (
-            f"availability with verification {on.final_availability:.4f} "
-            f"below the {MIN_AVAILABILITY:.2f} floor ({on.lost_blocks} blocks lost)"
-        )
-        assert on.likir_rejected > 0, "verification-on arm rejected nothing"
-
-        # Gate 2: the same campaign without enforcement does measurable damage.
-        off_accepted = sum(
-            value
-            for key, value in off.summary().items()
-            if key.startswith("attack_") and key.endswith("_accepted")
-        )
-        assert off_accepted > 0, (
-            "verification-off run accepted no forgeries; the benchmark "
-            "cannot demonstrate what enforcement buys"
-        )
-        assert off.integrity_violations > 0, (
-            "verification-off run shows no corruption; the campaign is too weak"
-        )
-
-        # Gate 3: honest users pay a bounded price for the protection.
-        assert overhead["messages_ratio"] <= OVERHEAD_BUDGET, (
-            f"verification costs x{overhead['messages_ratio']:.3f} honest "
-            f"messages, over the x{OVERHEAD_BUDGET:.2f} budget"
-        )
-        assert overhead["virtual_time_ratio"] <= OVERHEAD_BUDGET, (
-            f"verification costs x{overhead['virtual_time_ratio']:.3f} honest "
-            f"virtual time, over the x{OVERHEAD_BUDGET:.2f} budget"
-        )
+        report = run_audit(attack=OUTPUT_PATH)
+        assert report.ok, report.render()

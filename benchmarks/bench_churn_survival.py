@@ -14,8 +14,12 @@ While churn runs, availability of a key sample is probed periodically and a
 few counter blocks keep receiving APPENDs -- republished snapshots must
 merge-on-store around those concurrent writes, never erase them.
 
-Gates (full mode):
+Gates (full mode; stated once, over the written point, by
+``repro.analysis.audit.audit_churn`` -- the script ends by auditing its own
+file, and ``dharma audit --churn BENCH_churn.json`` re-checks it offline):
 
+* both runs faced the identical fault trace, which crashed nodes and
+  exercised concurrent APPENDs;
 * with maintenance on, >= 99% of the pre-churn blocks remain readable and
   **every** surviving counter entry reads at or above its pre-churn floor
   (no counter ever goes backwards);
@@ -32,12 +36,13 @@ is relaxed there (tiny inventories quantise coarsely).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
-from repro.analysis.survival import render_survival_comparison, survival_deltas
+from repro.analysis.audit import run_audit
+from repro.analysis.report import write_json
+from repro.analysis.survival import churn_point, render_survival_comparison
 from repro.metrics import MetricsStream
 from repro.perf import PERF
 from repro.simulation.cluster import churn_cluster_config
@@ -110,52 +115,24 @@ class TestChurnSurvival:
             f"crash probability {CRASH_PROBABILITY})"
         )
         print(render_survival_comparison([on, off]))
-        deltas = survival_deltas(on, off)
 
-        point = {
-            "bench": "churn_survival",
-            "preset": BENCH_PRESET,
-            "smoke": BENCH_SMOKE,
-            "timestamp": time.time(),
-            "nodes": NUM_NODES,
-            "ops": OPS,
-            "duration_s": DURATION_S,
-            "mean_session_s": MEAN_SESSION_S,
-            "crash_probability": CRASH_PROBABILITY,
-            "republish_interval_s": REPUBLISH_S,
-            "availability_floor": MIN_AVAILABILITY,
-            "maintenance_on": {**on.summary(), "samples": on.samples},
-            "maintenance_off": {**off.summary(), "samples": off.samples},
-            "deltas": deltas,
-        }
-        OUTPUT_PATH.write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
+        point = churn_point(
+            [on, off],
+            preset=BENCH_PRESET,
+            smoke=BENCH_SMOKE,
+            timestamp=time.time(),
+            ops=OPS,
+            mean_session_s=MEAN_SESSION_S,
+            crash_probability=CRASH_PROBABILITY,
+            republish_interval_s=REPUBLISH_S,
+            availability_floor=MIN_AVAILABILITY,
+        )
+        write_json(OUTPUT_PATH, point)
         print(f"\ntrajectory point written to {OUTPUT_PATH.resolve()}")
         if METRICS_PATH.exists():
             print(f"maintenance-on metrics streamed to {METRICS_PATH.resolve()}")
             assert METRICS_PATH.stat().st_size > 0
             assert PROM_PATH.exists()
 
-        # Both runs faced the identical pre-scheduled fault trace.
-        assert (on.joins, on.graceful_leaves, on.crashes) == (
-            off.joins, off.graceful_leaves, off.crashes
-        )
-        assert on.crashes > 0, "the churn trace injected no crashes"
-        assert on.churn_appends > 0, "no concurrent APPENDs were exercised"
-
-        # Gate 1: maintenance keeps the data alive...
-        assert on.final_availability >= MIN_AVAILABILITY, (
-            f"availability with maintenance {on.final_availability:.4f} "
-            f"below the {MIN_AVAILABILITY:.2f} floor ({on.lost_blocks} blocks lost)"
-        )
-        # ...and no surviving counter entry ever reads below its floor:
-        # republished snapshots merged around the concurrent APPENDs.
-        assert on.integrity_violations == 0, (
-            f"{on.integrity_violations} surviving counter entries dropped below "
-            "their pre-churn floor despite maintenance"
-        )
-        # Gate 2: the same fault trace without maintenance loses data.
-        assert off.lost_blocks > on.lost_blocks, (
-            "maintenance-off run shows no measurable loss; the benchmark "
-            "cannot demonstrate what maintenance buys"
-        )
-        assert on.final_availability > off.final_availability
+        report = run_audit(churn=OUTPUT_PATH)
+        assert report.ok, report.render()

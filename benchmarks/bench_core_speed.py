@@ -14,20 +14,22 @@ interned core on three properties:
 3. **cost-model stability**: the paper's Table I lookup costs are measured
    unchanged with the binary wire codec enabled.
 
-Each run appends a trajectory point to ``BENCH_core.json`` in the working
-directory so the perf history is tracked per PR (CI uploads it as an
-artifact).
+Each run rewrites ``BENCH_core.json`` in the working directory with one
+trajectory point (CI uploads it as an artifact).  Gate 1 is asserted while
+the searches run; gates 2 and 3 are values of the written point and are
+stated by ``repro.analysis.audit.audit_core``, which the script ends on --
+``dharma audit --core BENCH_core.json`` re-checks the same file offline.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
+from repro.analysis.audit import run_audit
 from repro.analysis.convergence import ConvergenceConfig, run_convergence_experiment
-from repro.analysis.report import format_mapping
+from repro.analysis.report import format_mapping, write_json
 from repro.core.approximation import default_approximation
 from repro.core.codec import BlockCodec
 from repro.core.compact import freeze_folksonomy
@@ -209,14 +211,11 @@ class TestCoreSpeed:
             "speedup_target": None if BENCH_SMOKE else SPEEDUP_TARGET,
             **table1,
         }
-        OUTPUT_PATH.write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
+        write_json(OUTPUT_PATH, point)
         print(f"\ntrajectory point written to {OUTPUT_PATH.resolve()}")
 
-        assert table1["table1_ok"], "Table I lookup costs changed with the codec on"
-        if not BENCH_SMOKE:
-            assert speedup >= SPEEDUP_TARGET, (
-                f"frozen core speedup {speedup:.2f}x below the {SPEEDUP_TARGET}x gate"
-            )
+        report = run_audit(core=OUTPUT_PATH)
+        assert report.ok, report.render()
 
     def test_ranked_neighbours_rank_index(self, benchmark, bench_trg, bench_fg):
         """Tag-cloud query speed: top-100 from the frozen rank index."""

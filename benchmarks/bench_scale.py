@@ -16,8 +16,12 @@ membership state.  The 10k rung must complete inside the CI smoke budget
 (the ``scale-smoke`` job runs this file under a hard timeout).
 
 Each run rewrites ``BENCH_scale.json``; ``dharma dashboard --scale`` renders
-the trajectory and ``dharma audit --scale`` checks its invariants (strictly
-climbing ladder, positive wall/RSS figures, promised rungs present).
+the trajectory.  The gates -- strictly climbing ladder with every promised
+rung, positive wall/RSS figures, and per rung live churn, concurrent
+APPENDs, the availability floor and zero integrity violations -- are stated
+once, over the written record, by ``repro.analysis.audit.audit_scale``: the
+script ends by auditing its own file, exactly as ``dharma audit --scale``
+does offline.
 
 Durations are virtual seconds and deliberately short: the survival
 *guarantees* are gated by ``bench_churn_survival.py``; this file gates that
@@ -27,12 +31,13 @@ the same machinery still runs -- and stays healthy -- at 10x the node count.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import time
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
+from repro.analysis.audit import run_audit
+from repro.analysis.report import write_json
 from repro.metrics import MetricsStream
 from repro.perf import PERF
 from repro.simulation.cluster import churn_cluster_config
@@ -181,22 +186,8 @@ class TestScaleLadder:
             "promised_nodes": LADDER,
             "ladder": ladder,
         }
-        OUTPUT_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        write_json(OUTPUT_PATH, record)
         print(f"\ntrajectory written to {OUTPUT_PATH.resolve()}")
 
-        # Every rung completed with live churn and healthy data.
-        assert [p["nodes"] for p in ladder] == LADDER
-        for point in ladder:
-            assert point["wall_s"] > 0 and point["peak_rss_bytes"] > 0
-            assert point["crashes"] > 0, (
-                f"the {point['nodes']}-node churn trace injected no crashes"
-            )
-            assert point["churn_appends"] > 0, (
-                f"no concurrent APPENDs exercised at {point['nodes']} nodes"
-            )
-            assert point["final_availability"] >= MIN_AVAILABILITY, (
-                f"availability {point['final_availability']:.4f} at "
-                f"{point['nodes']} nodes fell below {MIN_AVAILABILITY:.2f} "
-                f"({point['lost_blocks']} blocks lost)"
-            )
-            assert point["integrity_violations"] == 0
+        report = run_audit(scale=OUTPUT_PATH)
+        assert report.ok, report.render()

@@ -25,17 +25,22 @@ dead contact out.  Its percentiles land under ``wall_clock_degraded``; the
 gate is p99 <= 3x the healthy arm's p99 per operation (healthy p99 floored at
 2 ms) -- a dead peer may cost its timeout once, not once per lookup.
 
-``dharma dashboard`` renders the percentiles; ``dharma audit --wire`` sanity
-checks the file.  ``BENCH_SMOKE=1`` reduces the sample counts.
+``dharma dashboard`` renders the percentiles.  The sanity gates (full sample
+sets, no direct RPC taking a whole timeout, the first strike costing one)
+and the dead-peer p99 gate are stated once, over the written point, by
+``repro.analysis.audit.audit_wire``: the script ends by auditing its own
+file, exactly as ``dharma audit --wire`` does offline.  ``BENCH_SMOKE=1``
+reduces the sample counts.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from benchmarks.conftest import BENCH_SMOKE, print_banner, smoke_scaled
+from repro.analysis.audit import run_audit
+from repro.analysis.report import write_json
 from repro.core.blocks import BlockType
 from repro.dht.bootstrap import build_overlay
 from repro.dht.messages import (
@@ -285,22 +290,10 @@ class TestWireLatency:
             },
             "virtual_time": virtual,
         }
-        OUTPUT_PATH.write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
+        write_json(OUTPUT_PATH, point)
         print(f"\ntrajectory point written to {OUTPUT_PATH.resolve()}")
 
-        # Sanity gates, not perf gates: every operation produced a full
-        # sample set and loopback RPCs are not absurdly slow.
-        for op in ("rpc_ping", "rpc_find_node", "rpc_find_value", "rpc_store"):
-            assert wall_clock[op]["samples"] == RPC_SAMPLES
-            assert wall_clock[op]["p50_ms"] < TRANSPORT_CONFIG.timeout_ms
-        for op in ("store", "append", "retrieve"):
-            assert wall_clock[op]["samples"] == OP_SAMPLES
-            assert virtual[op]["samples"] == OP_SAMPLES
-            assert wall_clock_degraded[op]["samples"] == OP_SAMPLES
-            # The ROADMAP gate: after the first strike a dead peer no longer
-            # stalls anything -- p99 stays within a small multiple of healthy.
-            assert wall_clock_degraded[op]["p99_ms"] <= DEGRADED_P99_FACTOR * max(
-                wall_clock[op]["p99_ms"], DEGRADED_P99_FLOOR_MS
-            ), f"{op}: one dead peer still stalls lookups"
-        # The strike itself is the one full retry budget.
-        assert first_strike_ms >= TRANSPORT_CONFIG.timeout_ms
+        # Sanity gates, not perf gates -- except the ROADMAP one: after the
+        # first strike a dead peer no longer stalls anything.
+        report = run_audit(wire=OUTPUT_PATH)
+        assert report.ok, report.render()

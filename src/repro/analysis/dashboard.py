@@ -1,20 +1,23 @@
-"""Terminal dashboard over benchmark trajectories and live metrics logs.
+"""Terminal dashboard over benchmark records and live metrics logs.
 
 ``dharma dashboard`` renders, in one screen, the current health of the
-reproduction: the latest ``BENCH_core.json`` trajectory point (frozen-core
-speedup against its gate), the latest ``BENCH_churn.json`` point
-(availability timelines for the maintenance-on and -off runs, loss and
-integrity counts, the on/off deltas), the latest ``BENCH_wire.json`` point
-(wall-clock RPC percentiles measured over the real UDP transport, next to
-the virtual-time cost model for the same operations), and -- when a metrics
-log from a live run is supplied -- per-interval statistics derived from the
-JSON-lines stream of :mod:`repro.metrics`: message/byte cost percentiles,
-cache hit rate, live-node and availability trajectories, maintenance
-progress.
+reproduction from the five root ``BENCH_<kind>.json`` records: ``core``
+(frozen-core speedup against its gate), ``churn`` (availability timelines
+for the maintenance-on and -off runs, loss and integrity counts, the on/off
+deltas), ``attack`` (the verification-on/off A/B), ``scale`` (the node-count
+ladder), ``wire`` (wall-clock RPC percentiles measured over the real UDP
+transport, next to the virtual-time cost model for the same operations),
+and -- when a metrics log from a live run is supplied -- per-interval
+statistics derived from the JSON-lines stream of :mod:`repro.metrics`:
+message/byte cost percentiles, cache hit rate, live-node and availability
+trajectories, maintenance progress.
 
-Everything here is pure data shaping over already-written files; rendering
-never touches the simulator, so the dashboard can be pointed at artifacts
-from CI or at the (still growing) log of a run in progress.
+Each renderer reads the point as its writer wrote it (the bench script or
+``dharma {churn,attack}-bench --json``; both go through the builders in
+:mod:`repro.analysis.survival`) -- there is no intermediate shape to keep in
+step.  Rendering never touches the simulator, so the dashboard can be
+pointed at artifacts from CI or at the (still growing) log of a run in
+progress.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.report import format_mapping
+from repro.analysis.survival import forged_write_totals
 
 __all__ = [
     "percentile",
@@ -78,40 +82,11 @@ def sparkline(values: list[float], lo: float | None = None, hi: float | None = N
 
 
 def load_benchmark(path: str | Path) -> dict[str, Any] | None:
-    """Read one ``BENCH_*.json`` trajectory point; ``None`` if absent."""
+    """Read one ``BENCH_*.json`` record; ``None`` if absent."""
     path = Path(path)
     if not path.exists():
         return None
     return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _survival_side(data: dict[str, Any] | None) -> dict[str, Any] | None:
-    if data is None:
-        return None
-    samples = data.get("samples") or []
-    availability = [float(a) for _, a in samples]
-    return {
-        "final_availability": data.get("final_availability", 0.0),
-        "lost_blocks": data.get("lost_blocks", 0),
-        "blocks_written": data.get("blocks_written", 0),
-        "integrity_violations": data.get("integrity_violations", 0),
-        "entries_checked": data.get("entries_checked", 0),
-        "min_availability": min(availability) if availability else 0.0,
-        "availability_timeline": availability,
-        "joins": data.get("joins", 0),
-        "graceful_leaves": data.get("graceful_leaves", 0),
-        "crashes": data.get("crashes", 0),
-        "live_nodes_end": data.get("live_nodes_end", 0),
-        "messages_total": data.get("messages_total", 0),
-    }
-
-
-def _churn_sides(churn: dict[str, Any]) -> tuple[dict | None, dict | None]:
-    """Accept both the benchmark shape (``maintenance_on``/``maintenance_off``)
-    and the ``churn-bench --json`` shape (``maintenance on``/``maintenance off``)."""
-    on = churn.get("maintenance_on") or churn.get("maintenance on")
-    off = churn.get("maintenance_off") or churn.get("maintenance off")
-    return _survival_side(on), _survival_side(off)
 
 
 def _metrics_summary(samples: list[dict[str, Any]]) -> dict[str, Any] | None:
@@ -128,7 +103,9 @@ def _metrics_summary(samples: list[dict[str, Any]]) -> dict[str, Any] | None:
     messages = deltas_of("net.messages_sent")
     wire = deltas_of("net.bytes_transferred")
     live = gauge_series("nodes.live")
-    availability = gauge_series("survival.availability")
+    # A churn run exports its probe as ``survival.availability``, an attack
+    # run as ``attack.availability``; a log carries one of the two.
+    availability = gauge_series("survival.availability") or gauge_series("attack.availability")
     hit_rate = gauge_series("cache.hit_rate")
     out: dict[str, Any] = {
         "samples": len(samples),
@@ -165,145 +142,13 @@ def _metrics_summary(samples: list[dict[str, Any]]) -> dict[str, Any] | None:
     return out
 
 
-def _wire_section(wire: dict[str, Any]) -> dict[str, Any]:
-    def side(summaries: dict[str, Any] | None) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for op, stats in sorted((summaries or {}).items()):
-            out[op] = {
-                "samples": stats.get("samples"),
-                "p50_ms": stats.get("p50_ms"),
-                "p90_ms": stats.get("p90_ms"),
-                "p99_ms": stats.get("p99_ms"),
-            }
-        return out
-
-    return {
-        "nodes": wire.get("nodes"),
-        "smoke": wire.get("smoke"),
-        "rpc_samples": wire.get("rpc_samples"),
-        "op_samples": wire.get("op_samples"),
-        "wall_clock": side(wire.get("wall_clock")),
-        "wall_clock_degraded": side(wire.get("wall_clock_degraded")),
-        "virtual_time": side(wire.get("virtual_time")),
-    }
-
-
-def _scale_section(scale: dict[str, Any]) -> dict[str, Any]:
-    ladder = []
-    for point in scale.get("ladder") or []:
-        ladder.append(
-            {
-                "nodes": point.get("nodes"),
-                "wall_s": point.get("wall_s"),
-                "peak_rss_bytes": point.get("peak_rss_bytes"),
-                "virtual_time_s": point.get("virtual_time_s"),
-                "messages_total": point.get("messages_total"),
-                "final_availability": point.get("final_availability"),
-                "queue_compactions": point.get("queue_compactions"),
-                "queue_heap_peak": point.get("queue_heap_peak"),
-            }
-        )
-    return {
-        "smoke": scale.get("smoke"),
-        "promised_nodes": scale.get("promised_nodes"),
-        "ladder": ladder,
-    }
-
-
-def _attack_side(data: dict[str, Any] | None) -> dict[str, Any] | None:
-    if data is None:
-        return None
-    samples = data.get("samples") or []
-    availability = [float(a) for _, a in samples]
-    return {
-        "final_availability": data.get("final_availability", 0.0),
-        "min_availability": min(availability) if availability else 0.0,
-        "availability_timeline": availability,
-        "integrity_violations": data.get("integrity_violations", 0),
-        "foreign_entries": data.get("foreign_entries", 0),
-        "entries_checked": data.get("entries_checked", 0),
-        "lost_blocks": data.get("lost_blocks", 0),
-        "blocks_written": data.get("blocks_written", 0),
-        "forged_reads_rejected": data.get("forged_reads_rejected", 0),
-        "honest_append_failures": data.get("honest_append_failures", 0),
-        "eclipse_progress": data.get("eclipse_progress", 0.0),
-        "likir_verified": data.get("likir_verified", 0),
-        "likir_rejected": data.get("likir_rejected", 0),
-        "sybil_contacts_rejected": data.get("sybil_contacts_rejected", 0),
-        "forged_writes_sent": sum(
-            value
-            for name, value in data.items()
-            if name.startswith("attack_") and name.endswith("_sent")
-        ),
-        "forged_writes_accepted": sum(
-            value
-            for name, value in data.items()
-            if name.startswith("attack_") and name.endswith("_accepted")
-        ),
-        "sybil_joins": data.get("attack_sybil_joins", 0),
-        "messages_total": data.get("messages_total", 0),
-    }
-
-
-def _attack_section(attack: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "nodes": attack.get("nodes"),
-        "duration_s": attack.get("duration_s"),
-        "smoke": attack.get("smoke"),
-        "availability_floor": attack.get("availability_floor"),
-        "overhead_budget": attack.get("overhead_budget"),
-        "honest_overhead": attack.get("honest_overhead"),
-        "verification_on": _attack_side(attack.get("verification_on")),
-        "verification_off": _attack_side(attack.get("verification_off")),
-    }
-
-
 def dashboard_data(
-    core: dict[str, Any] | None,
-    churn: dict[str, Any] | None,
-    metrics_samples: list[dict[str, Any]] | None,
-    wire: dict[str, Any] | None = None,
-    scale: dict[str, Any] | None = None,
-    attack: dict[str, Any] | None = None,
+    points: dict[str, dict[str, Any] | None], metrics_samples: list[dict[str, Any]] | None
 ) -> dict[str, Any]:
-    """Shape the six sources into one JSON-serialisable dashboard dict."""
-    data: dict[str, Any] = {
-        "core": None,
-        "churn": None,
-        "metrics": None,
-        "wire": None,
-        "scale": None,
-        "attack": None,
-    }
-    if core is not None:
-        data["core"] = {
-            "preset": core.get("preset"),
-            "smoke": core.get("smoke"),
-            "legacy_s": core.get("legacy_s"),
-            "frozen_s": core.get("frozen_s"),
-            "speedup": core.get("speedup"),
-            "speedup_target": core.get("speedup_target"),
-            "table1_ok": core.get("table1_ok"),
-        }
-    if churn is not None:
-        on, off = _churn_sides(churn)
-        data["churn"] = {
-            "nodes": churn.get("nodes"),
-            "duration_s": churn.get("duration_s"),
-            "availability_floor": churn.get("availability_floor"),
-            "maintenance_on": on,
-            "maintenance_off": off,
-            "deltas": churn.get("deltas"),
-        }
-    if metrics_samples:
-        data["metrics"] = _metrics_summary(metrics_samples)
-    if wire is not None:
-        data["wire"] = _wire_section(wire)
-    if scale is not None:
-        data["scale"] = _scale_section(scale)
-    if attack is not None:
-        data["attack"] = _attack_section(attack)
-    return data
+    """The dashboard as one JSON-serialisable dict: every ``BENCH_<kind>.json``
+    point exactly as written under its kind (``None`` when the file is
+    absent), plus a ``metrics`` summary of the log."""
+    return {**points, "metrics": _metrics_summary(metrics_samples or [])}
 
 
 def _render_core(core: dict[str, Any]) -> str:
@@ -322,23 +167,31 @@ def _render_core(core: dict[str, Any]) -> str:
     return format_mapping(row, title="core speed (BENCH_core.json)")
 
 
-def _render_survival_side(label: str, side: dict[str, Any], floor: float | None) -> list[str]:
-    timeline = side["availability_timeline"]
-    lines = [
-        f"  {label}:",
+def _availability_line(arm: dict[str, Any], floor: float | None) -> str:
+    """The probe timeline of one churn or attack arm, its final value and --
+    for the protected arm -- the verdict against the record's floor."""
+    timeline = [float(availability) for _, availability in arm.get("samples") or []]
+    line = (
         f"    availability  {sparkline(timeline, lo=0.0, hi=1.0)}  "
-        f"final {side['final_availability']:.3f} (min {side['min_availability']:.3f})",
-        f"    lost {side['lost_blocks']}/{side['blocks_written']} blocks, "
-        f"{side['integrity_violations']} integrity violations "
-        f"({side['entries_checked']} entries checked)",
-        f"    churn: {side['joins']} joins, {side['graceful_leaves']} leaves, "
-        f"{side['crashes']} crashes; {side['live_nodes_end']} nodes live at end; "
-        f"{side['messages_total']:,} messages",
-    ]
+        f"final {arm['final_availability']:.3f} (min {min(timeline, default=0.0):.3f})"
+    )
     if floor is not None:
-        verdict = "PASS" if side["final_availability"] >= floor else "FAIL"
-        lines[1] += f"  [floor {floor:.2f}: {verdict}]"
-    return lines
+        verdict = "PASS" if arm["final_availability"] >= floor else "FAIL"
+        line += f"  [floor {floor:.2f}: {verdict}]"
+    return line
+
+
+def _render_survival_arm(label: str, arm: dict[str, Any], floor: float | None) -> list[str]:
+    return [
+        f"  {label}:",
+        _availability_line(arm, floor),
+        f"    lost {arm['lost_blocks']}/{arm['blocks_written']} blocks, "
+        f"{arm['integrity_violations']} integrity violations "
+        f"({arm['entries_checked']} entries checked)",
+        f"    churn: {arm['joins']} joins, {arm['graceful_leaves']} leaves, "
+        f"{arm['crashes']} crashes; {arm['live_nodes_end']} nodes live at end; "
+        f"{arm['messages_total']:,} messages",
+    ]
 
 
 def _render_churn(churn: dict[str, Any]) -> str:
@@ -346,11 +199,12 @@ def _render_churn(churn: dict[str, Any]) -> str:
         f"churn survival (BENCH_churn.json) -- {churn.get('nodes', '?')} nodes, "
         f"{churn.get('duration_s', 0.0):.0f}s churn"
     ]
-    floor = churn.get("availability_floor")
-    if churn["maintenance_on"] is not None:
-        lines.extend(_render_survival_side("maintenance on", churn["maintenance_on"], floor))
-    if churn["maintenance_off"] is not None:
-        lines.extend(_render_survival_side("maintenance off", churn["maintenance_off"], None))
+    if churn.get("maintenance_on") is not None:
+        lines.extend(_render_survival_arm(
+            "maintenance on", churn["maintenance_on"], churn.get("availability_floor")
+        ))
+    if churn.get("maintenance_off") is not None:
+        lines.extend(_render_survival_arm("maintenance off", churn["maintenance_off"], None))
     deltas = churn.get("deltas")
     if deltas:
         parts = ", ".join(f"{name} {value:+.4g}" for name, value in sorted(deltas.items()))
@@ -389,9 +243,9 @@ def _render_metrics(metrics: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _render_wire_side(label: str, side: dict[str, Any]) -> list[str]:
+def _render_wire_side(label: str, side: dict[str, Any] | None) -> list[str]:
     lines = [f"  {label}:"]
-    for op, stats in side.items():
+    for op, stats in sorted((side or {}).items()):
         p50 = stats.get("p50_ms")
         p90 = stats.get("p90_ms")
         p99 = stats.get("p99_ms")
@@ -414,7 +268,7 @@ def _render_wire(wire: dict[str, Any]) -> str:
         f"{wire.get('op_samples', '?')} iterative ops per type"
         + ("  [smoke]" if wire.get("smoke") else "")
     ]
-    lines.extend(_render_wire_side("wall clock (real sockets)", wire["wall_clock"]))
+    lines.extend(_render_wire_side("wall clock (real sockets)", wire.get("wall_clock")))
     if wire.get("wall_clock_degraded"):
         lines.extend(
             _render_wire_side("wall clock, one peer dead", wire["wall_clock_degraded"])
@@ -469,32 +323,24 @@ def _render_scale(scale: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _render_attack_side(label: str, side: dict[str, Any], floor: float | None) -> list[str]:
-    timeline = side["availability_timeline"]
-    availability_line = (
-        f"    availability  {sparkline(timeline, lo=0.0, hi=1.0)}  "
-        f"final {side['final_availability']:.3f} (min {side['min_availability']:.3f})"
-    )
-    if floor is not None:
-        verdict = "PASS" if side["final_availability"] >= floor else "FAIL"
-        availability_line += f"  [floor {floor:.2f}: {verdict}]"
+def _render_attack_arm(label: str, arm: dict[str, Any], floor: float | None) -> list[str]:
+    forged = forged_write_totals(arm)
     return [
         f"  {label}:",
-        availability_line,
-        f"    integrity: {side['integrity_violations']} violations "
-        f"({side['foreign_entries']} foreign entries, "
-        f"{side['entries_checked']} entries checked), "
-        f"lost {side['lost_blocks']}/{side['blocks_written']} blocks",
-        f"    forged writes: {side['forged_writes_accepted']}/"
-        f"{side['forged_writes_sent']} accepted; "
-        f"{side['forged_reads_rejected']} forged reads rejected, "
-        f"{side['honest_append_failures']} honest APPENDs broken",
-        f"    sybil/eclipse: {side['sybil_joins']} sybil joins, "
-        f"eclipse progress {side['eclipse_progress']:.3f}, "
-        f"{side['sybil_contacts_rejected']:,} uncertified contacts refused",
-        f"    likir: {side['likir_verified']:,} verified / "
-        f"{side['likir_rejected']:,} rejected; "
-        f"{side['messages_total']:,} messages",
+        _availability_line(arm, floor),
+        f"    integrity: {arm['integrity_violations']} violations "
+        f"({arm['foreign_entries']} foreign entries, "
+        f"{arm['entries_checked']} entries checked), "
+        f"lost {arm['lost_blocks']}/{arm['blocks_written']} blocks",
+        f"    forged writes: {forged['accepted']}/{forged['sent']} accepted; "
+        f"{arm['forged_reads_rejected']} forged reads rejected, "
+        f"{arm['honest_append_failures']} honest APPENDs broken",
+        f"    sybil/eclipse: {arm['attack_sybil_joins']} sybil joins, "
+        f"eclipse progress {arm['eclipse_progress']:.3f}, "
+        f"{arm['sybil_contacts_rejected']:,} uncertified contacts refused",
+        f"    likir: {arm['likir_verified']:,} verified / "
+        f"{arm['likir_rejected']:,} rejected; "
+        f"{arm['messages_total']:,} messages",
     ]
 
 
@@ -505,13 +351,13 @@ def _render_attack(attack: dict[str, Any]) -> str:
         + ("  [smoke]" if attack.get("smoke") else "")
     ]
     floor = attack.get("availability_floor")
-    if attack["verification_on"] is not None:
+    if attack.get("verification_on") is not None:
         lines.extend(
-            _render_attack_side("verification on", attack["verification_on"], floor)
+            _render_attack_arm("verification on", attack["verification_on"], floor)
         )
-    if attack["verification_off"] is not None:
+    if attack.get("verification_off") is not None:
         lines.extend(
-            _render_attack_side("verification off", attack["verification_off"], None)
+            _render_attack_arm("verification off", attack["verification_off"], None)
         )
     overhead = attack.get("honest_overhead")
     if overhead:
@@ -526,21 +372,23 @@ def _render_attack(attack: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+#: The screen, top to bottom: the five ``BENCH_<kind>.json`` records, then the
+#: metrics log -- key of :func:`dashboard_data` -> renderer of that section.
+_SECTIONS = {
+    "core": _render_core,
+    "churn": _render_churn,
+    "attack": _render_attack,
+    "scale": _render_scale,
+    "wire": _render_wire,
+    "metrics": _render_metrics,
+}
+
+
 def render_dashboard(data: dict[str, Any]) -> str:
     """Render :func:`dashboard_data` output for the terminal."""
-    sections: list[str] = []
-    if data.get("core") is not None:
-        sections.append(_render_core(data["core"]))
-    if data.get("churn") is not None:
-        sections.append(_render_churn(data["churn"]))
-    if data.get("attack") is not None:
-        sections.append(_render_attack(data["attack"]))
-    if data.get("scale") is not None:
-        sections.append(_render_scale(data["scale"]))
-    if data.get("wire") is not None:
-        sections.append(_render_wire(data["wire"]))
-    if data.get("metrics") is not None:
-        sections.append(_render_metrics(data["metrics"]))
+    sections = [
+        render(data[kind]) for kind, render in _SECTIONS.items() if data.get(kind) is not None
+    ]
     if not sections:
         return "nothing to show: no benchmark trajectory or metrics log found"
     return "\n\n".join(sections)

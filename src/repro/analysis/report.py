@@ -1,4 +1,5 @@
-"""Plain-text table rendering shared by the benchmarks and the CLI.
+"""Plain-text table rendering and the JSON writer shared by the benchmarks
+and the CLI.
 
 The benchmark harness prints the same rows/series the paper reports; these
 helpers keep the formatting consistent (fixed-width ASCII tables, floats
@@ -7,9 +8,18 @@ rendered with a configurable precision) so diffs between runs stay readable.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
+from pathlib import Path
+from typing import Any
 
-__all__ = ["format_table", "format_mapping", "format_cdf"]
+__all__ = ["format_table", "format_mapping", "format_cdf", "write_json"]
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write *payload* the way every ``BENCH_*.json`` record and ``--json`` /
+    ``--stats-out`` file is written: indented, keys sorted, newline-terminated."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _render_cell(value: object, precision: int) -> str:

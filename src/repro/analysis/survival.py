@@ -3,7 +3,7 @@
 The churn-survival benchmark (:func:`repro.simulation.experiment.run_survival_benchmark`)
 produces an availability trajectory plus a final audit per configuration.
 This module turns those raw reports into the distributions the ``churn-bench``
-CLI and ``bench_churn_survival.py`` print:
+CLI and ``bench_churn_survival.py`` print, and into the record both write:
 
 * the **availability timeline** -- fraction of pre-churn blocks readable at
   each probe instant;
@@ -11,20 +11,25 @@ CLI and ``bench_churn_survival.py`` print:
   (via :mod:`repro.analysis.cdf`), answering "for what fraction of the run
   was availability at least x?";
 * the **maintenance-on vs -off deltas** that quantify what replica
-  maintenance buys.
+  maintenance buys;
+* the ``BENCH_churn.json`` / ``BENCH_attack.json`` **points**
+  (:func:`churn_point`, :func:`attack_point`): one builder each for the bench
+  script and for ``dharma {churn,attack}-bench --json``, so
+  :mod:`repro.analysis.audit` and :mod:`repro.analysis.dashboard` read one
+  shape whoever wrote the file.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.cdf import cdf_series
 from repro.analysis.report import format_mapping, format_table
 
 if TYPE_CHECKING:  # avoid importing the cluster harness at module load
-    from repro.simulation.experiment import SurvivalReport
+    from repro.simulation.experiment import AttackReport, ExperimentReport, SurvivalReport
 
 __all__ = [
     "SURVIVAL_METRICS",
@@ -32,6 +37,9 @@ __all__ = [
     "summarise_survival",
     "survival_deltas",
     "render_survival_comparison",
+    "churn_point",
+    "attack_point",
+    "forged_write_totals",
 ]
 
 #: The :meth:`~repro.simulation.experiment.SurvivalReport.summary` fields the
@@ -138,3 +146,48 @@ def render_survival_comparison(
             title="what maintenance buys (identical fault trace)",
         ))
     return "\n".join(parts)
+
+
+def _arm(report: "ExperimentReport") -> dict[str, Any]:
+    """One run as an arm of a record: its flat summary plus the
+    ``(seconds, availability)`` probe samples."""
+    return {**report.summary(), "samples": report.samples}
+
+
+def _point(bench: str, reports: Sequence["ExperimentReport"], run: dict[str, Any]) -> dict:
+    """The head of a record: ``nodes`` / ``duration_s`` come from the runs,
+    *run* adds what the reports do not know -- preset, gates, timestamp."""
+    first = reports[0]
+    return {"bench": bench, "nodes": first.config.num_nodes, "duration_s": first.duration_s, **run}
+
+
+def churn_point(reports: Sequence["SurvivalReport"], **run: Any) -> dict[str, Any]:
+    """The ``BENCH_churn.json`` record of one or both maintenance arms (the
+    on-vs-off ``deltas`` only when both ran)."""
+    point = _point("churn_survival", reports, run)
+    arms = {report.maintenance_on: report for report in reports}
+    for maintenance_on, report in arms.items():
+        point["maintenance_on" if maintenance_on else "maintenance_off"] = _arm(report)
+    if len(arms) == 2:
+        point["deltas"] = survival_deltas(arms[True], arms[False])
+    return point
+
+
+def attack_point(reports: Sequence["AttackReport"], **run: Any) -> dict[str, Any]:
+    """The ``BENCH_attack.json`` record of one or both verification arms."""
+    point = _point("attack_resilience", reports, run)
+    for report in reports:
+        point["verification_on" if report.verification_on else "verification_off"] = _arm(report)
+    return point
+
+
+def forged_write_totals(arm: Mapping[str, Any]) -> dict[str, int]:
+    """Forged writes ``sent`` / ``accepted`` / ``rejected`` by one attack arm,
+    summed over every ``attack_<kind>_<outcome>`` counter of its summary
+    (outcomes are counted per replica, so accepted can exceed sent)."""
+    totals = {"sent": 0, "accepted": 0, "rejected": 0}
+    for name, value in arm.items():
+        outcome = name.rpartition("_")[2]
+        if name.startswith("attack_") and outcome in totals:
+            totals[outcome] += int(value)
+    return totals

@@ -23,16 +23,18 @@ can be exercised without writing Python:
 * ``dharma profile`` -- drive the interned core (build, freeze, legacy vs
   frozen faceted search, block codec pass) under the :mod:`repro.perf`
   counters/timers and print or export the snapshot;
-* ``dharma dashboard`` -- one-screen health view over the ``BENCH_*.json``
-  trajectories and (optionally) a live metrics log: availability timelines,
-  per-interval message/byte cost percentiles, node health;
+* ``dharma dashboard`` -- one-screen health view over the five root
+  ``BENCH_*.json`` records and (optionally) a live metrics log: availability
+  timelines, per-interval message/byte cost percentiles, node health;
 * ``dharma audit`` -- scan a cluster snapshot and/or a metrics log for
   invariant violations (replica-count decay, counter-merge regressions,
-  orphaned holders, counter rollbacks in the stream).
+  orphaned holders, counter rollbacks in the stream), and re-check any of
+  the ``BENCH_*.json`` records against the gates its bench script applies;
+* ``dharma serve`` -- run one DHARMA node on a real UDP socket.
 
-Every command accepts ``--seed`` for reproducibility.  ``dharma docs`` live
-in ``docs/CLI.md``; a CI drift check keeps that file in sync with this
-parser.
+Every simulation command accepts ``--seed`` for reproducibility.  The
+commands are documented in ``docs/CLI.md``; a CI drift check keeps that
+file in sync with this parser.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from collections.abc import Sequence
 from repro.analysis.comparison import compare_graphs
 from repro.analysis.convergence import ConvergenceConfig, run_convergence_experiment
 from repro.analysis.evolution import EvolutionConfig, simulate_approximated_evolution
-from repro.analysis.report import format_mapping, format_table
+from repro.analysis.report import format_mapping, format_table, write_json
 from repro.core.approximation import default_approximation
 from repro.core.codec import encode_block
 from repro.core.faceted_search import FacetedSearch, ModelView
@@ -67,6 +69,17 @@ from repro.simulation.experiment import run_attack_benchmark, run_survival_bench
 from repro.simulation.workload import TaggingWorkload
 
 __all__ = ["main", "build_parser"]
+
+#: The five root benchmark records, ``BENCH_<kind>.json`` each: ``dashboard``
+#: renders them (``--<kind>`` points elsewhere) and ``audit --<kind> FILE``
+#: gates one with ``repro.analysis.audit.POINT_AUDITS[kind]``.
+_BENCH_POINTS = {
+    "core": "frozen-core speed gate",
+    "churn": "churn survival, maintenance on/off",
+    "attack": "attack A/B, Likir verification on/off",
+    "scale": "1k-10k node scale ladder",
+    "wire": "wall-clock RPC latency over UDP",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,19 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         "dashboard",
         help="one-screen health view over BENCH_*.json trajectories and metrics logs",
     )
-    dash.add_argument("--core", default="BENCH_core.json",
-                      help="core-speed trajectory file (skipped when missing)")
-    dash.add_argument("--churn", default="BENCH_churn.json",
-                      help="churn-survival trajectory file (skipped when missing)")
-    dash.add_argument("--wire", default="BENCH_wire.json",
-                      help="wall-clock wire-latency file from bench_wire_latency "
-                           "(skipped when missing)")
-    dash.add_argument("--scale", default="BENCH_scale.json",
-                      help="scale-ladder trajectory file from bench_scale "
-                           "(skipped when missing)")
-    dash.add_argument("--attack", default="BENCH_attack.json",
-                      help="attack-benchmark trajectory file from bench_attack "
-                           "(skipped when missing)")
+    for kind, what in _BENCH_POINTS.items():
+        dash.add_argument(f"--{kind}", default=f"BENCH_{kind}.json",
+                          help=f"{what} record (skipped when missing)")
     dash.add_argument("--metrics", default=None,
                       help="JSON-lines metrics log from a live run")
     dash.add_argument("--json", dest="json_output", action="store_true",
@@ -249,22 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser(
         "audit",
-        help="scan a cluster snapshot and/or metrics log for invariant violations",
+        help="scan a cluster snapshot, metrics log and/or BENCH_*.json records for violations",
     )
     audit.add_argument("--snapshot", default=None,
                        help="cluster snapshot written by churn-bench --checkpoint-out")
     audit.add_argument("--metrics", default=None,
                        help="JSON-lines metrics log to check for rollbacks/gaps")
-    audit.add_argument("--wire", default=None,
-                       help="BENCH_wire.json to sanity-check (percentile ordering, "
-                           "op coverage, success rates)")
-    audit.add_argument("--scale", default=None,
-                       help="BENCH_scale.json to sanity-check (monotone ladder, "
-                           "positive wall/RSS, promised node sizes present)")
-    audit.add_argument("--attack", default=None,
-                       help="BENCH_attack.json to check (zero violations and "
-                           "availability floor with verification on, measurable "
-                           "damage off, honest overhead within budget)")
+    for kind, what in _BENCH_POINTS.items():
+        audit.add_argument(f"--{kind}", default=None,
+                           help=f"BENCH_{kind}.json ({what}) to hold to its bench script's gates")
     audit.add_argument("--json", dest="json_output", action="store_true",
                        help="print the findings as JSON instead of rendering")
 
@@ -499,7 +495,7 @@ def _labelled_path(path: str | None, label: str, use_label: bool) -> str | None:
 
 
 def _cmd_churn_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.survival import render_survival_comparison
+    from repro.analysis.survival import churn_point, render_survival_comparison
     from repro.metrics import MetricsStream
 
     if (args.checkpoint_at is None) != (args.checkpoint_out is None):
@@ -515,15 +511,12 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
         report = resume_survival_benchmark(args.resume_from, metrics_stream=stream)
         if stream is not None:
             stream.close()
-        reports = {"resumed": report}
         print(render_survival_comparison(
             [report],
             title=f"churn-bench -- resumed from {args.resume_from}",
         ))
         if args.json_path:
-            payload = {"resumed": {**report.summary(), "samples": report.samples}}
-            with open(args.json_path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
+            write_json(args.json_path, churn_point([report]))
             print(f"\nsurvival report written to {args.json_path}")
         return 0
 
@@ -534,7 +527,7 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
     workload = TaggingWorkload.from_triples(dataset.triples())
 
     modes = [True, False] if args.maintenance == "both" else [args.maintenance == "on"]
-    reports = {}
+    reports = []
     for maintenance in modes:
         config = churn_cluster_config(
             num_nodes=args.nodes,
@@ -547,7 +540,6 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
             refresh_interval_ms=args.refresh_interval * 1000.0,
             seed=args.seed,
         )
-        label = "maintenance on" if maintenance else "maintenance off"
         suffix = "on" if maintenance else "off"
         stream = None
         if args.metrics_out is not None:
@@ -576,13 +568,13 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
                 f"'dharma churn-bench --resume-from {checkpoint_path}'"
             )
             continue
-        reports[label] = report
+        reports.append(report)
 
     if not reports:
         return 0
 
     print(render_survival_comparison(
-        list(reports.values()),
+        reports,
         title=(
             f"churn-bench -- {args.nodes} nodes, {args.duration:.0f}s churn, "
             f"mean session {args.mean_session:.0f}s, "
@@ -591,31 +583,15 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
     ))
 
     if args.json_path:
-        payload = {label: report.summary() for label, report in reports.items()}
-        for label, report in reports.items():
-            payload[label]["samples"] = report.samples
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        # The BENCH_churn.json shape (minus the gates only the benchmark
+        # states), so the file feeds `dharma dashboard --churn` / `audit --churn`.
+        write_json(args.json_path, churn_point(reports))
         print(f"\nsurvival report written to {args.json_path}")
     return 0
 
 
-def _attack_forge_totals(summary: dict[str, float]) -> tuple[int, int, int]:
-    """Sum forged-write outcomes over every attack kind in a flat summary."""
-    sent = accepted = rejected = 0
-    for key, value in summary.items():
-        if not key.startswith("attack_"):
-            continue
-        if key.endswith("_sent"):
-            sent += int(value)
-        elif key.endswith("_accepted"):
-            accepted += int(value)
-        elif key.endswith("_rejected"):
-            rejected += int(value)
-    return sent, accepted, rejected
-
-
 def _cmd_attack_bench(args: argparse.Namespace) -> int:
+    from repro.analysis.survival import attack_point, forged_write_totals
     from repro.metrics import MetricsStream
 
     if args.dataset is not None:
@@ -681,28 +657,19 @@ def _cmd_attack_bench(args: argparse.Namespace) -> int:
         ),
     ))
     for label, summary in summaries.items():
-        sent, accepted, rejected = _attack_forge_totals(summary)
+        forged = forged_write_totals(summary)
         print(
-            f"{label}: {sent} forged writes sent, "
-            f"{accepted} accepted, {rejected} rejected"
+            f"{label}: {forged['sent']} forged writes sent, "
+            f"{forged['accepted']} accepted, {forged['rejected']} rejected"
         )
 
     if args.json_path:
-        # Same shape as benchmarks/bench_attack.py, so the file feeds
-        # straight into `dharma dashboard --attack` / `dharma audit --attack`
-        # (minus the honest-overhead section only the benchmark measures).
-        payload = {
-            "bench": "attack_resilience",
-            "nodes": args.nodes,
-            "duration_s": args.duration,
-            "sybil_count": args.sybil_count,
-            "targets": args.targets,
-        }
-        for report in reports.values():
-            arm = "verification_on" if report.verification_on else "verification_off"
-            payload[arm] = {**report.summary(), "samples": report.samples}
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        # The BENCH_attack.json shape, so the file feeds straight into
+        # `dharma dashboard --attack` / `dharma audit --attack` (minus the
+        # honest-overhead section only the benchmark measures).
+        write_json(args.json_path, attack_point(
+            list(reports.values()), sybil_count=args.sybil_count, targets=args.targets
+        ))
         print(f"\nattack report written to {args.json_path}")
     return 0
 
@@ -793,8 +760,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "strategy": args.strategy,
             "peak_rss_bytes": peak_rss,
         }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
+        write_json(args.json_path, snapshot)
         print(f"\nperf snapshot written to {args.json_path}")
     return 0
 
@@ -803,16 +769,9 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.analysis.dashboard import dashboard_data, load_benchmark, render_dashboard
     from repro.metrics import read_metrics_log
 
-    metrics_samples = None
-    if args.metrics is not None:
-        metrics_samples = read_metrics_log(args.metrics)
     data = dashboard_data(
-        core=load_benchmark(args.core),
-        churn=load_benchmark(args.churn),
-        metrics_samples=metrics_samples,
-        wire=load_benchmark(args.wire),
-        scale=load_benchmark(args.scale),
-        attack=load_benchmark(args.attack),
+        {kind: load_benchmark(getattr(args, kind)) for kind in _BENCH_POINTS},
+        read_metrics_log(args.metrics) if args.metrics is not None else None,
     )
     if args.json_output:
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -824,25 +783,12 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.analysis.audit import run_audit
 
-    if (
-        args.snapshot is None
-        and args.metrics is None
-        and args.wire is None
-        and args.scale is None
-        and args.attack is None
-    ):
-        print(
-            "nothing to audit: pass --snapshot, --metrics, --wire, --scale and/or --attack",
-            file=sys.stderr,
-        )
+    inputs = {name: getattr(args, name) for name in ("snapshot", "metrics", *_BENCH_POINTS)}
+    if all(path is None for path in inputs.values()):
+        flags = ", ".join(f"--{name}" for name in inputs)
+        print(f"nothing to audit: pass at least one of {flags}", file=sys.stderr)
         return 2
-    report = run_audit(
-        snapshot_path=args.snapshot,
-        metrics_path=args.metrics,
-        wire_path=args.wire,
-        scale_path=args.scale,
-        attack_path=args.attack,
-    )
+    report = run_audit(**inputs)
     if args.json_output:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -941,8 +887,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         if args.stats_out is not None:
-            with open(args.stats_out, "w", encoding="utf-8") as handle:
-                json.dump(dataclasses.asdict(stats), handle, indent=2, sort_keys=True)
+            write_json(args.stats_out, dataclasses.asdict(stats))
         return 0
     finally:
         node.close()

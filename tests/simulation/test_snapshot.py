@@ -10,7 +10,7 @@ recorder cannot perturb a deterministic run.
 
 import pytest
 
-from repro.analysis.audit import audit_metrics, audit_snapshot
+from repro.analysis.audit import run_audit
 from repro.core.codec import decode_membership, decode_routing_table
 from repro.metrics import MetricsStream, read_metrics_log
 from repro.simulation.cluster import ClusterConfig, SimulatedCluster, churn_cluster_config
@@ -256,9 +256,9 @@ class TestDeterministicResume:
 
     def test_checkpoint_passes_audit(self, checkpointed):
         checkpoint, _ = checkpointed
-        findings, checked = audit_snapshot(load_snapshot(checkpoint))
-        assert [f for f in findings if f.severity == "error"] == []
-        assert checked["nodes"] > 0 and checked["block keys"] > 0
+        report = run_audit(snapshot=checkpoint)
+        assert report.errors == []
+        assert report.checked["nodes"] > 0 and report.checked["block keys"] > 0
 
     def test_metrics_log_is_contiguous_across_the_checkpoint(self, checkpointed,
                                                             resumed_report):
@@ -266,5 +266,4 @@ class TestDeterministicResume:
         samples = read_metrics_log(metrics_log)
         assert [s["seq"] for s in samples] == list(range(len(samples)))
         assert len(samples) >= 3
-        findings, _ = audit_metrics(samples)
-        assert findings == []
+        assert run_audit(metrics=metrics_log).findings == []

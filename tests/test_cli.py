@@ -1,10 +1,38 @@
 """Tests for the ``dharma`` command-line front-end."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.lastfm_synthetic import LastfmSyntheticConfig, generate_lastfm_like
 from repro.datasets.loader import save_triples_tsv
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_KINDS = ("core", "churn", "attack", "scale", "wire")
+
+
+def dashboard_of(tmp_path, **records) -> list[str]:
+    """``dharma dashboard`` arguments that show only *records* (kind -> path):
+    every other kind points at a file that does not exist."""
+    argv = ["dashboard"]
+    for kind in BENCH_KINDS:
+        argv += [f"--{kind}", str(records.get(kind, tmp_path / f"missing_{kind}.json"))]
+    return argv
+
+
+def assert_churn_file_feeds_dashboard_and_audit(path, tmp_path, capsys, arms: int) -> None:
+    """A ``churn-bench --json`` file is a ``BENCH_churn.json``-shaped record:
+    the dashboard renders it and the audit gates the arms it has (a run this
+    small may legitimately fail a gate -- exit 1 -- but must be *read*)."""
+    capsys.readouterr()
+    assert main(dashboard_of(tmp_path, churn=path)) == 0
+    out = capsys.readouterr().out
+    assert "churn survival (BENCH_churn.json)" in out
+    assert out.count("availability  ") == arms
+    assert main(["audit", "--churn", str(path)]) in (0, 1)
+    assert f"{arms} churn arms" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -189,12 +217,17 @@ class TestCommands:
         import json as json_module
 
         payload = json_module.loads(json_path.read_text())
-        assert set(payload) == {"maintenance on", "maintenance off"}
-        for report in payload.values():
+        assert set(payload) == {
+            "bench", "nodes", "duration_s", "maintenance_on", "maintenance_off", "deltas",
+        }
+        assert (payload["nodes"], payload["duration_s"]) == (24, 30.0)
+        for report in (payload["maintenance_on"], payload["maintenance_off"]):
             assert 0.0 <= report["final_availability"] <= 1.0
             assert report["samples"]
+        assert_churn_file_feeds_dashboard_and_audit(json_path, tmp_path, capsys, arms=2)
 
-    def test_churn_bench_single_mode_skips_deltas(self, capsys):
+    def test_churn_bench_single_mode_skips_deltas(self, tmp_path, capsys):
+        json_path = tmp_path / "churn_on.json"
         assert main(
             [
                 "churn-bench",
@@ -207,11 +240,15 @@ class TestCommands:
                 "--refresh-interval", "12",
                 "--sample-every", "10",
                 "--maintenance", "on",
+                "--json", str(json_path),
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "survival (maintenance on)" in out
         assert "what maintenance buys" not in out
+        payload = json.loads(json_path.read_text())
+        assert "maintenance_off" not in payload and "deltas" not in payload
+        assert_churn_file_feeds_dashboard_and_audit(json_path, tmp_path, capsys, arms=1)
 
 
 class TestObservabilityCommands:
@@ -246,12 +283,18 @@ class TestObservabilityCommands:
         assert "--resume-from" in out
         assert checkpoint.exists() and metrics.exists() and prom.exists()
 
+        resumed = tmp_path / "resumed.json"
         assert main(
-            ["churn-bench", "--resume-from", str(checkpoint), "--metrics-out", str(metrics)]
+            ["churn-bench", "--resume-from", str(checkpoint), "--metrics-out", str(metrics),
+             "--json", str(resumed)]
         ) == 0
         out = capsys.readouterr().out
         assert "resumed from" in out
         assert "final_availability" in out
+        payload = json.loads(resumed.read_text())
+        assert (payload["nodes"], payload["duration_s"]) == (16, 20.0)
+        assert payload["maintenance_on"]["samples"]
+        assert_churn_file_feeds_dashboard_and_audit(resumed, tmp_path, capsys, arms=1)
 
         assert main(["audit", "--snapshot", str(checkpoint), "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
@@ -395,6 +438,18 @@ class TestObservabilityCommands:
         assert "scale-missing-point" in out
         assert "result: FAILED" in out
 
+        # The gates bench_scale.py applies per rung: the record's own
+        # availability floor and counter integrity.
+        record = self._scale_record()
+        record["availability_floor"] = 0.95
+        record["ladder"][0]["final_availability"] = 0.5
+        record["ladder"][2]["integrity_violations"] = 7
+        scale.write_text(json_module.dumps(record))
+        assert main(["audit", "--scale", str(scale)]) == 1
+        out = capsys.readouterr().out
+        assert "scale-availability" in out and "ladder point 0 (1000 nodes)" in out
+        assert "scale-integrity" in out and "ladder point 2 (10000 nodes)" in out
+
     @staticmethod
     def _attack_record() -> dict:
         def arm(verification: bool) -> dict:
@@ -511,6 +566,26 @@ class TestObservabilityCommands:
         assert "attack-integrity" in out
         assert "attack-overhead" in out
         assert "result: FAILED" in out
+
+        # The gates bench_attack.py applies on top: a campaign and an
+        # enforcement that actually ran, and an unprotected arm that let
+        # forgeries in.
+        def no_forgery_accepted(record):
+            for name in record["verification_off"]:
+                if name.endswith("_accepted"):
+                    record["verification_off"][name] = 0
+
+        for corrupt, code in [
+            (lambda r: r["verification_on"].update(attack_sybil_joins=0), "attack-no-sybils"),
+            (lambda r: r["verification_on"].update(likir_rejected=0), "attack-nothing-rejected"),
+            (no_forgery_accepted, "attack-no-forgery-accepted"),
+        ]:
+            record = self._attack_record()
+            corrupt(record)
+            attack.write_text(json_module.dumps(record))
+            assert main(["audit", "--attack", str(attack)]) == 1
+            out = capsys.readouterr().out
+            assert code in out and "1 errors" in out
 
     def test_audit_flags_toothless_campaign(self, tmp_path, capsys):
         import json as json_module
@@ -648,6 +723,76 @@ class TestObservabilityCommands:
         wire.write_text(json_module.dumps(point))
         assert main(["audit", "--wire", str(wire)]) == 0
         assert "wire-no-degraded-arm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, corrupt, code", [pytest.param(*case, id=case[2]) for case in [
+        ("core", lambda p: p.update(speedup=2.9), "core-speedup"),
+        ("core", lambda p: p.update(table1_ok=False), "core-table1"),
+        ("churn", lambda p: p["maintenance_off"].update(crashes=1), "churn-trace-divergence"),
+        ("churn", lambda p: p["maintenance_on"].update(final_availability=0.98),
+         "churn-availability"),
+        ("churn", lambda p: p["maintenance_on"].update(integrity_violations=1), "churn-integrity"),
+        ("churn", lambda p: p["maintenance_on"].update(churn_appends=0), "churn-no-appends"),
+        ("churn", lambda p: [arm.update(crashes=0) for arm in
+                             (p["maintenance_on"], p["maintenance_off"])], "churn-no-faults"),
+        ("churn", lambda p: p["maintenance_off"].update(lost_blocks=0), "churn-no-loss"),
+        ("scale", lambda p: p["ladder"][1].update(final_availability=0.5), "scale-availability"),
+        ("scale", lambda p: p["ladder"][1].update(integrity_violations=7), "scale-integrity"),
+        ("scale", lambda p: p["ladder"][2].update(crashes=0), "scale-no-faults"),
+        ("scale", lambda p: p["ladder"][0].update(churn_appends=0), "scale-no-appends"),
+        ("attack", lambda p: p["verification_on"].update(attack_sybil_joins=0),
+         "attack-no-sybils"),
+        ("attack", lambda p: p["verification_on"].update(honest_appends=0), "attack-no-appends"),
+        ("attack", lambda p: p["verification_on"].update(likir_rejected=0),
+         "attack-nothing-rejected"),
+        ("attack", lambda p: p["verification_on"].update(final_availability=0.9),
+         "attack-availability"),
+        ("wire", lambda p: p["wall_clock"]["rpc_ping"].update(samples=399), "wire-sample-count"),
+        ("wire", lambda p: p["wall_clock"]["rpc_store"].update(
+            p50_ms=2000.0, p90_ms=2000.0, p99_ms=2000.0, max_ms=2000.0), "wire-slow-rpc"),
+        ("wire", lambda p: p["degraded"].update(first_strike_ms=3.0), "wire-cheap-strike"),
+    ]])
+    def test_audit_fails_a_corrupted_copy_of_a_checked_in_point(
+        self, kind, corrupt, code, tmp_path, capsys
+    ):
+        """Every gate a bench script applies to the record it writes is a
+        gate of ``dharma audit --<kind>``: break one gated field of the
+        checked-in point and the offline audit says which."""
+        point = json.loads((REPO_ROOT / f"BENCH_{kind}.json").read_text())
+        corrupt(point)
+        path = tmp_path / f"BENCH_{kind}.json"
+        path.write_text(json.dumps(point))
+        assert main(["audit", f"--{kind}", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"[error] {code}: " in out
+        assert "result: FAILED (1 errors, 0 warnings)" in out
+
+    def test_audit_core_states_no_speed_gate_for_a_smoke_point(self, tmp_path, capsys):
+        point = json.loads((REPO_ROOT / "BENCH_core.json").read_text())
+        # BENCH_SMOKE=1 records the ratio it measured on a toy dataset and
+        # no target; only a full-mode point is held to one.
+        point.update(smoke=True, speedup=0.7, speedup_target=None)
+        path = tmp_path / "BENCH_core.json"
+        path.write_text(json.dumps(point))
+        assert main(["audit", "--core", str(path)]) == 0
+        assert "core readings" in capsys.readouterr().out
+
+    def test_attack_metrics_log_is_range_checked_and_shows_availability(self, tmp_path, capsys):
+        """An attack run's log carries ``attack.availability`` where a churn
+        run's carries ``survival.availability``: same checks, same line."""
+        log = REPO_ROOT / "BENCH_attack_metrics.jsonl"
+        assert main([*dashboard_of(tmp_path), "--metrics", str(log)]) == 0
+        assert "  availability   " in capsys.readouterr().out
+
+        samples = [json.loads(line) for line in log.read_text().splitlines()]
+        samples[3]["gauges"]["attack.availability"] = 1.2
+        samples[5]["gauges"]["attack.eclipse_progress"] = -0.1
+        broken = tmp_path / "attack_metrics.jsonl"
+        broken.write_text("".join(json.dumps(s) + "\n" for s in samples))
+        assert main(["audit", "--metrics", str(broken)]) == 1
+        out = capsys.readouterr().out
+        assert "gauge attack.availability is 1.2 at sample 3" in out
+        assert "gauge attack.eclipse_progress is -0.1 at sample 5" in out
+        assert out.count("gauge-out-of-range") == 2
 
     def test_audit_requires_an_input(self, capsys):
         assert main(["audit"]) == 2

@@ -89,3 +89,23 @@ class TestCheckedInBenchmarkPoints:
             if json.loads(path.read_text(encoding="utf-8")).get("smoke") is not False
         ]
         assert not smoke, f"re-record without BENCH_SMOKE: {smoke}"
+
+    def test_every_checked_in_point_passes_its_own_gates(self):
+        """The numbers the README quotes are held to the gates the bench
+        scripts apply when they write them (``dharma audit`` over the five
+        records), and both checked-in metrics streams are well-formed."""
+        from repro.analysis.audit import POINT_AUDITS, run_audit
+
+        points = {
+            path.stem.removeprefix("BENCH_"): path for path in REPO_ROOT.glob("BENCH_*.json")
+        }
+        assert set(points) == set(POINT_AUDITS)
+        report = run_audit(**points)
+        assert report.findings == [], report.render()
+        logs = sorted(REPO_ROOT.glob("BENCH_*_metrics.jsonl"))
+        assert [log.name for log in logs] == [
+            "BENCH_attack_metrics.jsonl", "BENCH_churn_metrics.jsonl",
+        ]
+        for log in logs:
+            report = run_audit(metrics=log)
+            assert report.findings == [] and report.checked["samples"] > 0, report.render()

@@ -31,38 +31,50 @@ Quickstart
 ['90s', 'rock', 'seattle']
 """
 
-from repro.core import (
-    ApproximationConfig,
-    BlockKey,
-    BlockType,
-    FacetedSearch,
-    FolksonomyGraph,
-    TagResourceGraph,
-    TaggingModel,
-)
-from repro.core.approximation import EXACT, default_approximation
-from repro.core.faceted_search import ModelView
-from repro.core.tagging_model import derive_folksonomy_graph
-from repro.datasets import (
-    AnnotationDataset,
-    LastfmSyntheticConfig,
-    compute_folksonomy_stats,
-    generate_lastfm_like,
-)
-from repro.dht import DHTClient, KademliaNode, NodeConfig, NodeID, build_overlay
-from repro.distributed import (
-    ApproximatedProtocol,
-    DharmaService,
-    NaiveProtocol,
-    ServiceConfig,
-)
-from repro.analysis import (
-    compare_graphs,
-    run_convergence_experiment,
-    simulate_approximated_evolution,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
+
+#: Every public name resolves on first use (PEP 562), name -> defining
+#: package: ``import repro`` -- which every ``dharma serve`` child runs on its
+#: way to ``repro.cli`` -- loads no subpackage, and so neither numpy nor the
+#: simulator.
+_LAZY_EXPORTS = {
+    "TagResourceGraph": "repro.core",
+    "FolksonomyGraph": "repro.core",
+    "TaggingModel": "repro.core",
+    "FacetedSearch": "repro.core",
+    "ApproximationConfig": "repro.core",
+    "BlockKey": "repro.core",
+    "BlockType": "repro.core",
+    "EXACT": "repro.core.approximation",
+    "default_approximation": "repro.core.approximation",
+    "ModelView": "repro.core.faceted_search",
+    "derive_folksonomy_graph": "repro.core.tagging_model",
+    "AnnotationDataset": "repro.datasets",
+    "LastfmSyntheticConfig": "repro.datasets",
+    "generate_lastfm_like": "repro.datasets",
+    "compute_folksonomy_stats": "repro.datasets",
+    "NodeID": "repro.dht",
+    "NodeConfig": "repro.dht",
+    "KademliaNode": "repro.dht",
+    "DHTClient": "repro.dht",
+    "build_overlay": "repro.dht",
+    "DharmaService": "repro.distributed",
+    "ServiceConfig": "repro.distributed",
+    "NaiveProtocol": "repro.distributed",
+    "ApproximatedProtocol": "repro.distributed",
+    "simulate_approximated_evolution": "repro.analysis",
+    "compare_graphs": "repro.analysis",
+    "run_convergence_experiment": "repro.analysis",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        return getattr(import_module(_LAZY_EXPORTS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

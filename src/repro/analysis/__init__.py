@@ -15,35 +15,45 @@
   of churn runs (extension E11).
 """
 
-from repro.analysis.metrics import (
-    cosine_similarity,
-    kendall_tau,
-    recall,
-    sim1_fraction,
-)
-from repro.analysis.cdf import empirical_cdf, cdf_at
-from repro.analysis.evolution import EvolutionConfig, EvolutionResult, simulate_approximated_evolution
-from repro.analysis.comparison import (
-    ApproximationQuality,
-    GraphComparison,
-    compare_graphs,
-    degree_pairs,
-    weight_pairs,
-)
-from repro.analysis.convergence import (
-    ConvergenceConfig,
-    SearchLengthStats,
-    StrategyOutcome,
-    run_convergence_experiment,
-)
-from repro.analysis.report import format_table, format_mapping
-from repro.analysis.survival import (
-    SURVIVAL_METRICS,
-    SurvivalSummary,
-    render_survival_comparison,
-    summarise_survival,
-    survival_deltas,
-)
+from importlib import import_module
+
+#: Exports resolved on first use (PEP 562), name -> submodule: the evaluation
+#: modules import numpy, :mod:`~repro.analysis.report` (all ``dharma serve``
+#: needs from here) is stdlib only.
+_LAZY_EXPORTS = {
+    "cosine_similarity": "metrics",
+    "kendall_tau": "metrics",
+    "recall": "metrics",
+    "sim1_fraction": "metrics",
+    "empirical_cdf": "cdf",
+    "cdf_at": "cdf",
+    "EvolutionConfig": "evolution",
+    "EvolutionResult": "evolution",
+    "simulate_approximated_evolution": "evolution",
+    "ApproximationQuality": "comparison",
+    "GraphComparison": "comparison",
+    "compare_graphs": "comparison",
+    "degree_pairs": "comparison",
+    "weight_pairs": "comparison",
+    "ConvergenceConfig": "convergence",
+    "SearchLengthStats": "convergence",
+    "StrategyOutcome": "convergence",
+    "run_convergence_experiment": "convergence",
+    "format_table": "report",
+    "format_mapping": "report",
+    "SURVIVAL_METRICS": "survival",
+    "SurvivalSummary": "survival",
+    "render_survival_comparison": "survival",
+    "summarise_survival": "survival",
+    "survival_deltas": "survival",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        return getattr(import_module(f"{__name__}.{_LAZY_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "cosine_similarity",

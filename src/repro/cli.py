@@ -45,28 +45,10 @@ import sys
 import time
 from collections.abc import Sequence
 
-from repro.analysis.comparison import compare_graphs
-from repro.analysis.convergence import ConvergenceConfig, run_convergence_experiment
-from repro.analysis.evolution import EvolutionConfig, simulate_approximated_evolution
+# Only what every command needs is imported here; each ``_cmd_*`` imports its
+# own layers, so a ``dharma serve`` child loads neither numpy nor the simulator
+# harness (``tests/test_cli.py`` holds the line).
 from repro.analysis.report import format_mapping, format_table, write_json
-from repro.core.approximation import default_approximation
-from repro.core.codec import encode_block
-from repro.core.faceted_search import FacetedSearch, ModelView
-from repro.core.tagging_model import derive_folksonomy_graph
-from repro.datasets.lastfm_synthetic import PRESETS, generate_lastfm_like
-from repro.datasets.loader import load_triples_tsv, save_triples_tsv
-from repro.datasets.stats import compute_folksonomy_stats
-from repro.dht.bootstrap import build_overlay
-from repro.distributed.tagging_service import DharmaService, ServiceConfig
-from repro.perf import PERF
-from repro.simulation.cluster import (
-    ClusterConfig,
-    attack_cluster_config,
-    churn_cluster_config,
-    run_cluster_benchmark,
-)
-from repro.simulation.experiment import run_attack_benchmark, run_survival_benchmark
-from repro.simulation.workload import TaggingWorkload
 
 __all__ = ["main", "build_parser"]
 
@@ -81,6 +63,10 @@ _BENCH_POINTS = {
     "wire": "wall-clock RPC latency over UDP",
 }
 
+#: ``sorted(repro.datasets.lastfm_synthetic.PRESETS)``, spelled out so that
+#: building the parser does not import the generator (and numpy with it).
+_PRESET_NAMES = ("medium", "small", "tiny")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -91,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a synthetic Last.fm-like dataset")
     gen.add_argument("output", help="destination TSV file")
-    gen.add_argument("--preset", choices=sorted(PRESETS), default="small")
+    gen.add_argument("--preset", choices=_PRESET_NAMES, default="small")
     gen.add_argument("--seed", type=int, default=0)
 
     stats = sub.add_parser("stats", help="print the Table II census of a dataset")
@@ -125,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster throughput benchmark (protocols x lookup engine on/off)",
     )
     cluster.add_argument("--dataset", default=None, help="TSV file of triples (default: synthetic)")
-    cluster.add_argument("--preset", choices=sorted(PRESETS), default="tiny",
+    cluster.add_argument("--preset", choices=_PRESET_NAMES, default="tiny",
                          help="synthetic dataset preset used when no --dataset is given")
     cluster.add_argument("--nodes", type=int, default=1000)
     cluster.add_argument("--clients", type=int, default=4)
@@ -143,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="data survival under churn with replica maintenance on/off",
     )
     churn.add_argument("--dataset", default=None, help="TSV file of triples (default: synthetic)")
-    churn.add_argument("--preset", choices=sorted(PRESETS), default="tiny",
+    churn.add_argument("--preset", choices=_PRESET_NAMES, default="tiny",
                        help="synthetic dataset preset used when no --dataset is given")
     churn.add_argument("--nodes", type=int, default=500)
     churn.add_argument("--ops", type=int, default=150,
@@ -188,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="availability and integrity under attack with Likir verification on/off",
     )
     attack.add_argument("--dataset", default=None, help="TSV file of triples (default: synthetic)")
-    attack.add_argument("--preset", choices=sorted(PRESETS), default="tiny",
+    attack.add_argument("--preset", choices=_PRESET_NAMES, default="tiny",
                         help="synthetic dataset preset used when no --dataset is given")
     attack.add_argument("--nodes", type=int, default=200)
     attack.add_argument("--ops", type=int, default=150,
@@ -228,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the interned core: build, freeze, legacy vs frozen search, codec",
     )
     profile.add_argument("--dataset", default=None, help="TSV file of triples (default: synthetic)")
-    profile.add_argument("--preset", choices=sorted(PRESETS), default="small",
+    profile.add_argument("--preset", choices=_PRESET_NAMES, default="small",
                          help="synthetic dataset preset used when no --dataset is given")
     profile.add_argument("--searches", type=int, default=200,
                          help="faceted searches per engine (legacy and frozen)")
@@ -310,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets.lastfm_synthetic import PRESETS, generate_lastfm_like
+    from repro.datasets.loader import save_triples_tsv
+
     config = PRESETS[args.preset]
     if args.seed != config.seed:
         from dataclasses import replace
@@ -323,6 +312,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.core.tagging_model import derive_folksonomy_graph
+    from repro.datasets.loader import load_triples_tsv
+    from repro.datasets.stats import compute_folksonomy_stats
+
     dataset = load_triples_tsv(args.dataset, limit=args.limit)
     trg = dataset.to_tag_resource_graph()
     fg = derive_folksonomy_graph(trg)
@@ -335,6 +328,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    from repro.analysis.comparison import compare_graphs
+    from repro.analysis.evolution import EvolutionConfig, simulate_approximated_evolution
+    from repro.core.approximation import default_approximation
+    from repro.core.tagging_model import derive_folksonomy_graph
+    from repro.datasets.loader import load_triples_tsv
+
     dataset = load_triples_tsv(args.dataset, limit=args.limit)
     trg = dataset.to_tag_resource_graph()
     original_fg = derive_folksonomy_graph(trg)
@@ -362,6 +361,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    from repro.analysis.convergence import ConvergenceConfig, run_convergence_experiment
+    from repro.analysis.evolution import EvolutionConfig, simulate_approximated_evolution
+    from repro.core.approximation import default_approximation
+    from repro.core.tagging_model import derive_folksonomy_graph
+    from repro.datasets.loader import load_triples_tsv
+
     dataset = load_triples_tsv(args.dataset, limit=args.limit)
     trg = dataset.to_tag_resource_graph()
     original_fg = derive_folksonomy_graph(trg)
@@ -389,6 +394,12 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlay(args: argparse.Namespace) -> int:
+    from repro.core.approximation import default_approximation
+    from repro.datasets.loader import load_triples_tsv
+    from repro.dht.bootstrap import build_overlay
+    from repro.distributed.tagging_service import DharmaService, ServiceConfig
+    from repro.simulation.workload import TaggingWorkload
+
     dataset = load_triples_tsv(args.dataset, limit=args.limit)
     overlay = build_overlay(args.nodes, seed=args.seed)
     service = DharmaService(
@@ -423,12 +434,22 @@ def _cmd_overlay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
+def _load_dataset(args: argparse.Namespace, limit: int | None = None):
+    """The ``--dataset`` TSV, or the synthetic ``--preset`` when none is given."""
     if args.dataset is not None:
-        dataset = load_triples_tsv(args.dataset)
-    else:
-        dataset = generate_lastfm_like(args.preset)
-    workload = TaggingWorkload.from_triples(dataset.triples())
+        from repro.datasets.loader import load_triples_tsv
+
+        return load_triples_tsv(args.dataset, limit=limit)
+    from repro.datasets.lastfm_synthetic import generate_lastfm_like
+
+    return generate_lastfm_like(args.preset)
+
+
+def _cmd_cluster_bench(args: argparse.Namespace) -> int:
+    from repro.simulation.cluster import ClusterConfig, run_cluster_benchmark
+    from repro.simulation.workload import TaggingWorkload
+
+    workload = TaggingWorkload.from_triples(_load_dataset(args).triples())
 
     protocols = ["naive", "approximated"] if args.protocol == "both" else [args.protocol]
     engines = [False, True] if args.engine == "both" else [args.engine == "on"]
@@ -497,6 +518,9 @@ def _labelled_path(path: str | None, label: str, use_label: bool) -> str | None:
 def _cmd_churn_bench(args: argparse.Namespace) -> int:
     from repro.analysis.survival import churn_point, render_survival_comparison
     from repro.metrics import MetricsStream
+    from repro.simulation.cluster import churn_cluster_config
+    from repro.simulation.experiment import run_survival_benchmark
+    from repro.simulation.workload import TaggingWorkload
 
     if (args.checkpoint_at is None) != (args.checkpoint_out is None):
         args.usage_error("--checkpoint-at and --checkpoint-out must be given together")
@@ -520,11 +544,7 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
             print(f"\nsurvival report written to {args.json_path}")
         return 0
 
-    if args.dataset is not None:
-        dataset = load_triples_tsv(args.dataset)
-    else:
-        dataset = generate_lastfm_like(args.preset)
-    workload = TaggingWorkload.from_triples(dataset.triples())
+    workload = TaggingWorkload.from_triples(_load_dataset(args).triples())
 
     modes = [True, False] if args.maintenance == "both" else [args.maintenance == "on"]
     reports = []
@@ -593,12 +613,11 @@ def _cmd_churn_bench(args: argparse.Namespace) -> int:
 def _cmd_attack_bench(args: argparse.Namespace) -> int:
     from repro.analysis.survival import attack_point, forged_write_totals
     from repro.metrics import MetricsStream
+    from repro.simulation.cluster import attack_cluster_config
+    from repro.simulation.experiment import run_attack_benchmark
+    from repro.simulation.workload import TaggingWorkload
 
-    if args.dataset is not None:
-        dataset = load_triples_tsv(args.dataset)
-    else:
-        dataset = generate_lastfm_like(args.preset)
-    workload = TaggingWorkload.from_triples(dataset.triples())
+    workload = TaggingWorkload.from_triples(_load_dataset(args).triples())
 
     modes = [True, False] if args.verification == "both" else [args.verification == "on"]
     reports = {}
@@ -675,10 +694,13 @@ def _cmd_attack_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.dataset is not None:
-        dataset = load_triples_tsv(args.dataset, limit=args.limit)
-    else:
-        dataset = generate_lastfm_like(args.preset)
+    from repro.core.codec import encode_block
+    from repro.core.compact import freeze_folksonomy
+    from repro.core.faceted_search import FacetedSearch, ModelView
+    from repro.core.tagging_model import derive_folksonomy_graph
+    from repro.perf import PERF
+
+    dataset = _load_dataset(args, limit=args.limit)
 
     PERF.reset()
     with PERF.timer("dataset.aggregate"):
@@ -686,8 +708,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with PERF.timer("fg.derive"):
         fg = derive_folksonomy_graph(trg)
     # freeze() times itself under "core.freeze".
-    from repro.core.compact import freeze_folksonomy
-
     compact = freeze_folksonomy(trg, fg)
 
     start_tags = [t for t in trg.most_popular_tags(100) if fg.out_degree(t) > 0]
@@ -799,6 +819,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import dataclasses
     import random as random_module
+    import signal
 
     from repro.dht.likir import CertificationService
     from repro.dht.node import NodeConfig
@@ -840,6 +861,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot bind udp://{args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
+    # SIGTERM (docker stop, systemd, most supervisors) leaves the overlay the
+    # way Ctrl-C does, for as long as this command runs.  Only the main
+    # thread may install handlers; a caller on another thread keeps its own.
+    try:
+        previous_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    except ValueError:
+        previous_sigterm = None
     try:
         # The "listening" line is the machine-readable handshake: the smoke
         # test (and any operator script) parses the udp:// endpoint from it,
@@ -891,6 +919,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     finally:
         node.close()
+        if previous_sigterm is not None:
+            signal.signal(signal.SIGTERM, previous_sigterm)
 
 
 _COMMANDS = {

@@ -20,28 +20,40 @@ used stand-alone as an in-memory folksonomy engine, and it doubles as the
 *reference model* against which the distributed implementation is validated.
 """
 
-from repro.core.tag_resource_graph import TagResourceGraph
-from repro.core.folksonomy_graph import FolksonomyGraph
-from repro.core.tagging_model import TaggingModel
-from repro.core.interning import StringInterner
-from repro.core.compact import CompactFolksonomy, freeze_folksonomy
-from repro.core.faceted_search import (
-    FacetedSearch,
-    SearchState,
-    SearchStrategy,
-    FirstTagStrategy,
-    LastTagStrategy,
-    RandomTagStrategy,
-)
-from repro.core.approximation import ApproximationConfig
-from repro.core.blocks import (
-    BlockType,
-    BlockKey,
-    ResourceTagsBlock,
-    TagResourcesBlock,
-    TagNeighboursBlock,
-    ResourceURIBlock,
-)
+from importlib import import_module
+
+#: Exports resolved on first use (PEP 562), name -> submodule: the frozen
+#: index and the search engine import numpy, which the DHT and wire layers
+#: (they need :mod:`~repro.core.codec` and :mod:`~repro.core.blocks` only)
+#: must not pay for.
+_LAZY_EXPORTS = {
+    "TagResourceGraph": "tag_resource_graph",
+    "FolksonomyGraph": "folksonomy_graph",
+    "TaggingModel": "tagging_model",
+    "StringInterner": "interning",
+    "CompactFolksonomy": "compact",
+    "freeze_folksonomy": "compact",
+    "FacetedSearch": "faceted_search",
+    "SearchState": "faceted_search",
+    "SearchStrategy": "faceted_search",
+    "FirstTagStrategy": "faceted_search",
+    "LastTagStrategy": "faceted_search",
+    "RandomTagStrategy": "faceted_search",
+    "ApproximationConfig": "approximation",
+    "BlockType": "blocks",
+    "BlockKey": "blocks",
+    "ResourceTagsBlock": "blocks",
+    "TagResourcesBlock": "blocks",
+    "TagNeighboursBlock": "blocks",
+    "ResourceURIBlock": "blocks",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        return getattr(import_module(f"{__name__}.{_LAZY_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "TagResourceGraph",

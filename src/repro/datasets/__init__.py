@@ -13,10 +13,28 @@ approximation quality, search convergence) only depends on those structural
 properties.
 """
 
-from repro.datasets.triples import Annotation, AnnotationDataset
-from repro.datasets.lastfm_synthetic import LastfmSyntheticConfig, generate_lastfm_like
-from repro.datasets.loader import load_triples_tsv, save_triples_tsv
-from repro.datasets.stats import DegreeStatistics, FolksonomyStats, compute_folksonomy_stats
+from importlib import import_module
+
+#: Exports resolved on first use (PEP 562), name -> submodule: the generator
+#: and the statistics import numpy.
+_LAZY_EXPORTS = {
+    "Annotation": "triples",
+    "AnnotationDataset": "triples",
+    "LastfmSyntheticConfig": "lastfm_synthetic",
+    "generate_lastfm_like": "lastfm_synthetic",
+    "load_triples_tsv": "loader",
+    "save_triples_tsv": "loader",
+    "DegreeStatistics": "stats",
+    "FolksonomyStats": "stats",
+    "compute_folksonomy_stats": "stats",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        return getattr(import_module(f"{__name__}.{_LAZY_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Annotation",

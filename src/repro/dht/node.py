@@ -222,7 +222,17 @@ class KademliaNode:
     # server side: RPC dispatch
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, sender_address: str, request: RPCRequest) -> Any:
+    def dispatch_nowait(self, sender_address: str, request: RPCRequest) -> Any | None:
+        """:meth:`_dispatch` for a thread that must never block (the UDP
+        receiver).  ``None`` -- nothing served, nothing counted -- when
+        admitting the sender takes the evict-probe, the one step of serving a
+        request that waits on the network; the caller then serves the request
+        through :meth:`_dispatch` where blocking is allowed."""
+        return self._dispatch(sender_address, request, may_probe=False)
+
+    def _dispatch(
+        self, sender_address: str, request: RPCRequest, may_probe: bool = True
+    ) -> Any:
         """Entry point registered with the network."""
         if not isinstance(request, RPCRequest):
             raise TypeError(f"unknown RPC {type(request).__name__}")
@@ -241,7 +251,8 @@ class KademliaNode:
             self.rpcs_served["ping"] += 1
             response: Any = PingResponse(responder_id=self.node_id)
         else:
-            self._note_contact(sender)
+            if not self._note_contact(sender, may_probe):
+                return None
             if isinstance(request, StoreRequest):
                 response = self._handle_store(request)
             elif isinstance(request, AppendRequest):
@@ -347,24 +358,28 @@ class KademliaNode:
         PERF.count("likir.sybil_rejected")
         return False
 
-    def _note_contact(self, contact: Contact) -> None:
+    def _note_contact(self, contact: Contact, may_probe: bool = True) -> bool:
         """Insert *contact*, applying the ping-before-evict policy when the
         target bucket is full.
 
         For contacts heard from directly; hearsay goes through
-        :meth:`unsuspected` first (see :meth:`lookup_node`).
+        :meth:`unsuspected` first (see :meth:`lookup_node`).  False, with
+        nobody pinged, when the policy applies and *may_probe* is off.
         """
         if contact.node_id == self.node_id:
-            return
+            return True
         if not self._admit_contact(contact.node_id):
-            return
+            return True
         inserted = self.routing_table.record_contact(contact)
         if inserted:
-            return
+            return True
+        if not may_probe:
+            return False
         stale = self.routing_table.least_recently_seen(contact.node_id)
         if stale is not None and not self.ping(stale):
             self.routing_table.evict(stale.node_id)
             self.routing_table.record_contact(contact)
+        return True
 
     def _call(self, contact: Contact, request: RPCRequest) -> Any | None:
         """Issue one RPC; returns None on failure.

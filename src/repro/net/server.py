@@ -73,6 +73,8 @@ class ServeNode:
                 config=node_config or NodeConfig(verify_credentials=False),
                 certification=certification,
             )
+            # All but the ping-before-evict case is answered on udp-recv.
+            self.transport.serve_inline(self.node.dispatch_nowait)
         except BaseException:
             self.transport.close()
             raise

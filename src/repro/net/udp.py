@@ -12,12 +12,19 @@ is the transport -- no event loop, three kinds of thread:
   :class:`~repro.net.base.RequestTimeout` when the budget is spent.
 * **one receiver thread** (``udp-recv``) -- blocks in ``recvfrom``, decodes,
   and either wakes the waiter a response belongs to or consults the replay
-  cache and queues the request for the workers.  It never runs a handler.
+  cache and sees the request answered.  The registered handler never runs
+  here: it may block.  A dispatcher installed with
+  :meth:`UdpTransport.serve_inline` does -- it has promised not to block and
+  *declines* (returns ``None``) a request it could only serve by blocking,
+  which then goes to the workers like every request of a transport without
+  one.  Nothing that can wait on the network runs on the thread that pumps
+  the replies, and a :meth:`~UdpTransport.send` from it is refused at once.
 * **a fixed pool of handler workers** (``udp-work-N``) -- run the registered
   handler, encode the response, enforce the datagram bound, fill the replay
-  cache and ``sendto`` the reply.  A handler may issue blocking RPCs through
-  this very transport (ping-before-evict does): that parks one worker, not
-  the endpoint, because the receiver keeps pumping replies.
+  cache and ``sendto`` the reply (:meth:`UdpTransport._answer`, the same
+  function the receiver answers through).  A handler may issue blocking RPCs
+  through this very transport (ping-before-evict does): that parks one
+  worker, not the endpoint, because the receiver keeps pumping replies.
 
 Retransmission makes every RPC at-least-once, but APPEND is not idempotent
 (each delivery increments counters).  The server therefore keeps a bounded
@@ -128,6 +135,8 @@ class UdpTransport(Transport):
         self.stats = TransportStats()
         self._handler: RPCHandler | None = None
         self._handler_address: str | None = None
+        #: See :meth:`serve_inline`; lives and dies with ``_handler``.
+        self._inline: RPCHandler | None = None
         #: request id -> the queue its blocked :meth:`send` waits on.  Written
         #: by caller threads, read by the receiver, drained by :meth:`close`.
         self._pending: dict[int, SimpleQueue] = {}
@@ -158,6 +167,7 @@ class UdpTransport(Transport):
         ]
         for thread in self._threads:
             thread.start()
+        self._receiver_ident = self._threads[0].ident
 
     # -- Transport contract -------------------------------------------------- #
 
@@ -175,10 +185,23 @@ class UdpTransport(Transport):
         self._handler = handler
         self._handler_address = address
 
+    def serve_inline(self, dispatcher: RPCHandler) -> None:
+        """Let *dispatcher* answer requests on the receiver thread.
+
+        *dispatcher* must serve a request exactly as the registered handler
+        would, except that it never blocks: where the handler would, it
+        returns ``None`` having changed nothing, and the request is queued
+        for the handler on a worker.
+        """
+        if self._handler is None:
+            raise ValueError("serve_inline needs a registered handler to fall back on")
+        self._inline = dispatcher
+
     def unregister(self, address: str) -> None:
         if address == self._handler_address:
             self._handler = None
             self._handler_address = None
+            self._inline = None
 
     def is_registered(self, address: str) -> bool:
         """Only the locally hosted address is knowable; remote liveness is
@@ -186,6 +209,11 @@ class UdpTransport(Transport):
         return address == self._handler_address and self._handler is not None
 
     def send(self, sender: str, destination: str, request: Any) -> Any:
+        if threading.get_ident() == self._receiver_ident:
+            # Not a TransportError: the peer is not dead, the caller is wrong.
+            # Waiting here would stall the endpoint for a whole retry budget
+            # with no reply deliverable, its own included.
+            raise RuntimeError("blocking send on the udp-recv thread")
         if self._closed:
             raise TransportError("transport is closed")
         per_type = self.stats.of(rpc_name(request))
@@ -228,6 +256,7 @@ class UdpTransport(Transport):
         self._closed = True
         self._handler = None
         self._handler_address = None
+        self._inline = None
         # A send that registers after this snapshot sees ``_closed`` itself.
         for waiter in list(self._pending.values()):
             waiter.put(None)
@@ -339,37 +368,54 @@ class UdpTransport(Transport):
             elif cached is not _IN_FLIGHT:
                 self._replay.move_to_end(key)
         if cached is None:
-            # Handlers run on the workers, never here: serving a STORE
+            # The handler runs on the workers, never here: serving a STORE
             # triggers routing-table upkeep that may issue blocking pings
             # through this very transport, which needs this thread free to
-            # pump the replies.
-            self._jobs.put((handler, request_id, message, addr))
+            # pump the replies.  The inline dispatcher declines those.
+            inline = self._inline
+            if inline is None or not self._answer(
+                inline, request_id, message, addr, may_decline=True
+            ):
+                self._jobs.put((handler, request_id, message, addr))
         elif cached is not _IN_FLIGHT:
             self.stats.replays_served += 1
             self._sendto(cached, addr)
         # else: original execution still running; the client will retry.
 
-    # -- handler workers ------------------------------------------------------- #
+    # -- answering (handler workers; the receiver for the inline dispatcher) --- #
 
     def _work(self) -> None:
         while (job := self._jobs.get()) is not None and not self._closed:
-            handler, request_id, message, addr = job
-            try:
-                response = handler(f"{addr[0]}:{addr[1]}", message)
-                frame = encode_frame(request_id, response)
-                if len(frame) > self.config.max_datagram:
-                    self.stats.oversize_dropped += 1
-                    frame = fault_frame(
-                        request_id,
-                        DatagramTooLarge(
-                            f"{rpc_name(message)} response is {len(frame)} bytes "
-                            f"(max {self.config.max_datagram})"
-                        ),
-                    )
-            except Exception as exc:
-                frame = fault_frame(request_id, exc)
-            with self._replay_lock:
-                self._replay[(addr, request_id)] = frame
-                while len(self._replay) > self.config.replay_cache_size:
-                    self._replay.popitem(last=False)
-            self._sendto(frame, addr)
+            self._answer(*job)
+
+    def _answer(
+        self, handler: RPCHandler, request_id: int, message: RPCRequest, addr,
+        may_decline: bool = False,
+    ) -> bool:
+        """Run *handler* on a request marked ``_IN_FLIGHT`` and reply.
+
+        False, with nothing cached or sent, when a handler that
+        *may_decline* returned ``None``.
+        """
+        try:
+            response = handler(f"{addr[0]}:{addr[1]}", message)
+            if response is None and may_decline:
+                return False
+            frame = encode_frame(request_id, response)
+            if len(frame) > self.config.max_datagram:
+                self.stats.oversize_dropped += 1
+                frame = fault_frame(
+                    request_id,
+                    DatagramTooLarge(
+                        f"{rpc_name(message)} response is {len(frame)} bytes "
+                        f"(max {self.config.max_datagram})"
+                    ),
+                )
+        except Exception as exc:
+            frame = fault_frame(request_id, exc)
+        with self._replay_lock:
+            self._replay[(addr, request_id)] = frame
+            while len(self._replay) > self.config.replay_cache_size:
+                self._replay.popitem(last=False)
+        self._sendto(frame, addr)
+        return True

@@ -44,6 +44,27 @@ type byte  message                 type byte  message
 The golden-byte tests in ``tests/net/test_rpc_wire_codec.py`` pin the exact
 encoding of every frame type: any byte-level change is a wire protocol break
 and must bump the version byte.
+
+Interned records
+----------------
+
+A node hears the same few peers over and over: the sender head of every
+request and every contact of a FIND_NODE / FIND_VALUE reply is the record
+``20-byte id | uvarint length | utf-8 address``, and every response opens
+with one of the same few 20-byte ids.  The decoder therefore resolves both
+through two module-level tables keyed by the record's **exact bytes**
+(:data:`_CONTACTS`: whole record -> frozen ``Contact``; :data:`_IDS`: 20 bytes
+-> ``NodeID``).  Only the field-by-field parser fills them, with bytes it has
+just accepted, so a hit returns what the parser would have built and a miss
+-- like a length of 128 or more, or a record that would run past the
+datagram -- *is* the parser, raising its ``CodecError``s.  Both record types
+are frozen and compare by value, so handing the same object to every frame
+that carries the same bytes is unobservable.  Each table holds at most
+:data:`_INTERN_MAX` records and is emptied when full: a flood of spoofed
+contacts costs re-parsing, never memory.  The tables are shared by every
+thread that decodes, lock-free, on single dict operations: a racing clear
+loses a record (re-parsed next time) and a racing insert may overshoot the
+bound by one per thread, nothing more.
 """
 
 from __future__ import annotations
@@ -59,12 +80,7 @@ from repro.core.codec import (
     encode_uvarint,
     encode_value,
 )
-from repro.core.codec import (
-    _read_node_id,
-    _read_string,
-    _write_node_id,
-    _write_string,
-)
+from repro.core.codec import _read_string, _write_string
 from repro.dht.likir import LikirAuthError, SignedValue
 from repro.net.base import DatagramTooLarge
 from repro.dht.messages import (
@@ -80,7 +96,7 @@ from repro.dht.messages import (
     StoreRequest,
     StoreResponse,
 )
-from repro.dht.node_id import NodeID
+from repro.dht.node_id import ID_BYTES, NodeID
 
 __all__ = [
     "RemoteFault",
@@ -149,29 +165,84 @@ def fault_frame(request_id: int, exc: Exception) -> bytes:
 # --------------------------------------------------------------------- #
 
 
+#: Bound of each intern table (see the module docstring): a constant-size
+#: cache, emptied when full.
+_INTERN_MAX = 4_096
+#: ``id | length byte | address`` exactly as received -> the contact it parses to.
+_CONTACTS: dict[bytes, ContactInfo] = {}
+#: 20 bytes exactly as received -> the id they parse to.
+_IDS: dict[bytes, NodeID] = {}
+
+
+def _intern(table: dict, raw: bytes, record: Any) -> None:
+    if len(table) >= _INTERN_MAX:
+        table.clear()
+    table[raw] = record
+
+
 def _write_id(out: bytearray, node_id: NodeID) -> None:
-    _write_node_id(out, node_id.to_bytes())
+    out += node_id.value.to_bytes(ID_BYTES, "big")
 
 
 def _read_id(data: bytes, offset: int) -> tuple[NodeID, int]:
-    raw, offset = _read_node_id(data, offset)
-    return NodeID.from_bytes(raw), offset
+    end = offset + ID_BYTES
+    raw = data[offset:end]
+    node_id = _IDS.get(raw)  # a short slice is never a key
+    if node_id is None:
+        if end > len(data):
+            raise CodecError("truncated node id")
+        node_id = NodeID.from_bytes(raw)
+        _intern(_IDS, raw, node_id)
+    return node_id, end
+
+
+def _write_contact(out: bytearray, node_id: NodeID, address: str) -> None:
+    """One ``id | uvarint length | utf-8 address`` record, written in place."""
+    raw = address.encode("utf-8")
+    out += node_id.value.to_bytes(ID_BYTES, "big")
+    if len(raw) < 0x80:
+        out.append(len(raw))
+    else:
+        out += encode_uvarint(len(raw))
+    out += raw
+
+
+def _read_contact(data: bytes, offset: int) -> tuple[ContactInfo, int]:
+    """Inverse of :func:`_write_contact`, through :data:`_CONTACTS`.
+
+    The record is looked up only when it has a one-byte length and lies
+    wholly inside *data*; everything else is the parser's to accept or refuse.
+    """
+    record = None
+    length_at = offset + ID_BYTES
+    if length_at < len(data):
+        length = data[length_at]
+        end = length_at + 1 + length
+        if length < 0x80 and end <= len(data):
+            record = data[offset:end]
+            contact = _CONTACTS.get(record)
+            if contact is not None:
+                return contact, end
+    node_id, end = _read_id(data, offset)
+    address, end = _read_string(data, end)
+    contact = ContactInfo(node_id=node_id, address=address)
+    if record is not None:
+        _intern(_CONTACTS, record, contact)
+    return contact, end
 
 
 def _write_contacts(out: bytearray, contacts: tuple[ContactInfo, ...]) -> None:
     out += encode_uvarint(len(contacts))
     for contact in contacts:
-        _write_id(out, contact.node_id)
-        _write_string(out, contact.address)
+        _write_contact(out, contact.node_id, contact.address)
 
 
 def _read_contacts(data: bytes, offset: int) -> tuple[tuple[ContactInfo, ...], int]:
     count, offset = decode_uvarint(data, offset)
     contacts = []
     for _ in range(count):
-        node_id, offset = _read_id(data, offset)
-        address, offset = _read_string(data, offset)
-        contacts.append(ContactInfo(node_id=node_id, address=address))
+        contact, offset = _read_contact(data, offset)
+        contacts.append(contact)
     return tuple(contacts), offset
 
 
@@ -275,8 +346,7 @@ def encode_frame(request_id: int, message: Any) -> bytes:
 
 
 def _request_head(out: bytearray, message: Any) -> None:
-    _write_id(out, message.sender_id)
-    _write_string(out, message.sender_address)
+    _write_contact(out, message.sender_id, message.sender_address)
 
 
 def _response_head(out: bytearray, message: Any) -> None:
@@ -378,6 +448,8 @@ def decode_frame(data: bytes) -> tuple[int, Any]:
     Raises :class:`~repro.core.codec.CodecError` on any malformed input --
     bad magic, unknown frame type, truncation, trailing bytes.
     """
+    if type(data) is not bytes:
+        data = bytes(data)  # slices of it key the intern tables
     if len(data) < _HEADER.size:
         raise CodecError("truncated frame header")
     magic, version, type_byte = _HEADER.unpack_from(data)
@@ -396,9 +468,8 @@ def decode_frame(data: bytes) -> tuple[int, Any]:
 
 
 def _read_request_head(data: bytes, offset: int) -> tuple[NodeID, str, int]:
-    sender_id, offset = _read_id(data, offset)
-    sender_address, offset = _read_string(data, offset)
-    return sender_id, sender_address, offset
+    sender, offset = _read_contact(data, offset)
+    return sender.node_id, sender.address, offset
 
 
 def _dec_ping_req(data: bytes, offset: int):

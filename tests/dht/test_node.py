@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.blocks import BlockType
 from repro.dht.likir import CertificationService, LikirAuthError, SignedValue
+from repro.dht.messages import FindNodeRequest, PingRequest, StoreRequest
 from repro.dht.node import (
     MAX_SUSPECTS,
     SUSPECT_BASE_MS,
@@ -176,6 +177,76 @@ class TestServerCounters:
         a, b, _c = trio
         with pytest.raises(TypeError):
             b._dispatch(a.address, object())
+
+
+class TestDispatchNowait:
+    """The entry a thread that must not block serves through (``udp-recv``):
+    ``_dispatch`` in everything but the evict-probe, which it declines."""
+
+    @staticmethod
+    def full_bucket(network):
+        """A k=1 server whose bucket 2 holds ``resident``; ``stranger`` falls
+        into the same bucket, ``elsewhere`` into another."""
+        config = NodeConfig(k=1, alpha=1, replicate=1, verify_credentials=False)
+        server, resident, stranger, elsewhere = (
+            KademliaNode(NodeID(value), network=network, config=config)
+            for value in (0, 0b100, 0b101, 0b1000000)
+        )
+        assert server._dispatch(resident.address, find_node_from(resident)) is not None
+        assert resident.node_id in server.routing_table
+        return server, resident, stranger, elsewhere
+
+    def test_serves_exactly_like_dispatch_when_no_probe_is_needed(self, network):
+        server, resident, _stranger, elsewhere = self.full_bucket(network)
+        for sender in (resident, elsewhere):  # known sender; bucket with room
+            before = server.rpcs_served["find_node"]
+            response = server.dispatch_nowait(sender.address, find_node_from(sender))
+            assert response == server._dispatch(sender.address, find_node_from(sender))
+            assert server.rpcs_served["find_node"] == before + 2
+            assert sender.node_id in server.routing_table
+
+    def test_declines_before_any_side_effect_when_the_probe_is_due(self, network):
+        server, resident, stranger, _elsewhere = self.full_bucket(network)
+        key = NodeID.hash_of("k")
+        store = StoreRequest(
+            sender_id=stranger.node_id, sender_address=stranger.address, key=key, value={"n": 1}
+        )
+        served, sent = dict(server.rpcs_served), network.stats.messages_sent
+        assert server.dispatch_nowait(stranger.address, store) is None
+        assert server.rpcs_served == served  # not counted ...
+        assert server.storage.get(key) is None  # ... not executed ...
+        assert network.stats.messages_sent == sent  # ... and nobody pinged
+        assert stranger.node_id not in server.routing_table
+        # The blocking entry then serves it: probes the live resident, keeps it.
+        assert server._dispatch(stranger.address, store).stored
+        assert server.rpcs_served["store"] == served["store"] + 1
+        assert resident.rpcs_served["ping"] == 1
+        assert resident.node_id in server.routing_table
+        assert stranger.node_id not in server.routing_table
+
+    def test_a_ping_is_never_declined(self, network):
+        server, _resident, stranger, _elsewhere = self.full_bucket(network)
+        ping = PingRequest(sender_id=stranger.node_id, sender_address=stranger.address)
+        assert server.dispatch_nowait(stranger.address, ping).alive
+        assert server.rpcs_served["ping"] == 1
+
+    def test_a_declined_suspect_is_still_cleared_once(self, network):
+        """Hearing from a suspect lifts the suspicion on the first look; the
+        second (blocking) pass finds nothing left to lift."""
+        server, _resident, stranger, _elsewhere = self.full_bucket(network)
+        server._strike(stranger.node_id)
+        assert server.dispatch_nowait(stranger.address, find_node_from(stranger)) is None
+        assert not server.is_suspect(stranger.node_id)
+        assert server._dispatch(stranger.address, find_node_from(stranger)) is not None
+
+
+def find_node_from(sender: KademliaNode) -> FindNodeRequest:
+    return FindNodeRequest(
+        sender_id=sender.node_id,
+        sender_address=sender.address,
+        target=NodeID.hash_of("target"),
+        count=8,
+    )
 
 
 class TestLookups:

@@ -13,14 +13,24 @@ Three layers of protection:
   decode to a well-formed message; no other exception may escape, because
   ``UdpTransport`` counts a ``CodecError`` as one malformed frame and drops
   it, while an uncaught exception would kill the receive loop.
+
+The decoder resolves contact records and ids through two intern tables
+(``wire._CONTACTS`` / ``wire._IDS``).  The round-trip and hostile-input
+classes therefore run twice, the second time with the tables warmed by the
+golden frames, and ``TestInternTables`` holds the fast path to the parser:
+same answer, same refusals, bounded memory.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.net.wire as wire
 from repro.core.codec import CodecError, decode_value, encode_value
 from repro.dht.likir import Identity, LikirAuthError, SignedValue
 from repro.dht.messages import (
@@ -452,6 +462,228 @@ class TestHostileInput:
                 decode_frame(noise)
             except CodecError:
                 pass
+
+
+def clear_tables() -> None:
+    wire._CONTACTS.clear()
+    wire._IDS.clear()
+
+
+@pytest.fixture
+def warm_tables():
+    """Exactly the records of the golden frames, as a long-running node that
+    has heard these peers would hold them."""
+    clear_tables()
+    for _, _, expected in GOLDEN:
+        decode_frame(bytes.fromhex(expected))
+    assert wire._CONTACTS and wire._IDS
+
+
+@pytest.mark.usefixtures("warm_tables")
+class TestRoundTripPropertyWarmTables(TestRoundTripProperty):
+    pass
+
+
+@pytest.mark.usefixtures("warm_tables")
+class TestHostileInputWarmTables(TestHostileInput):
+    pass
+
+
+def outcome(frame: bytes):
+    try:
+        return decode_frame(frame)
+    except CodecError as exc:
+        return ("CodecError", str(exc))
+
+
+def cold_outcome(frame: bytes):
+    """What the field-by-field parser alone makes of *frame*; the tables are
+    put back as they were."""
+    saved = dict(wire._CONTACTS), dict(wire._IDS)
+    clear_tables()
+    try:
+        return outcome(frame)
+    finally:
+        clear_tables()
+        wire._CONTACTS.update(saved[0])
+        wire._IDS.update(saved[1])
+
+
+def contact_record(node_id: NodeID, address: bytes) -> bytes:
+    assert len(address) < 0x80
+    return node_id.to_bytes() + bytes([len(address)]) + address
+
+
+def find_node_response(*records: bytes) -> bytes:
+    return bytes.fromhex("da012701") + B.to_bytes() + bytes([len(records)]) + b"".join(records)
+
+
+class TestInternTables:
+    """The tables are a cache of the parser, never a second opinion."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        clear_tables()
+        yield
+        clear_tables()
+
+    def test_equal_bytes_decode_to_the_same_frozen_record(self):
+        frame = encode_frame(1, FindNodeResponse(responder_id=B, contacts=_contacts(3)))
+        (_, first), (_, second) = decode_frame(frame), decode_frame(frame)
+        assert first == second
+        assert all(a is b for a, b in zip(first.contacts, second.contacts))
+        assert first.responder_id is second.responder_id
+        with pytest.raises(AttributeError):  # frozen: sharing is unobservable
+            first.contacts[0].address = "elsewhere"
+
+    def test_any_bytes_like_datagram_decodes_like_bytes(self):
+        """Table keys are slices of the datagram, so it is made hashable first."""
+        frame = encode_frame(1, FindNodeResponse(responder_id=B, contacts=_contacts(2)))
+        for _ in range(2):  # cold, then warm
+            assert decode_frame(bytearray(frame)) == decode_frame(frame)
+            assert decode_frame(memoryview(frame)) == decode_frame(frame)
+
+    def test_request_head_and_reply_contact_share_one_table(self):
+        decode_frame(encode_frame(1, PingRequest(sender_id=C, sender_address="h:2")))
+        assert list(wire._CONTACTS.values()) == [ContactInfo(C, "h:2")]
+        _, reply = decode_frame(
+            encode_frame(2, FindNodeResponse(responder_id=B, contacts=(ContactInfo(C, "h:2"),)))
+        )
+        assert reply.contacts[0] is wire._CONTACTS[contact_record(C, b"h:2")]
+        assert len(wire._CONTACTS) == 1
+
+    def test_one_id_bit_or_one_address_byte_apart_never_alias(self):
+        base = ContactInfo(C, "10.0.0.1:9000")
+        near_id = ContactInfo(NodeID(C.value ^ 1), "10.0.0.1:9000")
+        near_address = ContactInfo(C, "10.0.0.1:9001")
+        for _ in range(2):  # cold, then every record warm
+            for contact in (base, near_id, near_address, base):
+                frame = encode_frame(1, FindNodeResponse(responder_id=B, contacts=(contact,)))
+                assert decode_frame(frame)[1].contacts == (contact,)
+        assert len(wire._CONTACTS) == 3
+
+    def test_tables_stay_bounded_under_a_flood_of_distinct_contacts(self):
+        bound = wire._INTERN_MAX
+        per_frame = 16
+        for start in range(0, 3 * bound, per_frame):
+            contacts = tuple(
+                ContactInfo(NodeID(i + 1), f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}:{i % 60_000}")
+                for i in range(start, start + per_frame)
+            )
+            frame = encode_frame(start, FindNodeResponse(responder_id=B, contacts=contacts))
+            assert decode_frame(frame) == (start, FindNodeResponse(B, contacts))
+            assert len(wire._CONTACTS) <= bound and len(wire._IDS) <= bound
+        assert wire._CONTACTS  # emptied when full, then filled again
+
+    def test_threads_racing_on_small_tables_all_decode_right(self, monkeypatch):
+        """Every transport of a process shares the tables without a lock: a
+        racing clear may lose a record (re-parsed next time), never corrupt
+        a decode or let the tables grow."""
+        import sys
+        import threading
+
+        workers, bound = 8, 8
+        monkeypatch.setattr(wire, "_INTERN_MAX", bound)
+        frames = []
+        for i in range(40):
+            contacts = tuple(ContactInfo(NodeID(100 + (i + j) % 24), f"h:{j}") for j in range(5))
+            message = FindNodeResponse(responder_id=NodeID(i + 1), contacts=contacts)
+            frames.append((encode_frame(i, message), (i, message)))
+        wrong, oversize = [], []
+
+        def hammer(offset: int) -> None:
+            for turn in range(400):
+                frame, expected = frames[(offset * 7 + turn) % len(frames)]
+                if decode_frame(frame) != expected:
+                    wrong.append(frame)
+                if max(len(wire._CONTACTS), len(wire._IDS)) >= bound + workers:
+                    oversize.append(turn)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong and not oversize
+
+    def test_a_record_running_past_the_datagram_is_the_parsers_to_refuse(self):
+        record = contact_record(C, b"10.0.0.1:9000")
+        whole = find_node_response(record)
+        assert decode_frame(whole)[1].contacts == (ContactInfo(C, "10.0.0.1:9000"),)
+        assert record in wire._CONTACTS
+        for cut in range(len(whole) - len(record), len(whole)):
+            with pytest.raises(CodecError, match="truncated"):
+                decode_frame(whole[:cut])
+        # A warm record followed by a byte of the next datagram's worth of junk.
+        with pytest.raises(CodecError, match="trailing"):
+            decode_frame(whole + b"\x00")
+
+    def test_invalid_utf8_address_is_refused_every_time_and_never_interned(self):
+        frame = find_node_response(contact_record(C, b"h:\xff"))
+        for _ in range(2):
+            with pytest.raises(CodecError, match="UTF-8"):
+                decode_frame(frame)
+        assert not wire._CONTACTS
+
+    def test_a_length_spelled_in_two_bytes_goes_to_the_parser(self):
+        """Not canonical, but the parser has always read it."""
+        record = C.to_bytes() + b"\x83\x00" + b"h:2"
+        for _ in range(2):
+            assert decode_frame(find_node_response(record))[1].contacts == (ContactInfo(C, "h:2"),)
+        assert not wire._CONTACTS
+        with pytest.raises(CodecError, match="uvarint too long"):
+            decode_frame(find_node_response(C.to_bytes() + b"\x80" * 10 + b"\x00"))
+
+    def test_long_addresses_round_trip_outside_the_table(self):
+        contact = ContactInfo(C, "h" * 200 + ":1")
+        frame = encode_frame(1, FindNodeResponse(responder_id=B, contacts=(contact,)))
+        for _ in range(2):
+            assert decode_frame(frame)[1].contacts == (contact,)
+        assert not wire._CONTACTS
+
+    def test_warm_tables_decide_every_hostile_frame_like_the_parser(self, warm_tables):
+        rng = random.Random(0xFA57)
+        golden = [bytes.fromhex(expected) for _, _, expected in GOLDEN]
+        hostile = [frame[:cut] for frame in golden for cut in range(len(frame))]
+        hostile += [frame + b"\x00" for frame in golden]
+        for _ in range(2_000):
+            frame = bytearray(rng.choice(golden))
+            for _ in range(rng.randint(1, 4)):
+                frame[rng.randrange(len(frame))] = rng.randrange(256)
+            hostile.append(bytes(frame))
+        for frame in hostile:
+            assert outcome(frame) == cold_outcome(frame), frame.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), shared=st.integers(1, 4))
+    def test_a_warm_decode_equals_the_cold_decode(self, seed, shared):
+        """Generated conversations among a few peers, so that later frames
+        hit records earlier ones interned."""
+        rng = random.Random(seed)
+        peers = [
+            ContactInfo(NodeID.random(rng), f"10.0.0.{i}:{rng.randint(1024, 65535)}")
+            for i in range(shared)
+        ]
+        clear_tables()
+        for _ in range(12):
+            message = random_message(rng)
+            if isinstance(message, (FindNodeResponse, FindValueResponse)):
+                message = dataclasses.replace(
+                    message,
+                    responder_id=rng.choice(peers).node_id,
+                    contacts=tuple(rng.choices(peers, k=rng.randint(0, 5))),
+                )
+            frame = encode_frame(rng.randint(0, 2**53), message)
+            warm = decode_frame(frame)
+            assert warm == cold_outcome(frame)
+            assert warm[1] == message and type(warm[1]) is type(message)
+            assert encode_frame(warm[0], warm[1]) == frame
 
 
 class TestFaults:

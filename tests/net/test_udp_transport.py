@@ -12,6 +12,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -631,6 +632,226 @@ class TestThreadingModel:
             run_threads(caller, count)
         assert len(results) == count and all(results.values())
         assert 1 < max(peak) <= udp_module._WORKERS  # in parallel, within the pool
+
+
+def served_on(node) -> list:
+    """Start listing ``(request type, thread name)`` of every RPC *node* serves."""
+    served = []
+
+    def hook(request, response):
+        served.append((type(request).__name__, threading.current_thread().name))
+        return response
+
+    node.node.rpc_hook = hook
+    return served
+
+
+class TestInlineService:
+    """A dispatcher installed with ``serve_inline`` answers on ``udp-recv``
+    through the same ``_answer`` the workers use, and hands what it declines
+    to them; plain ``register`` keeps every handler off the receiver."""
+
+    def test_a_registered_handler_alone_never_runs_on_the_receiver(self, client, server):
+        threads = []
+
+        def handler(sender_address, request):
+            threads.append(threading.current_thread().name)
+            return PingResponse(responder_id=B)
+
+        server.register(server.local_address(), handler)
+        for _ in range(3):
+            assert ping(client, server.local_address()).alive
+        assert len(threads) == 3 and all(name.startswith("udp-work-") for name in threads)
+
+    def test_needs_a_handler_and_goes_with_it(self, client, server):
+        with pytest.raises(ValueError, match="registered handler"):
+            server.serve_inline(lambda s, r: None)
+        server.register(server.local_address(), lambda s, r: PingResponse(responder_id=B))
+        server.serve_inline(lambda s, r: PingResponse(responder_id=A))
+        assert ping(client, server.local_address()).responder_id == A
+        server.unregister(server.local_address())
+        with pytest.raises(RuntimeError, match="no node"):
+            ping(client, server.local_address())
+        server.register(server.local_address(), lambda s, r: PingResponse(responder_id=B))
+        assert ping(client, server.local_address()).responder_id == B  # no stale dispatcher
+
+    def test_answers_on_the_receiver_and_hands_what_it_declines_to_a_worker(
+        self, client, server
+    ):
+        served = []
+
+        def handler(sender_address, request):
+            served.append(("handler", threading.current_thread().name))
+            return FindValueResponse(responder_id=B, found=True, value="worker", contacts=())
+
+        def inline(sender_address, request):
+            served.append(("inline", threading.current_thread().name))
+            if isinstance(request, PingRequest):
+                return PingResponse(responder_id=B)
+            return None
+
+        server.register(server.local_address(), handler)
+        server.serve_inline(inline)
+        assert ping(client, server.local_address()).alive
+        assert served == [("inline", "udp-recv")]
+        assert find_value(client, server.local_address(), NodeID.hash_of("k")).value == "worker"
+        assert [who for who, _ in served] == ["inline", "inline", "handler"]
+        assert served[2][1].startswith("udp-work-")
+
+    def test_faults_and_the_datagram_bound_hold_on_the_receiver(self, client, server):
+        def inline(sender_address, request):
+            if isinstance(request, PingRequest):
+                raise LikirAuthError("invalid credential from 'mallory'")
+            return FindValueResponse(
+                responder_id=B, found=True, value={f"t-{i}": 1 for i in range(5_000)}, contacts=()
+            )
+
+        server.register(server.local_address(), lambda s, r: None)
+        server.serve_inline(inline)
+        with pytest.raises(LikirAuthError, match="mallory"):
+            ping(client, server.local_address())
+        with pytest.raises(DatagramTooLarge):
+            find_value(client, server.local_address(), NodeID.hash_of("k"))
+        assert server.stats.oversize_dropped == 1
+
+    def test_a_blocking_send_from_the_receiver_fails_at_once(self, server):
+        """A programming error, not a dead peer: no ``TransportError``, no
+        wait, and the endpoint lives to answer the next request."""
+        raised = []
+
+        def inline(sender_address, request):
+            if isinstance(request, PingRequest):
+                return PingResponse(responder_id=B)
+            try:
+                return ping(server, "127.0.0.1:1")  # nobody there: 5 s if it waited
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        server.register(server.local_address(), lambda s, r: None)
+        server.serve_inline(inline)
+        with TestThreadingModel.patient() as caller:
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="udp-recv"):
+                find_value(caller, server.local_address(), NodeID.hash_of("k"))
+            assert time.monotonic() - started < 0.2
+            assert ping(caller, server.local_address()).alive
+        (exc,) = raised
+        assert not isinstance(exc, TransportError)
+        assert server.stats.rpcs_sent == 0  # refused before any bookkeeping
+
+    def test_duplicate_of_an_inline_served_append_is_answered_from_the_cache(self):
+        from repro.net.server import ServeNode
+
+        with ServeNode(transport_config=fast_config()) as node, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            node.bootstrap(None)
+            served = served_on(node)
+            request = append_request("k")
+            frame = encode_frame(9, request)
+            sock.settimeout(2)
+            sock.sendto(frame, sockaddr(node.transport))
+            first, _ = sock.recvfrom(65536)
+            sock.sendto(frame, sockaddr(node.transport))
+            second, _ = sock.recvfrom(65536)
+            assert served == [("AppendRequest", "udp-recv")]  # ran once, on the receiver
+            assert node.transport.stats.replays_served == 1
+            assert first == second
+            assert decode_frame(first)[1] == AppendResponse(responder_id=node.node_id, block_size=1)
+            assert node.node.storage.get(request.key)["entries"] == {"tag": 1}
+            assert node.node.rpcs_served["append"] == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 6))
+    def test_any_schedule_of_copies_executes_once_with_a_dispatcher_installed(self, data, count):
+        """PR 17's property, body unchanged, against a transport whose every
+        third request is declined to the workers and the rest served inline."""
+        plain_register = UdpTransport.register
+
+        def register_with_dispatcher(transport, address, handler):
+            plain_register(transport, address, handler)
+            turn = iter(range(10**9))
+            transport.serve_inline(
+                lambda sender, request: None if next(turn) % 3 == 0 else handler(sender, request)
+            )
+
+        the_property = TestReplayCache.test_any_schedule_of_copies_executes_each_append_once
+        with mock.patch.object(UdpTransport, "register", register_with_dispatcher):
+            the_property.hypothesis.inner_test(self, data, count)
+
+
+class TestEvictProbeOverUdp:
+    """The one request a served node cannot answer without blocking: an
+    unknown sender meeting a full bucket (``k=1``: one resident per bucket)."""
+
+    @staticmethod
+    def nodes(*values: int, **transport):
+        from repro.dht.node import NodeConfig
+        from repro.net.server import ServeNode
+
+        config = NodeConfig(k=1, alpha=1, replicate=1, verify_credentials=False)
+        return [
+            ServeNode(
+                node_id=NodeID(value),
+                node_config=config,
+                transport_config=UdpTransportConfig(**transport),
+            )
+            for value in values
+        ]
+
+    @staticmethod
+    def find_node(asker, server):
+        from repro.dht.routing_table import Contact
+
+        contact = Contact(server.node_id, server.address)
+        return asker.node.query(contact, NodeID.hash_of("target"), False, None)
+
+    def test_declined_inline_served_by_a_worker_that_pings_the_resident(self):
+        # resident 0b100 and stranger 0b101 share bucket 2 of server 0.
+        server, resident, stranger = nodes = self.nodes(0, 0b100, 0b101, timeout_ms=2_000.0)
+        try:
+            served = served_on(server)
+            assert self.find_node(resident, server) is not None
+            assert served == [("FindNodeRequest", "udp-recv")]
+            assert self.find_node(stranger, server) is not None
+            (_, (name, thread)) = served
+            assert name == "FindNodeRequest" and thread.startswith("udp-work-")
+            assert resident.node.rpcs_served["ping"] == 1  # probed, alive: it stays
+            assert resident.node_id in server.node.routing_table
+            assert stranger.node_id not in server.node.routing_table
+            assert server.node.rpcs_served["find_node"] == 2
+        finally:
+            for node in nodes:
+                node.close()
+
+    def test_dead_resident_is_replaced_while_the_receiver_keeps_pumping(self):
+        (server,) = self.nodes(0, timeout_ms=400.0, retries=0)  # the probe's budget
+        resident, stranger, bystander = self.nodes(0b100, 0b101, 0b1000000, timeout_ms=5_000.0)
+        try:
+            assert self.find_node(resident, server) is not None
+            resident.close()
+            outcome = []
+            asker = threading.Thread(
+                target=lambda: outcome.append(self.find_node(stranger, server))
+            )
+            asker.start()
+            deadline = time.monotonic() + 2
+            while not server.transport.stats.of("ping").sent and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert server.transport.stats.of("ping").sent == 1  # a worker is in the probe
+            # Declined, not yet served: counted only when the worker gets there.
+            assert server.node.rpcs_served["find_node"] == 1
+            assert bystander.probe(server.address).node_id == server.node_id
+            assert asker.is_alive() and not outcome  # answered inside the probe's timeout
+            asker.join(5)
+            assert outcome and outcome[0] is not None
+            assert server.node.rpcs_served["find_node"] == 2
+            assert stranger.node_id in server.node.routing_table
+            assert resident.node_id not in server.node.routing_table
+            assert server.node.is_suspect(resident.node_id)
+        finally:
+            for node in (server, stranger, bystander):
+                node.close()
 
 
 class TestRegistration:

@@ -82,6 +82,30 @@ class TestParser:
         probe = "import sys, repro.cli; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
 
+    def test_a_serve_child_imports_neither_numpy_nor_the_cluster_harness(self):
+        """What ``python -m repro.cli serve`` loads before it answers its
+        first RPC: the parser and the served node, nothing of the evaluation
+        or simulation stack."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli; repro.cli.build_parser(); import repro.net.server; "
+            "heavy = ('numpy', 'scipy', 'repro.datasets.lastfm_synthetic', "
+            "'repro.simulation.cluster'); "
+            "sys.exit(', '.join(m for m in heavy if m in sys.modules) or 0)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], timeout=60, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_preset_choices_are_the_generator_presets(self):
+        from repro.cli import _PRESET_NAMES
+        from repro.datasets.lastfm_synthetic import PRESETS
+
+        assert list(_PRESET_NAMES) == sorted(PRESETS)
+
     @pytest.mark.parametrize("flags", [
         ["--checkpoint-at", "5"],
         ["--checkpoint-out", "ck.json"],
@@ -819,6 +843,33 @@ class TestObservabilityCommands:
         assert stats["joined"] is True
         assert stats["address"].startswith("127.0.0.1:")
         assert stats["suspects"] == 0
+
+    def test_serve_leaves_the_overlay_on_sigterm(self, tmp_path):
+        """``docker stop`` / systemd send SIGTERM, not SIGINT: the node must
+        still leave, print its summary and write ``--stats-out``."""
+        import json as json_module
+        import signal
+        import subprocess
+        import sys
+
+        stats_out = tmp_path / "serve_stats.json"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--refresh-seconds", "0", "--stats-out", str(stats_out)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert "listening on udp://127.0.0.1:" in child.stdout.readline()
+            assert "founded a new overlay" in child.stdout.readline()
+            child.send_signal(signal.SIGTERM)
+            out, _ = child.communicate(timeout=10)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 0
+        assert "interrupted, leaving the overlay" in out
+        assert "served 0 RPCs" in out
+        assert json_module.loads(stats_out.read_text())["joined"] is True
 
     def test_serve_on_a_taken_port_reports_the_bind_error(self, capsys):
         import socket

@@ -8,9 +8,11 @@ update) and the underlying iterative lookups.
 A node talks to its peers exclusively through a
 :class:`~repro.net.base.Transport` -- the in-process simulator or a real UDP
 socket, the node code is the same -- and is otherwise a faithful Kademlia
-participant (k-buckets refreshed by every message, ping-before-evict policy,
-lookup with ``alpha`` concurrency, replication of stored values on the
-``replicate`` closest nodes).
+participant (k-buckets refreshed by every message, lookup with ``alpha``
+concurrency, replication of stored values on the ``replicate`` closest
+nodes).  Ping-before-evict applies to requests only: a contact that answers
+an RPC into a full bucket is parked in its replacement cache, and a stale
+resident leaves on its first failed RPC.
 
 Failure handling
 ----------------
@@ -21,14 +23,13 @@ whose address is gone (:class:`~repro.simulation.network.NodeUnreachable`) is
 **struck**: evicted from the routing table and remembered as a suspect for
 :data:`SUSPECT_BASE_MS`, doubling per consecutive strike up to
 :data:`SUSPECT_CAP_MS`.  While the window runs, other peers mentioning it is
-hearsay and changes nothing: lookups do not query it, the routing table does
-not re-admit it, cached routes and replica walks step over it -- so a dead
-peer costs one timeout, not one per lookup.  First-hand contact lifts the
-suspicion at once (a request *from* that id, or an RPC it answers); after the
-window one mention buys it one more try.  A single lost datagram on the
-simulator (``MessageDropped``: no retry layer underneath) and an oversize
-frame (``DatagramTooLarge``: nothing was sent, or the peer answered) are not
-evidence of death and strike nobody.
+hearsay and changes nothing: lookups do not query it, cached routes and
+replica walks step over it -- so a dead peer costs one timeout, not one per
+lookup.  First-hand contact lifts the suspicion at once (a request *from*
+that id, or an RPC it answers); after the window one mention buys it one
+more try.  A single lost datagram on the simulator (``MessageDropped``: no
+retry layer underneath) and an oversize frame (``DatagramTooLarge``: nothing
+was sent, or the peer answered) are not evidence of death and strike nobody.
 """
 
 from __future__ import annotations
@@ -359,13 +360,9 @@ class KademliaNode:
         return False
 
     def _note_contact(self, contact: Contact, may_probe: bool = True) -> bool:
-        """Insert *contact*, applying the ping-before-evict policy when the
-        target bucket is full.
-
-        For contacts heard from directly; hearsay goes through
-        :meth:`unsuspected` first (see :meth:`lookup_node`).  False, with
-        nobody pinged, when the policy applies and *may_probe* is off.
-        """
+        """Insert the sender of a request, applying the ping-before-evict
+        policy when the target bucket is full.  False, with nobody pinged,
+        when the policy applies and *may_probe* is off."""
         if contact.node_id == self.node_id:
             return True
         if not self._admit_contact(contact.node_id):
@@ -524,7 +521,7 @@ class KademliaNode:
     def lookup_node(self, target: NodeID) -> LookupOutcome:
         """Iterative FIND_NODE for *target*."""
         seeds = self.routing_table.closest_contacts(target, self.config.alpha)
-        outcome = iterative_lookup(
+        return iterative_lookup(
             transport=self,
             target=target,
             seeds=seeds,
@@ -532,10 +529,6 @@ class KademliaNode:
             alpha=self.config.alpha,
             find_value=False,
         )
-        # Hearsay: the closest list also names contacts that never answered.
-        for contact in self.unsuspected(outcome.closest):
-            self._note_contact(contact)
-        return outcome
 
     def lookup_value(self, key: NodeID, top_n: int | None = None) -> LookupOutcome:
         """Iterative FIND_VALUE for *key*.

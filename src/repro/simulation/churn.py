@@ -130,10 +130,16 @@ class ChurnProcess:
         node = self.overlay.add_node()
         self.joins += 1
         at = join_time + session_ms
-        if at <= horizon:
-            address = node.address
+        if at > horizon:
+            return
+        address = node.address
+        if at <= self.queue.clock.now:
+            # The join outlasted its session (timeouts on dead contacts): leave
+            # now, not at a clock time that other events' work decided.
+            self._do_departure(address, reschedule=False)
+        else:
             self.queue.schedule_at(
-                max(at, self.queue.clock.now),
+                at,
                 lambda: self._do_departure(address, reschedule=False),
                 label=f"churn-leave:{address}",
             )

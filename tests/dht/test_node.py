@@ -240,6 +240,32 @@ class TestDispatchNowait:
         assert server._dispatch(stranger.address, find_node_from(stranger)) is not None
 
 
+class TestRepliesAreNeverProbedFor:
+    """A contact that answers an RPC is recorded, or parked in the replacement
+    cache of its full bucket, and nobody is pinged on its behalf: a stale
+    resident leaves on the first real RPC to it that fails."""
+
+    def test_lookup_store_and_append_send_no_ping(self, network):
+        server, resident, stranger, elsewhere = TestDispatchNowait.full_bucket(network)
+        resident.routing_table.record_contact(stranger.contact)
+        # Both keys are closer to stranger than to resident: every lookup asks
+        # resident, hears of stranger, and stranger answers.
+        key, counter_key = stranger.node_id, NodeID(0b111)
+        server.lookup_node(key)
+        server.store(key, {"n": 1})
+        server.append(counter_key, "rock", BlockType.TAG_NEIGHBOURS, {"pop": 1})
+        nodes = (server, resident, stranger, elsewhere)
+        assert [node.rpcs_served["ping"] for node in nodes] == [0, 0, 0, 0]
+        assert stranger.rpcs_served["find_node"] == 3
+        assert stranger.rpcs_served["store"] == stranger.rpcs_served["append"] == 1
+        assert server.routing_table.export_buckets() == [
+            (2, [resident.contact], [stranger.contact])
+        ]
+        resident.leave()
+        assert server.lookup_node(key).failures == 1
+        assert server.routing_table.export_buckets() == [(2, [stranger.contact], [])]
+
+
 def find_node_from(sender: KademliaNode) -> FindNodeRequest:
     return FindNodeRequest(
         sender_id=sender.node_id,

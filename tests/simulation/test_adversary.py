@@ -149,12 +149,18 @@ def assert_summary(report, expected: dict):
 class TestAttackPins:
     """Literal pins of the seeded arms, recorded before the survival and
     attack runners were merged: a rerun agreeing with itself (above) cannot
-    tell whether a refactor changed what the experiment does."""
+    tell whether a refactor changed what the experiment does.
+
+    Re-based once, on purpose, when ``lookup_node`` stopped pinging on
+    behalf of contacts that had just answered it: only the message totals
+    (on 3,960 -> 3,730, off 4,135 -> 3,881, forged read 17,230 -> 15,466) and
+    the virtual clock moved; every attack, Likir and audit counter and every
+    availability sample's value is the same."""
 
     def test_verification_on_arm(self, arms):
         assert_summary(arms["on"], {
-            "messages_total": 3960,
-            "virtual_time_s": 30.404572203076828,
+            "messages_total": 3730,
+            "virtual_time_s": 30.403934187496787,
             "likir_verified": 74,
             "likir_rejected": 120,
             "sybil_contacts_rejected": 248,
@@ -166,12 +172,12 @@ class TestAttackPins:
             "honest_append_failures": 0,
             "final_availability": 1.0,
         })
-        assert arms["on"].samples[-1] == (30.006515998482634, 1.0)
+        assert arms["on"].samples[-1] == (30.006341741390102, 1.0)
 
     def test_verification_off_arm(self, arms):
         assert_summary(arms["off"], {
-            "messages_total": 4135,
-            "virtual_time_s": 30.40417903860203,
+            "messages_total": 3881,
+            "virtual_time_s": 30.403453353801595,
             "integrity_violations": 2,
             "foreign_entries": 1,
             "entries_checked": 80,
@@ -181,7 +187,7 @@ class TestAttackPins:
             "attack_blackholed_appends": 9,
             "eclipse_progress": 0.125,
         })
-        assert arms["off"].samples[-1] == (30.006631706854396, 1.0)
+        assert arms["off"].samples[-1] == (30.00601363252468, 1.0)
 
     def test_a_forged_read_is_rejected_and_retried(self):
         """64 nodes, seed 5: one probe read raises ``LikirAuthError`` on a
@@ -196,8 +202,8 @@ class TestAttackPins:
             duration_s=40.0,
         )
         assert_summary(report, {
-            "messages_total": 17230,
-            "virtual_time_s": 41.57593690191032,
+            "messages_total": 15466,
+            "virtual_time_s": 41.57419156293462,
             "forged_reads_rejected": 1,
             "attack_lies_served": 37,
             "likir_verified": 346,
@@ -207,4 +213,4 @@ class TestAttackPins:
             "integrity_violations": 0,
             "lost_blocks": 0,
         })
-        assert report.samples[-1] == (40.02172508174441, 1.0)
+        assert report.samples[-1] == (40.020943599185166, 1.0)

@@ -101,6 +101,28 @@ class TestChurnProcess:
 
         assert run(busy_work=False) == run(busy_work=True)
 
+    def test_a_joiner_outlived_by_its_join_leaves_at_once(self):
+        """A traced joiner whose session ends before its join returns departs
+        inside the join event, not at whatever time the queue reaches next --
+        otherwise its departure can slip past the run's deadline."""
+        overlay = small_overlay(8)
+        queue = EventQueue(overlay.clock)
+        # Sessions of ~1 us against joins of at least one 2 ms round trip.
+        config = ChurnConfig(
+            join_rate=0.5, mean_session_s=1e-6, crash_probability=0.5, min_nodes=2, seed=7
+        )
+        process = ChurnProcess(overlay, queue, config)
+        horizon = overlay.clock.now + 60_000.0
+        process.schedule_trace(60_000.0)
+        joined = []
+        overlay.subscribe(on_join=joined.append)
+        while (due := queue.peek_time()) is not None and due <= horizon:
+            event = queue.step()
+            if event.label.startswith("churn-join:"):
+                assert not overlay.network.is_registered(joined[-1].address)
+        assert process.joins == len(joined) > 0
+        assert not [e for e in queue.pending_events() if e.label.startswith("churn-leave:")]
+
     def test_overlay_survives_churn_for_lookups(self):
         """Data stored before churn is still retrievable afterwards as long as
         departures are graceful."""

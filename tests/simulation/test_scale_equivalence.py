@@ -18,6 +18,16 @@ watched fail (ISSUE 14): 89 nodes crash in this run, and a node no longer
 re-queries a corpse because a third peer still lists it.  Before that change
 the clock read 20.476519514452132 with 31,275 messages; the first two probes
 still read exactly as they did then.
+
+Re-baselined a second time, on purpose, when ``lookup_node`` stopped pinging
+a full bucket's least-recently-seen contact on behalf of each contact that
+had just answered the lookup.  Before that change the clock read
+20.47050986234953 with 31,210 messages, the floor held 40 entries and every
+probe read 1.0 but the 10 s one (0.975).  Now the floor (entries every live
+replica agreed on before the churn) holds 37, the 10 s probe reads 1.0 and
+the 20 s one 0.95: two of its 40 keys answer neither of the probe's two
+reads.  The audit is unchanged: availability 1.0, no block lost, no
+violation.
 """
 
 from __future__ import annotations
@@ -33,26 +43,26 @@ from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.workload import TaggingWorkload
 
 # Baseline captured from the legacy RoutingTable implementation.
-EXPECTED_CLOCK = 20.47050986234953
-EXPECTED_MESSAGES = 31_210
+EXPECTED_CLOCK = 20.496460802996506
+EXPECTED_MESSAGES = 31_081
 EXPECTED_SUMMARY = {
     "blocks_written": 51,
     "churn_appends": 5,
     "counter_blocks": 34,
     "crashes": 89,
     "duration_s": 20.0,
-    "entries_checked": 40,
+    "entries_checked": 37,
     "final_availability": 1.0,
     "graceful_leaves": 74,
     "integrity_violations": 0,
     "joins": 174,
     "live_nodes_end": 1011,
     "lost_blocks": 0,
-    "maint_blocks_handed_off": 82,
-    "maint_blocks_republished": 704,
+    "maint_blocks_handed_off": 80,
+    "maint_blocks_republished": 727,
     "maint_buckets_refreshed": 0,
     "maint_refresh_runs": 0,
-    "maint_replicas_written": 2103,
+    "maint_replicas_written": 2175,
     "maint_republish_runs": 2884,
     "maint_timers_cancelled": 326,
     "maintenance": 1,
@@ -60,12 +70,12 @@ EXPECTED_SUMMARY = {
     "nodes": 1000,
     "virtual_time_s": EXPECTED_CLOCK,
 }
-# The 10s probe lands while a crashed replica holder is still being repaired.
+# Two of the 40 probe keys go unanswered at 20s; the merged audit finds them.
 EXPECTED_SAMPLES = [
-    (5.045291884069152, 1.0),
-    (10.043481330677732, 0.975),
-    (15.041609839480238, 1.0),
-    (20.0383581712708, 1.0),
+    (5.040835105166061, 1.0),
+    (10.039415884384121, 1.0),
+    (15.03971039992406, 1.0),
+    (20.05051748096467, 0.95),
 ]
 
 

@@ -75,7 +75,8 @@ CRASH_PROBABILITY = 0.5
 #:
 #:   seed                                         1   2   3   4   5   6   7   8
 #:   lookups pinged for contacts that answered   0/0 0/2 1/2 3/0 0/1 1/0 1/1 0/1
-#:   answering contacts only parked (current)    1/0 0/0 1/2 2/0 0/2 0/0 1/1 0/1
+#:   answering contacts only parked              1/0 0/0 1/2 2/0 0/2 0/0 1/1 0/1
+#:   maintenance skip rules (current)            0/1 0/0 1/0 2/0 0/1 2/1 1/1 0/1
 #:
 #: Seed 1 was picked under the first row; 2 is the lowest clean seed today.
 SEED = 2

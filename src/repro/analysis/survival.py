@@ -49,7 +49,8 @@ SURVIVAL_METRICS = [
     "blocks_written", "counter_blocks", "final_availability", "lost_blocks",
     "integrity_violations", "entries_checked", "churn_appends",
     "joins", "graceful_leaves", "crashes", "live_nodes_end",
-    "messages_total", "wall_time_s",
+    "messages_total", "maint_blocks_republished", "maint_blocks_skipped",
+    "maint_buckets_refreshed", "maint_buckets_skipped", "wall_time_s",
 ]
 
 
@@ -118,7 +119,7 @@ def render_survival_comparison(
     parts = []
     headers = ["metric", *labels]
     rows = [
-        [metric, *[report.summary().get(metric, 0.0) for report in reports]]
+        [metric, *[report.summary().get(metric, 0) for report in reports]]
         for metric in SURVIVAL_METRICS
     ]
     parts.append(format_table(headers, rows, title=title, precision=4))

@@ -17,6 +17,25 @@ classic Kademlia maintenance loops make block data survive that churn:
   crashed and discovering joiners, which keeps republish lookups converging
   on the true closest nodes.
 
+Both loops follow Kademlia's two rules for not doing work a peer just did
+(Maymounkov & Mazières 2002, §2.3 and §2.5).  Their windows are the loops'
+own intervals -- "since this loop's previous pass" -- so they add no knob:
+
+* **republish skip** -- a pass skips (no STORE, no hand-off check) every key
+  that a STORE from another node *dominated* since the previous pass: the
+  incoming payload was an opaque value, or a counter block none of whose
+  resident entries exceeded it
+  (:attr:`~repro.dht.storage.StoredValue.dominated_at`).  The sender's
+  republish already put exactly this copy on the replica set.  A replica
+  holding entries the sender lacked is not dominated and still republishes
+  them, and a stale snapshot -- such as an adversary's stale-republish
+  storm -- never dominates, so it can never suppress a republish;
+* **refresh skip** -- a pass skips every non-empty bucket that one of the
+  node's own lookups walked since the previous pass
+  (:attr:`~repro.dht.node.KademliaNode.bucket_lookup_at`): that lookup
+  refreshed it.  A pass's window opens when the previous pass *finished*, so
+  the refresh lookups themselves never make the next pass skip a bucket.
+
 A holder that republishes a block onto a full replica set it is no longer
 part of *hands the block off* (drops its copy), so the per-key holder set --
 and with it the republish cost -- stays bounded as responsibility shifts.
@@ -59,8 +78,9 @@ Invariants
   pending timer is cancelled when the overlay reports the node gone.
 
 Ticks also feed the process-wide :data:`repro.perf.PERF` registry
-(``maint.republish_ticks`` / ``maint.refresh_ticks`` / ``maint.handoffs``)
-so live metrics streams can export maintenance progress per interval.
+(``maint.republish_ticks`` / ``maint.refresh_ticks`` / ``maint.handoffs`` /
+``maint.republish_skips`` / ``maint.refresh_skips``) so live metrics streams
+can export maintenance progress per interval.
 """
 
 from __future__ import annotations
@@ -102,20 +122,26 @@ class MaintenanceStats:
 
     republish_runs: int = 0
     blocks_republished: int = 0
+    #: Keys a republish pass left alone: a peer's STORE dominated them.
+    blocks_skipped: int = 0
     replicas_written: int = 0
     blocks_handed_off: int = 0
     refresh_runs: int = 0
     buckets_refreshed: int = 0
+    #: Non-empty buckets a refresh pass left alone: a lookup walked them.
+    buckets_skipped: int = 0
     timers_cancelled: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return {
             "republish_runs": self.republish_runs,
             "blocks_republished": self.blocks_republished,
+            "blocks_skipped": self.blocks_skipped,
             "replicas_written": self.replicas_written,
             "blocks_handed_off": self.blocks_handed_off,
             "refresh_runs": self.refresh_runs,
             "buckets_refreshed": self.buckets_refreshed,
+            "buckets_skipped": self.buckets_skipped,
             "timers_cancelled": self.timers_cancelled,
         }
 
@@ -124,7 +150,8 @@ class NodeMaintenance:
     """The two maintenance loops of a single node."""
 
     __slots__ = (
-        "node", "queue", "config", "stats", "_rng", "_pending", "_next_at", "_running"
+        "node", "queue", "config", "stats", "_rng", "_pending", "_next_at", "_last_at",
+        "_running",
     )
 
     def __init__(
@@ -148,6 +175,10 @@ class NodeMaintenance:
         #: the shared clock); otherwise a burst of same-window failure events
         #: could starve the loop of its interleaved passes.
         self._next_at: dict[str, float] = {}
+        #: Clock when each loop's previous pass finished (or the loops
+        #: started): the window of the two skip rules.  No entry reads as
+        #: "never", so every mark counts.
+        self._last_at: dict[str, float] = {}
         self._running = False
 
     # -- lifecycle --------------------------------------------------------- #
@@ -161,6 +192,8 @@ class NodeMaintenance:
         if self._running:
             return
         self._running = True
+        now = self.queue.clock.now
+        self._last_at = {"republish": now, "refresh": now}
         self._schedule("republish", self.config.republish_interval_ms)
         self._schedule("refresh", self.config.refresh_interval_ms)
 
@@ -173,6 +206,7 @@ class NodeMaintenance:
                 self.stats.timers_cancelled += 1
         self._pending.clear()
         self._next_at.clear()
+        self._last_at.clear()
 
     def _schedule(self, kind: str, interval_ms: float) -> None:
         if not self._running or interval_ms <= 0:
@@ -204,7 +238,13 @@ class NodeMaintenance:
         if not self._alive():
             return
         node = self.node
-        snapshot = node.storage.items_snapshot()
+        held = len(node.storage)
+        # Republish skip: a key a peer's STORE dominated since the previous
+        # pass is already on the replica set as this node holds it.
+        snapshot = node.storage.items_snapshot(
+            since=self._last_at.get("republish", float("-inf"))
+        )
+        skipped = held - len(snapshot)
         replicas = 0
         for key, value in snapshot.items():
             outcome = node.store(key, value)
@@ -234,17 +274,28 @@ class NodeMaintenance:
                 PERF.count("maint.handoffs")
         self.stats.republish_runs += 1
         self.stats.blocks_republished += len(snapshot)
+        self.stats.blocks_skipped += skipped
         self.stats.replicas_written += replicas
         PERF.count("maint.republish_ticks")
+        if skipped:
+            PERF.count("maint.republish_skips", skipped)
+        self._last_at["republish"] = self.queue.clock.now
         self._schedule("republish", self.config.republish_interval_ms)
 
     def _refresh_tick(self) -> None:
         self._pending.pop("refresh", None)
         if not self._alive():
             return
+        node = self.node
+        buckets = sum(1 for size in node.routing_table.bucket_utilisation().values() if size)
+        refreshed = node.refresh_buckets(
+            self._rng, since=self._last_at.get("refresh", float("-inf"))
+        )
         self.stats.refresh_runs += 1
-        self.stats.buckets_refreshed += self.node.refresh_buckets(self._rng)
+        self.stats.buckets_refreshed += refreshed
+        self.stats.buckets_skipped += buckets - refreshed
         PERF.count("maint.refresh_ticks")
+        self._last_at["refresh"] = self.queue.clock.now
         self._schedule("refresh", self.config.refresh_interval_ms)
 
 

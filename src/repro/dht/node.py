@@ -187,6 +187,11 @@ class KademliaNode:
         #: Allocated by the first strike: a node that never watched a peer
         #: die carries no map.
         self._suspects: dict[int, tuple[int, float]] | None = None
+        #: ``bucket index -> transport-clock time`` of this node's last
+        #: ``lookup_node`` / ``lookup_value`` whose target falls in that
+        #: bucket: a lookup refreshes the bucket it walks, so
+        #: :meth:`refresh_buckets` need not (Kademlia §2.3).
+        self.bucket_lookup_at: dict[int, float] = {}
         # Server-side RPC counters (how much load this node sustains).
         self.rpcs_served: dict[str, int] = {
             "ping": 0,
@@ -296,7 +301,7 @@ class KademliaNode:
                         "unsigned STORE may only merge into counter state, "
                         f"not replace the block at {request.key.hex()[:12]}…"
                     )
-        self.storage.put(request.key, value, now=self.transport.clock.now)
+        self.storage.put(request.key, value, now=self.transport.clock.now, remote=True)
         return StoreResponse(responder_id=self.node_id, stored=True)
 
     def _handle_append(self, request: AppendRequest) -> AppendResponse:
@@ -518,8 +523,15 @@ class KademliaNode:
             return contacts
         return [c for c in contacts if self._admit_contact(c.node_id)]
 
+    def _note_lookup(self, target: NodeID) -> None:
+        """Record that a lookup just walked the bucket *target* falls in."""
+        distance = self.node_id.value ^ target.value
+        if distance:
+            self.bucket_lookup_at[distance.bit_length() - 1] = self.transport.clock.now
+
     def lookup_node(self, target: NodeID) -> LookupOutcome:
         """Iterative FIND_NODE for *target*."""
+        self._note_lookup(target)
         seeds = self.routing_table.closest_contacts(target, self.config.alpha)
         return iterative_lookup(
             transport=self,
@@ -542,6 +554,7 @@ class KademliaNode:
             outcome.value = local
             outcome.found_value = True
             return outcome
+        self._note_lookup(key)
         seeds = self.routing_table.closest_contacts(key, self.config.alpha)
         return iterative_lookup(
             transport=self,
@@ -728,14 +741,24 @@ class KademliaNode:
             self.lookup_node(self.node_id)
         self.joined = True
 
-    def refresh_buckets(self, rng: random.Random | None = None) -> int:
-        """Look up a random id in the range of *every* non-empty bucket, stale
-        or not (no per-bucket last-touched time is kept); returns the number
-        of refresh lookups issued."""
+    def refresh_buckets(
+        self, rng: random.Random | None = None, since: float = float("-inf")
+    ) -> int:
+        """Look up a random id in the range of every non-empty bucket that no
+        lookup of this node walked after *since* (transport-clock time of the
+        previous refresh); returns the number of refresh lookups issued.
+
+        A bucket some lookup touched since then is fresh already (Kademlia
+        §2.3); callers pass the clock *after* their previous pass, so the
+        refresh lookups themselves never make the next pass skip a bucket.
+        """
         rng = rng or random.Random(0)
         refreshed = 0
         for index, size in self.routing_table.bucket_utilisation().items():
             if size == 0:
+                continue
+            if self.bucket_lookup_at.get(index, float("-inf")) > since:
+                PERF.count("maint.refresh_skips")
                 continue
             low = 1 << index
             high = (1 << (index + 1)) - 1

@@ -19,6 +19,12 @@ a stale snapshot arriving after concurrent APPENDs can never erase them.
 This is what makes replica maintenance under churn safe: crashed replicas
 are restored from surviving copies with plain STOREs.
 
+A STORE from another node that leaves the replica holding exactly what it
+brought -- an opaque value, or a counter block none of whose resident
+entries exceeds the incoming one -- stamps the record's
+:attr:`StoredValue.dominated_at`: a peer has just republished this copy,
+so the replica's own next republish pass may skip it (Kademlia §2.5).
+
 Counter payloads are copied at every boundary (STORE in, GET out,
 :meth:`LocalStorage.items_snapshot`), so a simulated "wire" transfer or a
 republication never aliases the same mutable ``entries`` dict across
@@ -49,6 +55,9 @@ class StoredValue:
     stored_at: float = 0.0
     writes: int = 0
     reads: int = 0
+    #: When a STORE from another node last brought a payload that dominated
+    #: this copy (``None``: never); the republish skip reads it.
+    dominated_at: float | None = None
 
 
 class LocalStorage:
@@ -70,7 +79,7 @@ class LocalStorage:
     def keys(self) -> Iterator[NodeID]:
         return iter(self._items)
 
-    def put(self, key: NodeID, value: Any, now: float = 0.0) -> None:
+    def put(self, key: NodeID, value: Any, now: float = 0.0, remote: bool = False) -> None:
         """Store *value* under *key*.
 
         Opaque values replace whatever was stored.  Counter-block payloads
@@ -78,6 +87,10 @@ class LocalStorage:
         keeping the per-entry maximum: counters are monotone, so the higher
         value is always the more recent one and a stale republished snapshot
         can never undo concurrent APPENDs.
+
+        A *remote* STORE (one another node sent) whose payload dominates the
+        resident copy stamps ``dominated_at = now``; a stale snapshot that
+        left some resident entry higher stamps nothing.
         """
         # Counter payloads are copied when retained (never when merely
         # merged from), so the store can't alias the sender's mutable dicts.
@@ -86,7 +99,9 @@ class LocalStorage:
         if record is None:
             if is_counter:
                 value = _copy_counter_payload(value)
-            self._items[key] = StoredValue(value=value, stored_at=now, writes=1)
+            self._items[key] = StoredValue(
+                value=value, stored_at=now, writes=1, dominated_at=now if remote else None
+            )
             return
         if (
             is_counter
@@ -94,9 +109,12 @@ class LocalStorage:
             and record.value.get("type") == value.get("type")
             and record.value.get("owner") == value.get("owner")
         ):
-            merge_counter_entries(record.value["entries"], value["entries"])
+            dominated = merge_counter_entries(record.value["entries"], value["entries"])
         else:
             record.value = _copy_counter_payload(value) if is_counter else value
+            dominated = True
+        if remote and dominated:
+            record.dominated_at = now
         record.stored_at = now
         record.writes += 1
 
@@ -231,8 +249,9 @@ class LocalStorage:
                 total += len(record.value["entries"])
         return total
 
-    def items_snapshot(self) -> dict[NodeID, Any]:
-        """Every stored value, keyed by block key (for republication).
+    def items_snapshot(self, since: float | None = None) -> dict[NodeID, Any]:
+        """Every stored value, keyed by block key (for republication); with
+        *since*, only those no remote STORE dominated after that time.
 
         Counter payloads are copied so the snapshot stays immutable while the
         node keeps applying APPENDs -- a republished snapshot must be a frozen
@@ -243,6 +262,7 @@ class LocalStorage:
             if _is_counter_payload(record.value)
             else record.value
             for key, record in self._items.items()
+            if since is None or record.dominated_at is None or record.dominated_at <= since
         }
 
     # -- snapshot/restore --------------------------------------------------- #
@@ -262,6 +282,7 @@ class LocalStorage:
                 stored_at=record.stored_at,
                 writes=record.writes,
                 reads=record.reads,
+                dominated_at=record.dominated_at,
             )
             for key, record in self._items.items()
         }
@@ -273,6 +294,7 @@ class LocalStorage:
         stored_at: float = 0.0,
         writes: int = 0,
         reads: int = 0,
+        dominated_at: float | None = None,
     ) -> None:
         """Re-insert one exported record verbatim (no merge semantics).
 
@@ -284,7 +306,11 @@ class LocalStorage:
         if _is_counter_payload(value):
             value = _copy_counter_payload(value)
         self._items[key] = StoredValue(
-            value=value, stored_at=stored_at, writes=writes, reads=reads
+            value=value,
+            stored_at=stored_at,
+            writes=writes,
+            reads=reads,
+            dominated_at=dominated_at,
         )
 
 
@@ -304,15 +330,24 @@ def is_counter_payload(value: Any) -> bool:
     )
 
 
-def merge_counter_entries(resident: dict[str, int], incoming: dict[str, int]) -> None:
+def merge_counter_entries(resident: dict[str, int], incoming: dict[str, int]) -> bool:
     """Fold *incoming* into *resident* entry-wise, keeping the maximum.
 
     Counter entries are monotone, so ``max`` is the join replicas converge
-    under; this is the exact operation a merge-aware STORE applies.
+    under; this is the exact operation a merge-aware STORE applies.  Returns
+    True when *incoming* dominated *resident* (no resident entry exceeded
+    it), i.e. when *resident* now equals *incoming*.
     """
+    dominated = True
     for entry, count in incoming.items():
-        if count > resident.get(entry, 0):
+        held = resident.get(entry, 0)
+        if count > held:
             resident[entry] = count
+        elif count < held:
+            dominated = False
+    # Every incoming entry is resident now, so equal sizes mean no resident
+    # entry was missing from *incoming*.
+    return dominated and len(resident) == len(incoming)
 
 
 _is_counter_payload = is_counter_payload

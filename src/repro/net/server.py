@@ -75,6 +75,9 @@ class ServeNode:
             )
             # All but the ping-before-evict case is answered on udp-recv.
             self.transport.serve_inline(self.node.dispatch_nowait)
+            #: Clock after the previous :meth:`refresh` (or at start-up): a
+            #: bucket some lookup walked since then is not refreshed.
+            self._refreshed_at = self.transport.clock.now
         except BaseException:
             self.transport.close()
             raise
@@ -115,8 +118,11 @@ class ServeNode:
         return contact
 
     def refresh(self, rng: random.Random | None = None) -> int:
-        """Refresh stale routing buckets (periodic upkeep while serving)."""
-        return self.node.refresh_buckets(rng)
+        """Refresh the routing buckets no lookup walked since the previous
+        call (periodic upkeep while serving); returns the lookups issued."""
+        refreshed = self.node.refresh_buckets(rng, since=self._refreshed_at)
+        self._refreshed_at = self.transport.clock.now
+        return refreshed
 
     # -- application access --------------------------------------------------- #
 

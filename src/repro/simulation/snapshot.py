@@ -36,6 +36,10 @@ Design notes
 * A node's failure memory (which peers it watched fail, how often, until
   when they stay suspected) steers its next lookups, so it travels with the
   node -- as a ``suspects`` list that is left out while empty.
+* The state of the two maintenance skip rules travels the same way: a
+  stored record's ``dominated_at`` (left out while never), a node's
+  ``bucket_lookups`` (left out while empty) and each loop's ``last_at`` next
+  to its ``next_at``.  A field missing from an older file reads as "never".
 * Default node addresses come from a process-wide counter; restore reserves
   every number seen in the snapshot so post-restore joiners cannot collide
   with restored nodes, even in a fresh process.
@@ -188,16 +192,18 @@ def _node_state(node: KademliaNode, users_by_id: dict[NodeID, str]) -> dict:
         for index, contacts, replacements in node.routing_table.export_buckets()
     ]
     routing = encode_routing_table(node.node_id.to_bytes(), node.routing_table.k, buckets)
-    storage = [
-        {
+    storage = []
+    for key, record in node.storage.records_snapshot().items():
+        item = {
             "key": key.hex(),
             "value": _encode_value(record.value),
             "stored_at": record.stored_at,
             "writes": record.writes,
             "reads": record.reads,
         }
-        for key, record in node.storage.records_snapshot().items()
-    ]
+        if record.dominated_at is not None:
+            item["dominated_at"] = record.dominated_at
+        storage.append(item)
     state = {
         "membership": membership.hex(),
         "routing": routing.hex(),
@@ -212,6 +218,8 @@ def _node_state(node: KademliaNode, users_by_id: dict[NodeID, str]) -> dict:
         state["suspects"] = [
             [node_id.hex(), strikes, until] for node_id, strikes, until in suspects
         ]
+    if node.bucket_lookup_at:
+        state["bucket_lookups"] = [[index, at] for index, at in node.bucket_lookup_at.items()]
     return state
 
 
@@ -224,6 +232,7 @@ def _maintenance_state(maintenance: OverlayMaintenance) -> dict:
             address: {
                 "rng": _rng_to_json(nm._rng),
                 "next_at": dict(nm._next_at),
+                "last_at": dict(nm._last_at),
                 "running": nm._running,
             }
             for address, nm in maintenance._by_address.items()
@@ -407,7 +416,9 @@ def _restore_nodes(
                 stored_at=item["stored_at"],
                 writes=item["writes"],
                 reads=item["reads"],
+                dominated_at=item.get("dominated_at"),
             )
+        node.bucket_lookup_at = {int(index): at for index, at in record.get("bucket_lookups", ())}
         node.restore_suspects(
             [
                 (NodeID.from_hex(node_id), int(strikes), until)
@@ -594,6 +605,7 @@ def restore_cluster(
                 rng=_restored_rng(node_state["rng"]),
             )
             nm._next_at = dict(node_state["next_at"])
+            nm._last_at = dict(node_state.get("last_at", {}))
             nm._running = node_state["running"]
             maintenance._by_address[address] = nm
         cluster.maintenance = maintenance

@@ -131,6 +131,24 @@ class TestNodeMaintenance:
         value, _ = overlay.random_node().retrieve(key)
         assert value == "payload"
 
+    def test_refresh_tick_skips_buckets_a_lookup_walked(self):
+        overlay = small_overlay(8)
+        queue = EventQueue(overlay.clock)
+        node = overlay.nodes[0]
+        maintenance = NodeMaintenance(
+            node,
+            queue,
+            MaintenanceConfig(republish_interval_ms=0.0, refresh_interval_ms=1_000.0, jitter=0.0),
+        )
+        maintenance.start()
+        overlay.clock.advance(1.0)
+        walked = next(i for i, size in node.routing_table.bucket_utilisation().items() if size)
+        node.lookup_node(NodeID(node.node_id.value ^ (1 << walked)))
+        queue.run_until(overlay.clock.now + 1_500.0)
+        assert maintenance.stats.refresh_runs == 1
+        assert maintenance.stats.buckets_skipped == 1
+        assert maintenance.stats.buckets_refreshed >= 1
+
     def test_tick_on_a_dead_node_stops_its_loops(self):
         overlay = small_overlay(4)
         queue = EventQueue(overlay.clock)
@@ -200,3 +218,107 @@ class TestOverlayMaintenance:
         overlay.add_node("early-joiner")
         assert len(manager) == 0
         assert len(queue) == 0
+
+
+def counter(**entries):
+    return {"owner": "rock", "type": "3", "entries": entries}
+
+
+class TestRepublishSkip:
+    """Kademlia §2.5: a replica a peer just re-stored skips its republish --
+    but only when the peer's copy dominated what the replica holds."""
+
+    KEY = NodeID.hash_of("skippable-block")
+
+    @staticmethod
+    def setup(resident):
+        """A stored block, one holder with *resident* entries running its
+        republish loop, and another node that can STORE to it."""
+        overlay = small_overlay(8, replicate=3)
+        queue = EventQueue(overlay.clock)
+        key = TestRepublishSkip.KEY
+        overlay.nodes[0].store(key, counter(pop=5))
+        holder = holders(overlay, key)[0]
+        holder.storage.put(key, resident)
+        peer = next(node for node in overlay.nodes if node is not holder)
+        maintenance = NodeMaintenance(
+            holder,
+            queue,
+            MaintenanceConfig(
+                republish_interval_ms=1_000.0, refresh_interval_ms=0.0, jitter=0.0
+            ),
+        )
+        maintenance.start()
+        overlay.clock.advance(1.0)
+        return overlay, queue, holder, peer, maintenance
+
+    def test_a_dominating_store_skips_the_next_pass_only(self):
+        overlay, queue, holder, peer, maintenance = self.setup(counter(pop=5))
+        peer.store_at([holder.contact], self.KEY, counter(pop=5, jazz=1))
+        assert holder.storage.records_snapshot()[self.KEY].dominated_at is not None
+
+        queue.run_until(overlay.clock.now + 1_500.0)
+        assert maintenance.stats.republish_runs == 1
+        assert maintenance.stats.blocks_skipped == 1
+        assert maintenance.stats.blocks_republished == 0
+
+        queue.run_until(overlay.clock.now + 1_000.0)
+        assert maintenance.stats.republish_runs == 2
+        assert maintenance.stats.blocks_skipped == 1
+        assert maintenance.stats.blocks_republished == 1
+
+    def test_a_store_lacking_a_resident_entry_does_not_skip_and_replicas_converge(self):
+        overlay, queue, holder, peer, maintenance = self.setup(counter(pop=5, jazz=2))
+        peer.store_at([holder.contact], self.KEY, counter(pop=6))
+        assert holder.storage.get(self.KEY)["entries"] == {"pop": 6, "jazz": 2}
+
+        queue.run_until(overlay.clock.now + 1_500.0)
+        assert maintenance.stats.blocks_skipped == 0
+        assert maintenance.stats.blocks_republished == 1
+        for node in holders(overlay, self.KEY):
+            assert node.storage.get(self.KEY)["entries"] == {"pop": 6, "jazz": 2}
+
+    def test_a_stale_snapshot_never_suppresses_a_republish(self):
+        """The adversary's stale-republish storm: old counts, sent often."""
+        overlay, queue, holder, peer, maintenance = self.setup(counter(pop=5, jazz=2))
+        for _ in range(3):
+            peer.store_at([holder.contact], self.KEY, counter(pop=3, jazz=2))
+            overlay.clock.advance(100.0)
+        assert holder.storage.records_snapshot()[self.KEY].dominated_at is None
+
+        queue.run_until(overlay.clock.now + 1_000.0)
+        assert maintenance.stats.blocks_skipped == 0
+        assert maintenance.stats.blocks_republished == 1
+        assert holder.storage.get(self.KEY)["entries"] == {"pop": 5, "jazz": 2}
+
+    def test_a_drifted_holder_still_hands_off(self):
+        """A STORE that lands on a holder outside the key's neighbourhood
+        delays its hand-off by one pass, never cancels it."""
+        overlay = build_overlay(
+            20,
+            node_config=NodeConfig(k=4, alpha=2, replicate=2),
+            network_config=NetworkConfig(
+                min_latency_ms=0.01, max_latency_ms=0.05, timeout_ms=0.25, seed=0
+            ),
+            seed=0,
+        )
+        queue = EventQueue(overlay.clock)
+        key = NodeID.hash_of("wandering-block")
+        overlay.nodes[0].store(key, "payload")
+        outsider = max(overlay.nodes, key=lambda n: n.node_id.value ^ key.value)
+        maintenance = NodeMaintenance(
+            outsider, queue, MaintenanceConfig(republish_interval_ms=1_000.0, jitter=0.0)
+        )
+        maintenance.start()
+        overlay.clock.advance(1.0)
+        overlay.nodes[0].store_at([outsider.contact], key, "payload")
+
+        queue.run_until(overlay.clock.now + 1_500.0)
+        assert key in outsider.storage
+        assert maintenance.stats.blocks_skipped == 1
+
+        queue.run_until(overlay.clock.now + 1_000.0)
+        assert key not in outsider.storage
+        assert maintenance.stats.blocks_handed_off == 1
+        value, _ = overlay.random_node().retrieve(key)
+        assert value == "payload"

@@ -325,6 +325,79 @@ class TestLargerOverlay:
         assert a.refresh_buckets() >= 1
 
 
+def bucket_of(node: KademliaNode, target: NodeID) -> int:
+    return (node.node_id.value ^ target.value).bit_length() - 1
+
+
+class TestRefreshSkip:
+    """Kademlia §2.3: a bucket one of the node's own lookups walked since the
+    previous refresh is fresh already."""
+
+    @pytest.fixture()
+    def overlay(self, network, certification):
+        nodes = []
+        for index in range(16):
+            node = make_node(network, certification, f"peer{index}")
+            node.join(nodes[0].contact if nodes else None)
+            nodes.append(node)
+        return nodes
+
+    @staticmethod
+    def refreshed_buckets(node, since):
+        """Bucket indices the refresh pass looked up, in order."""
+        targets = []
+        lookup_node = node.lookup_node
+        node.lookup_node = lambda target: targets.append(target) or lookup_node(target)
+        try:
+            node.refresh_buckets(since=since)
+        finally:
+            del node.lookup_node
+        return [bucket_of(node, target) for target in targets]
+
+    def test_a_walked_bucket_is_skipped_and_an_untouched_one_refreshed(self, overlay, network):
+        node = overlay[0]
+        since = network.clock.now
+        network.clock.advance(1.0)
+        nonempty = [i for i, size in node.routing_table.bucket_utilisation().items() if size]
+        assert len(nonempty) >= 2
+        walked = nonempty[0]
+        node.lookup_node(NodeID(node.node_id.value ^ (1 << walked)))
+        nonempty = [i for i, size in node.routing_table.bucket_utilisation().items() if size]
+        skips = PERF.counters.get("maint.refresh_skips", 0)
+
+        assert self.refreshed_buckets(node, since) == [i for i in nonempty if i != walked]
+        assert PERF.counters.get("maint.refresh_skips", 0) == skips + 1
+
+    def test_lookup_value_counts_but_a_local_hit_does_not(self, overlay, network):
+        node = overlay[0]
+        since = network.clock.now
+        network.clock.advance(1.0)
+        local = NodeID.hash_of("local")
+        node.storage.put(local, "here")
+        node.lookup_value(local)
+        assert bucket_of(node, local) not in node.bucket_lookup_at
+        node.lookup_value(NodeID(local.value ^ 1))
+        assert node.bucket_lookup_at[bucket_of(node, local)] > since
+
+    def test_a_bucket_walked_before_the_window_is_refreshed(self, overlay, network):
+        node = overlay[0]
+        walked = next(i for i, size in node.routing_table.bucket_utilisation().items() if size)
+        node.lookup_node(NodeID(node.node_id.value ^ (1 << walked)))
+        network.clock.advance(1.0)
+        assert walked in self.refreshed_buckets(node, since=network.clock.now)
+
+    def test_serve_node_refresh_obeys_the_same_rule(self):
+        from repro.net.server import ServeNode
+
+        with ServeNode() as a, ServeNode() as b:
+            a.bootstrap(None)
+            b.bootstrap(a.address)
+            assert b.refresh() == 1  # the join walked no bucket
+            b.node.lookup_node(a.node_id)
+            assert b.refresh() == 0  # the lookup refreshed a's bucket
+            assert b.refresh() == 1  # ... until the next window
+
+
 class TestFailureMemory:
     """What a node watched fail outranks what other peers still tell it."""
 

@@ -250,3 +250,39 @@ class TestIntrospection:
         key = NodeID.hash_of("opaque")
         storage.put(key, "text")
         assert storage.counter_block(key) is None
+
+
+class TestDominatedStores:
+    """``dominated_at``: when a remote STORE left exactly its payload here."""
+
+    KEY = NodeID.hash_of("k")
+
+    @staticmethod
+    def block(**entries):
+        return {"owner": "rock", "type": "3", "entries": entries}
+
+    def stamped(self, resident, incoming, remote=True):
+        storage = LocalStorage()
+        storage.put(self.KEY, resident, now=1.0)
+        storage.put(self.KEY, incoming, now=2.0, remote=remote)
+        return storage.records_snapshot()[self.KEY].dominated_at
+
+    def test_a_dominating_counter_store_stamps(self):
+        assert self.stamped(self.block(pop=1), self.block(pop=1)) == 2.0
+        assert self.stamped(self.block(pop=1), self.block(pop=2, jazz=1)) == 2.0
+
+    def test_a_store_missing_or_lowering_an_entry_does_not_stamp(self):
+        assert self.stamped(self.block(pop=1, jazz=1), self.block(pop=2)) is None
+        assert self.stamped(self.block(pop=3), self.block(pop=2)) is None
+
+    def test_an_opaque_store_always_stamps_and_a_local_put_never(self):
+        assert self.stamped("old", "new") == 2.0
+        assert self.stamped("old", "new", remote=False) is None
+
+    def test_items_snapshot_leaves_out_keys_dominated_after_since(self):
+        storage = LocalStorage()
+        storage.put(self.KEY, "a", now=5.0, remote=True)
+        storage.put(NodeID.hash_of("other"), "b", now=5.0)
+        assert len(storage.items_snapshot(since=4.0)) == 1
+        assert len(storage.items_snapshot(since=5.0)) == 2
+        assert len(storage.items_snapshot()) == 2

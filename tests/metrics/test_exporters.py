@@ -74,6 +74,10 @@ class TestPrometheusNames:
         [
             ("net.messages_sent", "dharma_net_messages_sent"),
             ("maint.blocks_handed_off", "dharma_maint_blocks_handed_off"),
+            ("maint.blocks_skipped", "dharma_maint_blocks_skipped"),
+            ("maint.buckets_skipped", "dharma_maint_buckets_skipped"),
+            ("perf.maint.republish_skips", "dharma_perf_maint_republish_skips"),
+            ("perf.maint.refresh_skips", "dharma_perf_maint_refresh_skips"),
             ("weird name!", "dharma_weird_name_"),
             ("9lives", "dharma_9lives"),
         ],

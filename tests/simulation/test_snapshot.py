@@ -254,6 +254,20 @@ class TestDeterministicResume:
         assert sum(len(n.export_suspects()) for n in restored.overlay.nodes) == len(rows)
         assert snapshot_cluster(restored, benchmark=run)["nodes"] == snapshot["nodes"]
 
+    def test_checkpoint_carries_the_maintenance_skip_state(self, checkpointed):
+        """The two skip rules steer the next passes, so their clocks travel
+        with the checkpoint: records dominated by a remote STORE, per-node
+        bucket lookup times and each loop's previous-pass time."""
+        checkpoint, _ = checkpointed
+        snapshot = load_snapshot(checkpoint)
+        nodes = snapshot["nodes"]
+        assert any("dominated_at" in item for record in nodes for item in record["storage"])
+        assert any(record.get("bucket_lookups") for record in nodes)
+        loops = snapshot["maintenance"]["nodes"].values()
+        assert loops and all(set(loop["last_at"]) == {"republish", "refresh"} for loop in loops)
+        restored, run, _ = restore_cluster(snapshot)
+        assert snapshot_cluster(restored, benchmark=run)["maintenance"] == snapshot["maintenance"]
+
     def test_checkpoint_passes_audit(self, checkpointed):
         checkpoint, _ = checkpointed
         report = run_audit(snapshot=checkpoint)

@@ -76,38 +76,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "__version__",
-    # core
-    "TagResourceGraph",
-    "FolksonomyGraph",
-    "TaggingModel",
-    "FacetedSearch",
-    "ModelView",
-    "ApproximationConfig",
-    "EXACT",
-    "default_approximation",
-    "derive_folksonomy_graph",
-    "BlockKey",
-    "BlockType",
-    # datasets
-    "AnnotationDataset",
-    "LastfmSyntheticConfig",
-    "generate_lastfm_like",
-    "compute_folksonomy_stats",
-    # dht
-    "NodeID",
-    "NodeConfig",
-    "KademliaNode",
-    "DHTClient",
-    "build_overlay",
-    # distributed
-    "DharmaService",
-    "ServiceConfig",
-    "NaiveProtocol",
-    "ApproximatedProtocol",
-    # analysis
-    "simulate_approximated_evolution",
-    "compare_graphs",
-    "run_convergence_experiment",
-]
+__all__ = ["__version__", *_LAZY_EXPORTS]

@@ -55,30 +55,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "cosine_similarity",
-    "kendall_tau",
-    "recall",
-    "sim1_fraction",
-    "empirical_cdf",
-    "cdf_at",
-    "EvolutionConfig",
-    "EvolutionResult",
-    "simulate_approximated_evolution",
-    "ApproximationQuality",
-    "GraphComparison",
-    "compare_graphs",
-    "degree_pairs",
-    "weight_pairs",
-    "ConvergenceConfig",
-    "SearchLengthStats",
-    "StrategyOutcome",
-    "run_convergence_experiment",
-    "format_table",
-    "format_mapping",
-    "SURVIVAL_METRICS",
-    "SurvivalSummary",
-    "render_survival_comparison",
-    "summarise_survival",
-    "survival_deltas",
-]
+__all__ = list(_LAZY_EXPORTS)

@@ -10,9 +10,6 @@ can be exercised without writing Python:
 * ``dharma converge`` -- run the search-convergence experiment (Table IV);
 * ``dharma overlay`` -- replay a (small) dataset against an in-process
   overlay and report lookup costs and hotspot statistics;
-* ``dharma cluster-bench`` -- spin up a 1,000+ node cluster via the
-  :mod:`repro.simulation.cluster` harness and compare protocols with the
-  batched/cached lookup engine on and off;
 * ``dharma churn-bench`` -- run a cluster under churn (crashes and graceful
   leaves on a pre-scheduled fault trace) with replica maintenance on and/or
   off, and report block availability, survival CDFs and counter integrity;
@@ -105,24 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     overlay.add_argument("--protocol", choices=["approximated", "naive"], default="approximated")
     overlay.add_argument("--limit", type=int, default=2000)
     overlay.add_argument("--seed", type=int, default=0)
-
-    cluster = sub.add_parser(
-        "cluster-bench",
-        help="cluster throughput benchmark (protocols x lookup engine on/off)",
-    )
-    cluster.add_argument("--dataset", default=None, help="TSV file of triples (default: synthetic)")
-    cluster.add_argument("--preset", choices=_PRESET_NAMES, default="tiny",
-                         help="synthetic dataset preset used when no --dataset is given")
-    cluster.add_argument("--nodes", type=int, default=1000)
-    cluster.add_argument("--clients", type=int, default=4)
-    cluster.add_argument("--ops", type=int, default=400)
-    cluster.add_argument("--searches", type=int, default=40)
-    cluster.add_argument("--k", type=int, default=1)
-    cluster.add_argument("--protocol", choices=["approximated", "naive", "both"],
-                         default="approximated")
-    cluster.add_argument("--engine", choices=["on", "off", "both"], default="both",
-                         help="run with the batched/cached lookup engine on, off, or both")
-    cluster.add_argument("--seed", type=int, default=0)
 
     churn = sub.add_parser(
         "churn-bench",
@@ -442,67 +421,8 @@ def _load_dataset(args: argparse.Namespace, limit: int | None = None):
         return load_triples_tsv(args.dataset, limit=limit)
     from repro.datasets.lastfm_synthetic import generate_lastfm_like
 
-    return generate_lastfm_like(args.preset)
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from repro.simulation.cluster import ClusterConfig, run_cluster_benchmark
-    from repro.simulation.workload import TaggingWorkload
-
-    workload = TaggingWorkload.from_triples(_load_dataset(args).triples())
-
-    protocols = ["naive", "approximated"] if args.protocol == "both" else [args.protocol]
-    engines = [False, True] if args.engine == "both" else [args.engine == "on"]
-
-    reports = {}
-    for protocol in protocols:
-        for engine_on in engines:
-            config = ClusterConfig(
-                num_nodes=args.nodes,
-                clients=args.clients,
-                protocol=protocol,
-                k=args.k,
-                cache_capacity=4096 if engine_on else 0,
-                batch_lookups=engine_on,
-                seed=args.seed,
-            )
-            label = f"{protocol}/{'engine' if engine_on else 'plain'}"
-            reports[label] = run_cluster_benchmark(
-                config, workload, ops=args.ops, searches=args.searches
-            )
-
-    metrics = [
-        "ops", "errors", "searches", "ops_per_virtual_s", "ops_per_wall_s",
-        "messages_total", "messages_per_op", "messages_per_search",
-        "mean_rpcs", "max_rpcs", "hotspot_ratio", "cache_hit_rate",
-    ]
-    headers = ["metric", *reports.keys()]
-    rows = [
-        [metric, *[reports[label].summary().get(metric, 0.0) for label in reports]]
-        for metric in metrics
-    ]
-    print(format_table(
-        headers, rows,
-        title=f"cluster-bench -- {args.nodes} nodes, {args.ops} ops, {args.searches} searches",
-    ))
-
-    for protocol in protocols:
-        plain = reports.get(f"{protocol}/plain")
-        engine = reports.get(f"{protocol}/engine")
-        if plain is None or engine is None:
-            continue
-        if not plain.messages_per_search or not plain.messages_per_op:
-            continue
-        saved_search = 1.0 - engine.messages_per_search / plain.messages_per_search
-        saved_op = 1.0 - engine.messages_per_op / plain.messages_per_op
-        print(
-            f"{protocol}: engine saves {saved_search:.1%} messages/search,"
-            f" {saved_op:.1%} messages/op"
-        )
-    for label, report in reports.items():
-        if report.engine:
-            print(format_mapping(report.engine, title=f"lookup engine counters ({label})"))
-    return 0
+    dataset = generate_lastfm_like(args.preset)
+    return dataset if limit is None else dataset.head(limit)
 
 
 def _labelled_path(path: str | None, label: str, use_label: bool) -> str | None:
@@ -929,7 +849,6 @@ _COMMANDS = {
     "evolve": _cmd_evolve,
     "converge": _cmd_converge,
     "overlay": _cmd_overlay,
-    "cluster-bench": _cmd_cluster_bench,
     "churn-bench": _cmd_churn_bench,
     "attack-bench": _cmd_attack_bench,
     "profile": _cmd_profile,

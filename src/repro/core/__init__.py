@@ -55,24 +55,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "TagResourceGraph",
-    "FolksonomyGraph",
-    "TaggingModel",
-    "StringInterner",
-    "CompactFolksonomy",
-    "freeze_folksonomy",
-    "FacetedSearch",
-    "SearchState",
-    "SearchStrategy",
-    "FirstTagStrategy",
-    "LastTagStrategy",
-    "RandomTagStrategy",
-    "ApproximationConfig",
-    "BlockType",
-    "BlockKey",
-    "ResourceTagsBlock",
-    "TagResourcesBlock",
-    "TagNeighboursBlock",
-    "ResourceURIBlock",
-]
+__all__ = list(_LAZY_EXPORTS)

@@ -36,14 +36,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Annotation",
-    "AnnotationDataset",
-    "LastfmSyntheticConfig",
-    "generate_lastfm_like",
-    "load_triples_tsv",
-    "save_triples_tsv",
-    "DegreeStatistics",
-    "FolksonomyStats",
-    "compute_folksonomy_stats",
-]
+__all__ = list(_LAZY_EXPORTS)

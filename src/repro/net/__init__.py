@@ -30,21 +30,6 @@ from repro.net.base import (
     rpc_name,
 )
 
-__all__ = [
-    "DatagramTooLarge",
-    "RequestTimeout",
-    "RpcTypeStats",
-    "Transport",
-    "TransportError",
-    "TransportStats",
-    "WallClock",
-    "rpc_name",
-    "SimulatedTransport",
-    "as_transport",
-    "UdpTransport",
-    "UdpTransportConfig",
-]
-
 #: repro.simulation.network imports repro.net.base at its own top level, and
 #: importing *any* submodule first executes this package __init__ -- so the
 #: adapters (which import repro.simulation.network back) must load lazily or
@@ -55,6 +40,18 @@ _LAZY = {
     "UdpTransport": "repro.net.udp",
     "UdpTransportConfig": "repro.net.udp",
 }
+
+__all__ = [
+    "DatagramTooLarge",
+    "RequestTimeout",
+    "RpcTypeStats",
+    "Transport",
+    "TransportError",
+    "TransportStats",
+    "WallClock",
+    "rpc_name",
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

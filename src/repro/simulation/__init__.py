@@ -35,11 +35,8 @@ from repro.simulation.workload import TaggingWorkload, WorkloadEvent, WorkloadSt
 #: repro.simulation.network, so a top-level import here would be circular.
 _LAZY_EXPORTS = {
     "ClusterConfig": "cluster",
-    "ClusterReport": "cluster",
-    "SearchSample": "cluster",
     "SimulatedCluster": "cluster",
     "churn_cluster_config": "cluster",
-    "run_cluster_benchmark": "cluster",
     "SurvivalReport": "experiment",
     "run_survival_benchmark": "experiment",
 }
@@ -52,14 +49,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ClusterConfig",
-    "ClusterReport",
-    "SearchSample",
-    "SimulatedCluster",
-    "SurvivalReport",
-    "churn_cluster_config",
-    "run_cluster_benchmark",
-    "run_survival_benchmark",
     "SimulationClock",
     "Event",
     "EventQueue",
@@ -73,4 +62,5 @@ __all__ = [
     "TaggingWorkload",
     "WorkloadEvent",
     "WorkloadStats",
+    *_LAZY_EXPORTS,
 ]

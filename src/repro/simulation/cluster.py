@@ -15,16 +15,14 @@ cluster harness scales the same substrate to four-digit node counts:
   :class:`~repro.simulation.workload.TaggingWorkload` are scheduled on the
   shared :class:`~repro.simulation.event_queue.EventQueue` at a configurable
   arrival interval and fan out round-robin over a pool of DHARMA service
-  clients, each bound to a different access node;
-* **per-node throughput accounting** -- RPCs served per node, hotspot
-  ratios, and operations per virtual/wall second are collected into a
-  :class:`ClusterReport` that the ``cluster-bench`` CLI and the throughput
-  benchmark print.
+  clients, each bound to a different access node.
 
-The harness is also where the batched lookup engine and the block cache pay
-off: flipping :attr:`ClusterConfig.batch_lookups` / ``cache_capacity`` turns
-both on for every client, which is how the naive-vs-engine comparisons are
-produced.
+What a run costs is read off the overlay itself (``overlay.network.stats``,
+``overlay.clock``, each node's ``rpcs_served``); ``benchmarks/e2e`` turns
+those counters into ``msgs_per_op``, ``hotspot_ratio`` and the per-layer
+``batched_lookup.*`` metrics.  :attr:`ClusterConfig.batch_lookups` /
+``cache_capacity`` switch the batched lookup engine and the block cache on
+for every client.
 
 Churn experiments flip :attr:`ClusterConfig.churn` (a
 :class:`~repro.simulation.churn.ChurnProcess` on the shared event queue) and
@@ -40,9 +38,7 @@ module only shapes their configs (:func:`churn_cluster_config`,
 from __future__ import annotations
 
 import random
-import statistics
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.approximation import default_approximation
 from repro.dht.bootstrap import Overlay, build_overlay
@@ -60,12 +56,9 @@ from repro.simulation.workload import TaggingWorkload, WorkloadStats
 
 __all__ = [
     "ClusterConfig",
-    "SearchSample",
-    "ClusterReport",
     "SimulatedCluster",
     "churn_cluster_config",
     "attack_cluster_config",
-    "run_cluster_benchmark",
 ]
 
 
@@ -193,101 +186,6 @@ class ClusterConfig:
         )
 
 
-@dataclass(slots=True)
-class SearchSample:
-    """Cost of one faceted search run against the cluster."""
-
-    start_tag: str
-    path_length: int
-    messages: int
-    lookups: int
-    found_resources: int
-
-
-@dataclass
-class ClusterReport:
-    """Aggregated outcome of a cluster run (tagging + searches)."""
-
-    config: ClusterConfig
-    workload: WorkloadStats = field(default_factory=WorkloadStats)
-    searches: list[SearchSample] = field(default_factory=list)
-    virtual_time_ms: float = 0.0
-    wall_time_s: float = 0.0
-    messages_total: int = 0
-    lookups_total: int = 0
-    #: RPCs served per node address at the end of the run.
-    rpcs_per_node: dict[str, int] = field(default_factory=dict)
-    cache: dict[str, float] = field(default_factory=dict)
-    engine: dict[str, float] = field(default_factory=dict)
-
-    # -- derived ----------------------------------------------------------- #
-
-    @property
-    def ops(self) -> int:
-        return self.workload.total_ops
-
-    @property
-    def ops_per_virtual_second(self) -> float:
-        seconds = self.virtual_time_ms / 1000.0
-        return self.ops / seconds if seconds else 0.0
-
-    @property
-    def ops_per_wall_second(self) -> float:
-        return self.ops / self.wall_time_s if self.wall_time_s else 0.0
-
-    @property
-    def messages_per_op(self) -> float:
-        return self.messages_total / self.ops if self.ops else 0.0
-
-    @property
-    def messages_per_search(self) -> float:
-        if not self.searches:
-            return 0.0
-        return statistics.fmean(s.messages for s in self.searches)
-
-    @property
-    def mean_search_path(self) -> float:
-        if not self.searches:
-            return 0.0
-        return statistics.fmean(s.path_length for s in self.searches)
-
-    def node_throughput(self) -> dict[str, float]:
-        """Mean / max / hotspot-ratio of per-node served RPC load."""
-        served = list(self.rpcs_per_node.values())
-        if not served:
-            return {"mean_rpcs": 0.0, "max_rpcs": 0.0, "hotspot_ratio": 0.0}
-        mean = statistics.fmean(served)
-        peak = max(served)
-        return {
-            "mean_rpcs": mean,
-            "max_rpcs": float(peak),
-            "hotspot_ratio": peak / mean if mean else 0.0,
-        }
-
-    def summary(self) -> dict[str, float]:
-        """Flat mapping for tables and JSON-ish reports."""
-        out = {
-            "nodes": self.config.num_nodes,
-            "clients": self.config.clients,
-            "ops": self.ops,
-            "errors": self.workload.errors,
-            "searches": len(self.searches),
-            "virtual_time_s": self.virtual_time_ms / 1000.0,
-            "wall_time_s": self.wall_time_s,
-            "ops_per_virtual_s": self.ops_per_virtual_second,
-            "ops_per_wall_s": self.ops_per_wall_second,
-            "messages_total": self.messages_total,
-            "messages_per_op": self.messages_per_op,
-            "messages_per_search": self.messages_per_search,
-            "mean_search_path": self.mean_search_path,
-            "lookups_total": self.lookups_total,
-        }
-        out.update(self.node_throughput())
-        if self.cache:
-            out["cache_hit_rate"] = self.cache.get("hit_rate", 0.0)
-        return out
-
-
 class SimulatedCluster:
     """A wired overlay of :attr:`ClusterConfig.num_nodes` Likir nodes plus a
     pool of DHARMA service clients, driven from one event queue."""
@@ -301,7 +199,6 @@ class SimulatedCluster:
         "churn",
         "adversary",
         "services",
-        "_search_rng",
     )
 
     def __init__(self, config: ClusterConfig | None = None) -> None:
@@ -320,7 +217,6 @@ class SimulatedCluster:
             self.churn = ChurnProcess(self.overlay, self.queue, self.config.churn_config())
         self.adversary: AdversaryProcess | None = None
         self.services = self._build_services()
-        self._search_rng = random.Random(self.config.seed)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -476,30 +372,6 @@ class SimulatedCluster:
             self.queue.run_until(last)
         return stats
 
-    def run_searches(
-        self,
-        start_tags: list[str],
-        strategy: str = "random",
-    ) -> list[SearchSample]:
-        """Run one faceted search per start tag, measuring per-search cost."""
-        samples: list[SearchSample] = []
-        network_stats = self.overlay.network.stats
-        for tag in start_tags:
-            service = self.services[self._search_rng.randrange(len(self.services))]
-            before_messages = network_stats.messages_sent
-            before_lookups = service.total_lookups
-            result = service.faceted_search(tag, strategy)
-            samples.append(
-                SearchSample(
-                    start_tag=tag,
-                    path_length=result.length,
-                    messages=network_stats.messages_sent - before_messages,
-                    lookups=service.total_lookups - before_lookups,
-                    found_resources=len(result.final_resources),
-                )
-            )
-        return samples
-
     # ------------------------------------------------------------------ #
     # churn driving
     # ------------------------------------------------------------------ #
@@ -560,87 +432,6 @@ class SimulatedCluster:
     def run_for(self, duration_ms: float, max_events: int | None = None) -> int:
         """Advance the simulation by *duration_ms* of virtual time."""
         return self.queue.run_until(self.queue.clock.now + duration_ms, max_events=max_events)
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-
-    def report(
-        self,
-        workload: WorkloadStats | None = None,
-        searches: list[SearchSample] | None = None,
-        wall_time_s: float = 0.0,
-    ) -> ClusterReport:
-        """Bundle the run's counters into a :class:`ClusterReport`."""
-        report = ClusterReport(config=self.config)
-        if workload is not None:
-            report.workload = workload
-        if searches is not None:
-            report.searches = searches
-        report.virtual_time_ms = self.overlay.clock.now
-        report.wall_time_s = wall_time_s
-        report.messages_total = self.overlay.network.stats.messages_sent
-        report.lookups_total = sum(s.total_lookups for s in self.services)
-        report.rpcs_per_node = {
-            node.address: sum(node.rpcs_served.values()) for node in self.overlay.nodes
-        }
-        cache_stats = [s.cache.stats for s in self.services if s.cache is not None]
-        if cache_stats:
-            merged = {
-                "hits": float(sum(c.hits for c in cache_stats)),
-                "misses": float(sum(c.misses for c in cache_stats)),
-                "invalidations": float(sum(c.invalidations for c in cache_stats)),
-                "evictions": float(sum(c.evictions for c in cache_stats)),
-                "expirations": float(sum(c.expirations for c in cache_stats)),
-            }
-            reads = merged["hits"] + merged["misses"]
-            merged["hit_rate"] = merged["hits"] / reads if reads else 0.0
-            report.cache = merged
-        engine_stats = [s.engine.stats for s in self.services if s.engine is not None]
-        if engine_stats:
-            report.engine = {
-                key: float(sum(e.snapshot()[key] for e in engine_stats))
-                for key in engine_stats[0].snapshot()
-            }
-        return report
-
-
-def run_cluster_benchmark(
-    config: ClusterConfig,
-    workload: TaggingWorkload,
-    ops: int | None = None,
-    searches: int = 30,
-    strategy: str = "random",
-) -> ClusterReport:
-    """Build a cluster, replay *ops* events, run *searches* searches, report.
-
-    The convenience entry point shared by ``dharma cluster-bench`` and the
-    throughput benchmark; start tags are drawn deterministically from the
-    workload's most used tags, popularity-proportionally (folksonomy tag usage
-    is heavily skewed, so real search traffic revisits hot tags), keeping runs
-    comparable across configurations.
-    """
-    started = time.perf_counter()
-    cluster = SimulatedCluster(config)
-    workload_stats = cluster.run_workload(workload, limit=ops)
-
-    usage: dict[str, int] = {}
-    events = workload.events if ops is None else workload.events[:ops]
-    for event in events:
-        for tag in event.tags:
-            usage[tag] = usage.get(tag, 0) + 1
-    ranked = sorted(usage, key=lambda t: (-usage[t], t))
-    rng = random.Random(config.seed)
-    pool = ranked[: max(searches, 10)]
-    if pool and searches > 0:
-        start_tags = rng.choices(pool, weights=[usage[t] for t in pool], k=searches)
-    else:
-        # Nothing was replayed (ops=0 or an empty dataset): no tags to search.
-        start_tags = []
-
-    search_samples = cluster.run_searches(start_tags, strategy=strategy)
-    wall = time.perf_counter() - started
-    return cluster.report(workload_stats, search_samples, wall_time_s=wall)
 
 
 # --------------------------------------------------------------------- #

@@ -39,7 +39,9 @@ Design notes
 * The state of the two maintenance skip rules travels the same way: a
   stored record's ``dominated_at`` (left out while never), a node's
   ``bucket_lookups`` (left out while empty) and each loop's ``last_at`` next
-  to its ``next_at``.  A field missing from an older file reads as "never".
+  to its ``next_at``.  A field missing from an older file reads as "never";
+  an older file's ``cluster.search_rng`` (the generator of a search helper
+  the cluster no longer has) is ignored.
 * Default node addresses come from a process-wide counter; restore reserves
   every number seen in the snapshot so post-restore joiners cannot collide
   with restored nodes, even in a fresh process.
@@ -311,10 +313,7 @@ def snapshot_cluster(
             "helper_cursor": overlay._helper_cursor,
             "peer_counter": overlay._peer_counter,
         },
-        "cluster": {
-            "rng": _rng_to_json(cluster._rng),
-            "search_rng": _rng_to_json(cluster._search_rng),
-        },
+        "cluster": {"rng": _rng_to_json(cluster._rng)},
         "nodes": [_node_state(node, users_by_id) for node in overlay.nodes],
         "churn": None,
         "maintenance": None,
@@ -579,7 +578,6 @@ def restore_cluster(
     cluster = object.__new__(SimulatedCluster)
     cluster.config = config
     cluster._rng = _restored_rng(snapshot["cluster"]["rng"])
-    cluster._search_rng = _restored_rng(snapshot["cluster"]["search_rng"])
     cluster.overlay = overlay
     cluster.queue = EventQueue(clock=overlay.clock)
     cluster.queue._processed = snapshot["queue"].get("processed", 0)

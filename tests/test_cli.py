@@ -1,6 +1,7 @@
 """Tests for the ``dharma`` command-line front-end."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -61,7 +62,6 @@ class TestParser:
             ("evolve", ["in.tsv"]),
             ("converge", ["in.tsv"]),
             ("overlay", ["in.tsv"]),
-            ("cluster-bench", []),
             ("churn-bench", []),
             ("attack-bench", []),
             ("profile", []),
@@ -197,24 +197,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "frozen speedup" in out
 
-    def test_cluster_bench_compares_engine_on_off(self, dataset_path, capsys):
-        assert main(
-            [
-                "cluster-bench",
-                "--dataset", str(dataset_path),
-                "--nodes", "24",
-                "--clients", "2",
-                "--ops", "30",
-                "--searches", "4",
-                "--engine", "both",
-            ]
-        ) == 0
+    def test_profile_limit_truncates_the_synthetic_preset(self, capsys):
+        assert main(["profile", "--preset", "tiny", "--limit", "50", "--searches", "5"]) == 0
         out = capsys.readouterr().out
-        assert "cluster-bench -- 24 nodes" in out
-        assert "messages_per_search" in out
-        assert "approximated/plain" in out and "approximated/engine" in out
-        assert "engine saves" in out
-        assert "lookup engine counters" in out
+        edges = int(re.search(r"^trg edges\s*:\s*(\d+)$", out, flags=re.MULTILINE).group(1))
+        assert 0 < edges <= 50
 
     def test_churn_bench_reports_survival(self, tmp_path, capsys):
         json_path = tmp_path / "churn.json"

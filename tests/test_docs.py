@@ -51,7 +51,7 @@ class TestCliDocsDrift:
         # an accidentally emptied parser cannot vacuously pass.
         assert parser_subcommands() >= {
             "generate", "stats", "evolve", "converge", "overlay",
-            "cluster-bench", "churn-bench", "attack-bench", "profile",
+            "churn-bench", "attack-bench", "profile",
             "dashboard", "audit", "serve",
         }
 

@@ -3,21 +3,19 @@
 Runs the Figure 7 faceted-search simulation (Section V-C) twice -- on the
 mutable dict/set engine (the seed behaviour) and on the frozen
 :class:`~repro.core.compact.CompactFolksonomy` fast path -- and gates the
-interned core on three properties:
+interned core on two properties:
 
 1. **byte-identical outcomes**: every individual search visits the same
    tags, ends with the same candidate tag/resource sets and the same stop
    reason on both engines, and the two timed simulations produce identical
    path-length samples;
 2. **speed**: the frozen run (freeze time included) is at least
-   ``SPEEDUP_TARGET`` times faster at bench size;
-3. **cost-model stability**: the paper's Table I lookup costs are measured
-   unchanged with the binary wire codec enabled.
+   ``SPEEDUP_TARGET`` times faster at bench size.
 
 Each run rewrites ``BENCH_core.json`` in the working directory with one
 trajectory point (CI uploads it as an artifact).  Gate 1 is asserted while
-the searches run; gates 2 and 3 are values of the written point and are
-stated by ``repro.analysis.audit.audit_core``, which the script ends on --
+the searches run; gate 2 is a value of the written point and is stated by
+``repro.analysis.audit.audit_core``, which the script ends on --
 ``dharma audit --core BENCH_core.json`` re-checks the same file offline.
 """
 
@@ -30,17 +28,8 @@ from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_s
 from repro.analysis.audit import run_audit
 from repro.analysis.convergence import ConvergenceConfig, run_convergence_experiment
 from repro.analysis.report import format_mapping, write_json
-from repro.core.approximation import default_approximation
-from repro.core.codec import BlockCodec
 from repro.core.compact import freeze_folksonomy
 from repro.core.faceted_search import FacetedSearch, ModelView
-from repro.dht.bootstrap import build_overlay
-from repro.dht.node import NodeConfig
-from repro.distributed.block_store import BlockStore
-from repro.distributed.cost_model import insert_cost, naive_tag_cost, search_step_cost
-from repro.distributed.naive_protocol import NaiveProtocol
-from repro.distributed.search_client import DistributedFacetedSearch
-from repro.simulation.network import NetworkConfig
 
 #: Same shape as the Figure 7 experiment (bench_fig7_search_cdf.py).
 CONFIG = ConvergenceConfig(
@@ -95,44 +84,6 @@ def _outcomes_identical(trg, fg, compact) -> int:
     return compared
 
 
-def _table1_codec_on() -> dict:
-    """Measure Table I primitive costs with byte accounting enabled."""
-    overlay = build_overlay(
-        16,
-        node_config=NodeConfig(k=8, alpha=3, replicate=2),
-        network_config=NetworkConfig(min_latency_ms=1, max_latency_ms=3, seed=0),
-        seed=0,
-    )
-    store = BlockStore(
-        overlay.client(identity=overlay.register_user("codec-bench"), codec=BlockCodec())
-    )
-    protocol = NaiveProtocol(store)
-    ok = True
-    wire_bytes = 0
-    # The three resources share their tag prefix (c-0, c-1, ...), so the
-    # faceted search below has several steps to walk before the candidate
-    # resources collapse.
-    for m in (2, 10, 25):
-        tags = [f"c-{i}" for i in range(m)]
-        insert = protocol.insert_resource(f"codec-res-{m}", tags)
-        tag = protocol.add_tag(f"codec-res-{m}", f"codec-extra-{m}")
-        ok = ok and insert.lookups == insert_cost(m) and tag.lookups == naive_tag_cost(m)
-        ok = ok and insert.wire_bytes > 0 and tag.wire_bytes > 0
-        wire_bytes += insert.wire_bytes + tag.wire_bytes
-    search = DistributedFacetedSearch(store, resource_threshold=1, seed=0)
-    result = search.run("c-0", "first")
-    per_step = search.lookups_per_step()
-    ok = ok and result.length >= 2 and per_step == float(search_step_cost())
-    approx = default_approximation(k=1)  # sanity: config constructible codec-on
-    ok = ok and approx.k == 1
-    return {
-        "table1_ok": bool(ok),
-        "search_steps_measured": result.length,
-        "lookups_per_search_step": per_step,
-        "wire_bytes_sampled": wire_bytes,
-    }
-
-
 class TestCoreSpeed:
     def test_frozen_core_speedup_and_identical_outcomes(
         self, benchmark, bench_trg, bench_fg, evolutions
@@ -179,9 +130,6 @@ class TestCoreSpeed:
         )
         speedup = legacy_s / frozen_s if frozen_s else float("inf")
 
-        # -- Table I with the wire codec on -------------------------------- #
-        table1 = _table1_codec_on()
-
         print_banner("Core speed -- frozen interned index vs dict/set engine (Fig 7 sim)")
         print(format_mapping(
             {
@@ -192,8 +140,6 @@ class TestCoreSpeed:
                 "legacy engine (s)": round(legacy_s, 4),
                 "frozen engine (s, incl. freeze)": round(frozen_s, 4),
                 "speedup": round(speedup, 2),
-                "lookups per search step (codec on)": table1["lookups_per_search_step"],
-                "Table I unchanged codec-on": table1["table1_ok"],
             },
             title="interned-core speed gate",
         ))
@@ -209,7 +155,6 @@ class TestCoreSpeed:
             "frozen_s": frozen_s,
             "speedup": speedup,
             "speedup_target": None if BENCH_SMOKE else SPEEDUP_TARGET,
-            **table1,
         }
         write_json(OUTPUT_PATH, point)
         print(f"\ntrajectory point written to {OUTPUT_PATH.resolve()}")

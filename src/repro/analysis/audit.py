@@ -44,9 +44,9 @@ re-checks the same file offline, so the two cannot disagree.  A gate applies
 when the record carries the fields it reads: a one-arm ``churn-bench --json``
 file, or a record from before a field existed, is checked for what it states.
 
-* ``core`` -- Table I lookup costs unchanged with the wire codec on; on a
-  full-mode point (the only kind that states a ``speedup_target``) the frozen
-  core is at least that many times faster than the dict/set engine.
+* ``core`` -- on a full-mode point (the only kind that states a
+  ``speedup_target``) the frozen core is at least that many times faster than
+  the dict/set engine.
 * ``churn`` -- both arms faced the identical fault trace; with maintenance on
   the run crashed nodes, exercised concurrent APPENDs, kept every counter at
   or above its pre-churn floor and availability at or above the recorded
@@ -401,13 +401,7 @@ _LIVE_CHURN = {
 
 def audit_core(point: dict[str, Any], report: AuditReport) -> None:
     """Gate one ``BENCH_core.json`` point (module docstring, ``core``)."""
-    report.count("core readings", 2)
-    if point.get("table1_ok") is not True:
-        report.error(
-            "core-table1",
-            "Table I lookup costs changed with the codec on "
-            f"(table1_ok={point.get('table1_ok')!r})",
-        )
+    report.count("core readings")
     speedup, target = point.get("speedup"), point.get("speedup_target")
     # A smoke point states no target: its dataset is too small for the array
     # layout to pay off, so only the measured ratio is recorded.

@@ -162,8 +162,6 @@ def _render_core(core: dict[str, Any]) -> str:
     if target is not None:
         gate = "PASS" if (core.get("speedup") or 0.0) >= target else "FAIL"
         row["speedup gate"] = f">= {target:.1f}x: {gate}"
-    if core.get("table1_ok") is not None:
-        row["Table I costs"] = "ok" if core["table1_ok"] else "VIOLATED"
     return format_mapping(row, title="core speed (BENCH_core.json)")
 
 

@@ -1,19 +1,18 @@
 """Struct-packed varint binary codec for the four DHARMA block types.
 
-The paper's cost model counts overlay *lookups*; at production scale the
-other axis that matters is *bytes on the wire*.  This module defines a
-compact, deterministic binary encoding for the block payloads of
-:mod:`repro.core.blocks` so the DHT layer can account (and a real transport
-could ship) the exact serialized size of every block read and write:
+This module defines a compact, deterministic binary encoding for the block
+payloads of :mod:`repro.core.blocks`.  Cluster snapshots store blocks in it,
+and ``dharma profile`` sizes a dataset's blocks with it.  Block records are
+not what travels between nodes: RPC frames come from :mod:`repro.net.wire`
+(built on this module's varint and value vocabulary), and bytes on the wire
+are counted by the transport (:mod:`repro.net.base`).
 
 ========  ==========================================================
 offset    content
 ========  ==========================================================
 0         magic ``0xDA``
 1         format version (``0x01``)
-2         block-type byte: ``1``-``4`` for whole blocks, the same
-          value with the high bit set (``0x81``-``0x83``) for APPEND
-          increment messages
+2         block-type byte: ``1``-``4``
 3...      owner name: uvarint byte-length + UTF-8 bytes
 ...       body (see below)
 ========  ==========================================================
@@ -21,10 +20,7 @@ offset    content
 Counter blocks (types 1-3) encode their entries as a uvarint count followed
 by ``(uvarint name-length, UTF-8 name, uvarint counter)`` triples **sorted
 by name**, so equal blocks always serialize to equal bytes.  The URI block
-(type 4) encodes the URI as one length-prefixed string.  APPEND messages
-carry the increments map in the same entry layout, then one flag byte and,
-when the flag is ``0x01``, the ``increments_if_new`` map (Approximation B's
-storage-side rule).
+(type 4) encodes the URI as one length-prefixed string.
 
 All integers use unsigned LEB128 ("uvarint"): 7 value bits per byte, high
 bit says "more bytes follow" -- the standard varint of protobuf and WebAssembly.
@@ -52,28 +48,24 @@ __all__ = [
     "decode_uvarint",
     "encode_block",
     "decode_block",
-    "encode_append",
-    "decode_append",
     "encode_membership",
     "decode_membership",
     "encode_routing_table",
     "decode_routing_table",
     "encode_value",
     "decode_value",
-    "BlockCodec",
 ]
 
 _MAGIC = 0xDA
 _VERSION = 1
-_APPEND_FLAG = 0x80
 #: Cluster-state record types (snapshot/restore), disjoint from the block
-#: type bytes ``1``-``4`` and the append range ``0x81``-``0x83``.
+#: type bytes ``1``-``4``.
 _MEMBERSHIP_TYPE = 0x10
 _ROUTING_TYPE = 0x11
 _HEADER = struct.Struct("<BBB")
 
-#: Overlay key size charged as request overhead per primitive (the 160-bit
-#: SHA-1 block key of Section IV-A).
+#: Node-id size in membership and routing-table records (the 160-bit SHA-1
+#: key space of Section IV-A).
 KEY_BYTES = 20
 
 
@@ -176,8 +168,6 @@ def encode_block(payload: dict) -> bytes:
 def decode_block(data: bytes) -> dict:
     """Inverse of :func:`encode_block`; returns the payload dict."""
     type_byte, offset = _check_header(data)
-    if type_byte & _APPEND_FLAG:
-        raise CodecError("data is an append message, use decode_append()")
     block_type = _block_type_for(type_byte)
     owner, offset = _read_string(data, offset)
     if block_type is BlockType.RESOURCE_URI:
@@ -187,54 +177,6 @@ def decode_block(data: bytes) -> dict:
     entries, offset = _read_entries(data, offset)
     _check_consumed(data, offset)
     return {"owner": owner, "type": block_type.value, "entries": entries}
-
-
-# --------------------------------------------------------------------- #
-# append (increment) messages
-# --------------------------------------------------------------------- #
-
-
-def encode_append(
-    owner: str,
-    block_type: BlockType,
-    increments: dict[str, int],
-    increments_if_new: dict[str, int] | None = None,
-) -> bytes:
-    """Serialize the wire message of one counter-block APPEND."""
-    if not block_type.is_counter:
-        raise CodecError("append messages exist only for counter blocks")
-    out = bytearray(
-        _HEADER.pack(_MAGIC, _VERSION, int(block_type.value) | _APPEND_FLAG)
-    )
-    _write_string(out, owner)
-    _write_entries(out, increments)
-    if increments_if_new is None:
-        out.append(0x00)
-    else:
-        out.append(0x01)
-        _write_entries(out, increments_if_new)
-    return bytes(out)
-
-
-def decode_append(data: bytes) -> tuple[str, BlockType, dict[str, int], dict[str, int] | None]:
-    """Inverse of :func:`encode_append`."""
-    type_byte, offset = _check_header(data)
-    if not type_byte & _APPEND_FLAG:
-        raise CodecError("data is a whole block, use decode_block()")
-    block_type = _block_type_for(type_byte & ~_APPEND_FLAG)
-    owner, offset = _read_string(data, offset)
-    increments, offset = _read_entries(data, offset)
-    if offset >= len(data):
-        raise CodecError("truncated append flag")
-    flag = data[offset]
-    offset += 1
-    increments_if_new: dict[str, int] | None = None
-    if flag == 0x01:
-        increments_if_new, offset = _read_entries(data, offset)
-    elif flag != 0x00:
-        raise CodecError(f"bad increments_if_new flag {flag:#x}")
-    _check_consumed(data, offset)
-    return owner, block_type, increments, increments_if_new
 
 
 def _check_header(data: bytes) -> tuple[int, int]:
@@ -488,41 +430,3 @@ def decode_value(data: bytes, offset: int = 0):
             mapping[key] = item
         return mapping, offset
     raise CodecError(f"unknown value tag {tag:#x}")
-
-
-# --------------------------------------------------------------------- #
-# accounting facade
-# --------------------------------------------------------------------- #
-
-
-class BlockCodec:
-    """Stateless encode/decode/size facade used by the DHT client.
-
-    ``payload_size`` never raises: values that are not block payloads (only
-    possible through the raw :meth:`repro.dht.api.DHTClient.put` API) are
-    charged their UTF-8 ``repr`` size so accounting stays total.
-    """
-
-    encode_block = staticmethod(encode_block)
-    decode_block = staticmethod(decode_block)
-    encode_append = staticmethod(encode_append)
-    decode_append = staticmethod(decode_append)
-
-    def payload_size(self, value) -> int:
-        """Wire size of an arbitrary stored value, in bytes."""
-        if isinstance(value, dict) and "type" in value:
-            try:
-                return len(encode_block(value))
-            except CodecError:
-                pass
-        return len(repr(value).encode("utf-8"))
-
-    def append_size(
-        self,
-        owner: str,
-        block_type: BlockType,
-        increments: dict[str, int],
-        increments_if_new: dict[str, int] | None = None,
-    ) -> int:
-        """Wire size of one APPEND message, in bytes."""
-        return len(encode_append(owner, block_type, increments, increments_if_new))

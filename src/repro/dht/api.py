@@ -13,7 +13,8 @@ distributed protocols program against; it
 
 Keeping the accounting here (rather than inside the protocols) guarantees
 that the naive and the approximated protocols are measured with exactly the
-same yardstick.
+same yardstick.  Bytes on the wire are not counted here but by the node's
+transport (:class:`~repro.net.base.TransportStats`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.blocks import BlockKey, BlockType, CounterBlock, block_for_type
-from repro.core.codec import KEY_BYTES, BlockCodec
 from repro.dht.batched_lookup import BatchedLookupEngine
 from repro.dht.likir import Identity
 from repro.dht.node import KademliaNode
@@ -47,12 +47,6 @@ class LookupStats:
     rpc_messages: int = 0
     #: GETs that failed to locate the key.
     misses: int = 0
-    #: Payload bytes shipped to the overlay (PUT/APPEND bodies plus the
-    #: 160-bit request key of every primitive), measured through the binary
-    #: block codec.  Stays 0 when the client has no codec configured.
-    bytes_sent: int = 0
-    #: Payload bytes received from the overlay (GET responses).
-    bytes_received: int = 0
 
     def reset(self) -> None:
         self.lookups = 0
@@ -61,13 +55,6 @@ class LookupStats:
         self.appends = 0
         self.rpc_messages = 0
         self.misses = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    @property
-    def wire_bytes(self) -> int:
-        """Total bytes on the wire in both directions."""
-        return self.bytes_sent + self.bytes_received
 
     def snapshot(self) -> dict[str, int]:
         return {
@@ -77,8 +64,6 @@ class LookupStats:
             "appends": self.appends,
             "rpc_messages": self.rpc_messages,
             "misses": self.misses,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
         }
 
 
@@ -92,13 +77,6 @@ class DHTClient:
     still counts as exactly one overlay lookup in :class:`LookupStats` -- the
     engine changes how many *RPC messages* a lookup costs, not the paper's
     lookup arithmetic.
-
-    When a :class:`~repro.core.codec.BlockCodec` is supplied, every primitive
-    additionally accounts the binary wire size of what it ships/receives in
-    :attr:`LookupStats.bytes_sent` / :attr:`LookupStats.bytes_received`
-    (request = 20-byte block key, plus the struct-packed varint encoding of
-    the payload).  The codec changes *byte* accounting only -- lookup counts
-    and stored values are untouched, so Table I holds codec-on.
     """
 
     def __init__(
@@ -106,14 +84,12 @@ class DHTClient:
         node: KademliaNode,
         identity: Identity | None = None,
         engine: BatchedLookupEngine | None = None,
-        codec: BlockCodec | None = None,
     ) -> None:
         if engine is not None and engine.node is not node:
             raise ValueError("the lookup engine must wrap the client's access node")
         self.node = node
         self.identity = identity
         self.engine = engine
-        self.codec = codec
         self.stats = LookupStats()
 
     # ------------------------------------------------------------------ #
@@ -139,8 +115,6 @@ class DHTClient:
         self.stats.puts += 1
         self.stats.lookups += 1
         self.stats.rpc_messages += outcome.messages
-        if self.codec is not None:
-            self.stats.bytes_sent += KEY_BYTES + self.codec.payload_size(value)
 
     def append(
         self,
@@ -177,10 +151,6 @@ class DHTClient:
         self.stats.appends += 1
         self.stats.lookups += 1
         self.stats.rpc_messages += outcome.messages
-        if self.codec is not None:
-            self.stats.bytes_sent += KEY_BYTES + self.codec.append_size(
-                block_key.name, block_key.block_type, increments, increments_if_new
-            )
 
     def get(self, block_key: BlockKey, top_n: int | None = None) -> Any | None:
         """Retrieve the raw value stored under *block_key* (one lookup)."""
@@ -194,10 +164,6 @@ class DHTClient:
         self.stats.rpc_messages += outcome.messages
         if value is None:
             self.stats.misses += 1
-        if self.codec is not None:
-            self.stats.bytes_sent += KEY_BYTES
-            if value is not None:
-                self.stats.bytes_received += self.codec.payload_size(value)
         return value
 
     def get_many(self, block_keys: Sequence[BlockKey], top_n: int | None = None) -> list[Any | None]:
@@ -218,10 +184,6 @@ class DHTClient:
             self.stats.rpc_messages += outcome.messages
             if value is None:
                 self.stats.misses += 1
-            if self.codec is not None:
-                self.stats.bytes_sent += KEY_BYTES
-                if value is not None:
-                    self.stats.bytes_received += self.codec.payload_size(value)
             values.append(value)
         return values
 

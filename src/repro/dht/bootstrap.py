@@ -22,7 +22,6 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core.codec import BlockCodec
 from repro.dht.likir import CertificationService, Identity
 from repro.dht.node import KademliaNode, NodeConfig
 from repro.dht.api import DHTClient
@@ -97,14 +96,9 @@ class Overlay:
         self,
         identity: Identity | None = None,
         node: KademliaNode | None = None,
-        codec: "BlockCodec | None" = None,
     ) -> DHTClient:
-        """Create an application client bound to *node* (random by default).
-
-        Pass a :class:`~repro.core.codec.BlockCodec` to enable
-        bytes-on-the-wire accounting on the client's stats.
-        """
-        return DHTClient(node or self.random_node(), identity=identity, codec=codec)
+        """Create an application client bound to *node* (random by default)."""
+        return DHTClient(node or self.random_node(), identity=identity)
 
     def register_user(self, user: str) -> Identity:
         """Issue a Likir identity for an application user."""

@@ -59,9 +59,8 @@ from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact, make_routing_table
 from repro.dht.storage import LocalStorage
 from repro.net.base import DatagramTooLarge, RequestTimeout, Transport, TransportError
-from repro.net.simulated import as_transport
 from repro.perf import PERF
-from repro.simulation.network import NodeUnreachable, SimulatedNetwork
+from repro.simulation.network import NodeUnreachable
 
 __all__ = [
     "NodeConfig",
@@ -156,18 +155,17 @@ class KademliaNode:
     def __init__(
         self,
         node_id: NodeID,
-        network: SimulatedNetwork | Transport,
+        network: Transport,
         config: NodeConfig | None = None,
         address: str | None = None,
         certification: CertificationService | None = None,
     ) -> None:
         self.node_id = node_id
         self.config = config or NodeConfig()
-        #: The transport seam the node speaks through.  A raw
-        #: ``SimulatedNetwork`` is wrapped in its (shared) adapter, so
-        #: existing call sites keep constructing nodes unchanged; a
-        #: ``UdpTransport`` puts the same node on a real socket.
-        self.transport = as_transport(network)
+        #: The transport seam the node speaks through: the overlay's shared
+        #: ``SimulatedNetwork``, or a ``UdpTransport`` that puts the same
+        #: node on a real socket.
+        self.transport = network
         self.address = (
             address or self.transport.local_address() or f"node-{_ADDRESSES.take():06d}"
         )
@@ -201,17 +199,6 @@ class KademliaNode:
             "find_value": 0,
         }
         self.transport.register(self.address, self._dispatch)
-
-    @property
-    def network(self):
-        """Back-compat view of the transport's inner network.
-
-        Returns the wrapped :class:`~repro.simulation.network.SimulatedNetwork`
-        when the node runs on the simulator (so harness code reading
-        ``node.network.stats`` / ``node.network.clock`` is untouched) and the
-        transport itself otherwise.
-        """
-        return self.transport.network
 
     # ------------------------------------------------------------------ #
     # identity / representation

@@ -59,12 +59,6 @@ class BlockStore:
         """Block reads served from the local cache so far (0 without cache)."""
         return self.cache.stats.hits if self.cache is not None else 0
 
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes shipped/received on the wire so far (0 without a codec on
-        the client); cached reads cost no bytes, mirroring the lookup rule."""
-        return self.client.stats.wire_bytes
-
     # -- cache plumbing ----------------------------------------------------- #
 
     def _invalidate(self, block_key: BlockKey) -> None:

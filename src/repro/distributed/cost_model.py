@@ -133,11 +133,6 @@ class OperationCost:
     #: Block reads served by a local cache instead of the overlay (always 0
     #: when no cache is configured); ``lookups`` counts network reads only.
     cache_hits: int = 0
-    #: Bytes on the wire attributable to this operation (request keys plus
-    #: binary-codec payload sizes, both directions).  Always 0 when the
-    #: client has no :class:`~repro.core.codec.BlockCodec` configured --
-    #: byte accounting sits next to, never instead of, lookup counts.
-    wire_bytes: int = 0
 
 
 @dataclass
@@ -182,17 +177,6 @@ class CostLedger:
             r.cache_hits for r in self.records if operation is None or r.operation == operation
         )
 
-    def total_wire_bytes(self, operation: str | None = None) -> int:
-        return sum(
-            r.wire_bytes for r in self.records if operation is None or r.operation == operation
-        )
-
-    def mean_wire_bytes(self, operation: str) -> float:
-        values = [r.wire_bytes for r in self.records if r.operation == operation]
-        if not values:
-            raise ValueError(f"no records for operation {operation!r}")
-        return statistics.fmean(values)
-
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-operation mean / max / count, for benchmark reports."""
         out: dict[str, dict[str, float]] = {}
@@ -204,6 +188,5 @@ class CostLedger:
                 "max_lookups": max(lookups),
                 "total_lookups": sum(lookups),
                 "cache_hits": sum(r.cache_hits for r in records),
-                "wire_bytes": sum(r.wire_bytes for r in records),
             }
         return out

@@ -66,7 +66,6 @@ class BaseDharmaProtocol(ABC):
         before = self.store.lookups
         before_rpc = self.store.rpc_messages
         before_cached = self.store.cache_hits
-        before_bytes = self.store.wire_bytes
 
         # Type-4 block: the resource URI.
         self.store.put_resource_uri(resource, uri or f"urn:dharma:{resource}")
@@ -85,7 +84,6 @@ class BaseDharmaProtocol(ABC):
             size=len(unique_tags),
             rpc_messages=self.store.rpc_messages - before_rpc,
             cache_hits=self.store.cache_hits - before_cached,
-            wire_bytes=self.store.wire_bytes - before_bytes,
         )
         self.ledger.record(cost)
         return cost
@@ -99,7 +97,6 @@ class BaseDharmaProtocol(ABC):
         before = self.store.lookups
         before_rpc = self.store.rpc_messages
         before_cached = self.store.cache_hits
-        before_bytes = self.store.wire_bytes
 
         # 1 lookup: read r̄ to learn the co-tags and whether the tag is new.
         tags_before = self.store.get_resource_tags(resource)
@@ -119,7 +116,6 @@ class BaseDharmaProtocol(ABC):
             size=len(co_tags),
             rpc_messages=self.store.rpc_messages - before_rpc,
             cache_hits=self.store.cache_hits - before_cached,
-            wire_bytes=self.store.wire_bytes - before_bytes,
         )
         self.ledger.record(cost)
         return cost

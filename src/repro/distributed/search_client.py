@@ -90,24 +90,16 @@ class DistributedFacetedSearch:
     def run(self, start_tag: str, strategy: SearchStrategy | str) -> SearchResult:
         """Run a full search, recording the lookup cost of every step."""
         before = self.store.lookups
-        before_bytes = self.store.wire_bytes
         result = self.engine.run(start_tag, strategy)
         total = self.store.lookups - before
-        total_bytes = self.store.wire_bytes - before_bytes
         # The engine touches the view once per tag on the path, costing two
         # lookups each; spread the measured totals uniformly over the steps so
         # per-step records stay meaningful even if a future view caches.
         steps = max(result.length, 1)
         base, remainder = divmod(total, steps)
-        bytes_base, bytes_remainder = divmod(total_bytes, steps)
         for index in range(steps):
             lookups = base + (1 if index < remainder else 0)
-            wire_bytes = bytes_base + (1 if index < bytes_remainder else 0)
-            self.ledger.record(
-                OperationCost(
-                    operation="search_step", lookups=lookups, size=0, wire_bytes=wire_bytes
-                )
-            )
+            self.ledger.record(OperationCost(operation="search_step", lookups=lookups, size=0))
         return result
 
     def lookups_per_step(self) -> float:

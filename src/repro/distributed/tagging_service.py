@@ -17,7 +17,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.approximation import ApproximationConfig, default_approximation
-from repro.core.codec import BlockCodec
 from repro.core.faceted_search import SearchResult, SearchStrategy
 from repro.dht.api import DHTClient
 from repro.dht.batched_lookup import BatchedLookupConfig, BatchedLookupEngine
@@ -54,9 +53,6 @@ class ServiceConfig:
     #: Route lookups through a :class:`BatchedLookupEngine` (route caching,
     #: in-flight dedup, coalesced rounds) instead of raw iterative lookups.
     batch_lookups: bool = False
-    #: Account bytes-on-the-wire through the binary block codec (lookup
-    #: counts and stored values are unaffected; see Table I codec-on tests).
-    wire_codec: bool = False
     seed: int | None = 0
 
     def __post_init__(self) -> None:
@@ -82,12 +78,7 @@ class DharmaService:
         self.engine: BatchedLookupEngine | None = None
         if self.config.batch_lookups:
             self.engine = BatchedLookupEngine(access_node, BatchedLookupConfig())
-        self.client: DHTClient = DHTClient(
-            access_node,
-            identity=self.identity,
-            engine=self.engine,
-            codec=BlockCodec() if self.config.wire_codec else None,
-        )
+        self.client: DHTClient = DHTClient(access_node, identity=self.identity, engine=self.engine)
         self.cache: BlockCache | None = None
         if self.config.cache_capacity:
             clock = overlay.clock
@@ -164,11 +155,6 @@ class DharmaService:
     def total_lookups(self) -> int:
         """Overlay lookups issued by this service instance so far."""
         return self.client.stats.lookups
-
-    @property
-    def total_wire_bytes(self) -> int:
-        """Bytes on the wire so far (0 unless ``wire_codec`` is enabled)."""
-        return self.client.stats.wire_bytes
 
     def cost_summary(self) -> dict[str, dict[str, float]]:
         """Per-primitive measured cost summary (mean/max/total lookups)."""

@@ -196,9 +196,6 @@ class ClusterMetricsRecorder:
             counters["client.puts"] = counters.get("client.puts", 0) + stats.puts
             counters["client.gets"] = counters.get("client.gets", 0) + stats.gets
             counters["client.appends"] = counters.get("client.appends", 0) + stats.appends
-            counters["client.wire_bytes"] = (
-                counters.get("client.wire_bytes", 0) + stats.wire_bytes
-            )
             if service.cache is not None:
                 hits += service.cache.stats.hits
                 misses += service.cache.stats.misses

@@ -5,18 +5,17 @@ world.  :class:`~repro.net.base.Transport` defines the contract (register a
 handler, deliver a request, report failures as
 :class:`~repro.net.base.TransportError`); two implementations plug in:
 
-* :class:`~repro.net.simulated.SimulatedTransport` -- the default for every
-  experiment: a thin adapter over the in-process
-  :class:`~repro.simulation.network.SimulatedNetwork` preserving its
-  virtual-clock charging bit for bit;
+* :class:`~repro.simulation.network.SimulatedNetwork` -- the default for
+  every experiment: the in-process network is itself the transport of every
+  node it carries, so one stats object counts an overlay's traffic;
 * :class:`~repro.net.udp.UdpTransport` -- a real UDP RPC layer
   (request-id correlation, timeout/retry with backoff, max-datagram
   enforcement) used by ``dharma serve`` to run one node per OS process.
 
-:mod:`repro.net.wire` defines the golden-byte-pinned binary frame format of
-every DHT RPC, built from the LEB128 vocabulary of
-:mod:`repro.core.codec`; :mod:`repro.net.server` wires a full DHARMA node
-onto a UDP socket.
+Traffic is counted only in each transport's stats.  :mod:`repro.net.wire`
+defines the golden-byte-pinned binary frame format of every DHT RPC, built
+from the LEB128 vocabulary of :mod:`repro.core.codec`; :mod:`repro.net.server`
+wires a full DHARMA node onto a UDP socket.
 """
 
 from repro.net.base import (
@@ -30,13 +29,11 @@ from repro.net.base import (
     rpc_name,
 )
 
-#: repro.simulation.network imports repro.net.base at its own top level, and
-#: importing *any* submodule first executes this package __init__ -- so the
-#: adapters (which import repro.simulation.network back) must load lazily or
-#: the two modules deadlock on each other's half-initialised bodies.
+#: The node layer imports repro.net.base at its own top level, and importing
+#: *any* submodule first executes this package __init__ -- so the UDP
+#: transport (which imports repro.dht back) must load lazily or the modules
+#: deadlock on each other's half-initialised bodies.
 _LAZY = {
-    "SimulatedTransport": "repro.net.simulated",
-    "as_transport": "repro.net.simulated",
     "UdpTransport": "repro.net.udp",
     "UdpTransportConfig": "repro.net.udp",
 }

@@ -5,10 +5,9 @@ object that can register a local RPC handler under an address, deliver a
 request to a remote address and hand back the response, and report failures
 as :class:`TransportError` subclasses.  Two implementations exist:
 
-* :class:`~repro.net.simulated.SimulatedTransport` -- a thin adapter over the
-  in-process :class:`~repro.simulation.network.SimulatedNetwork`, preserving
-  its virtual-clock charging bit for bit (the default for every experiment
-  and benchmark);
+* :class:`~repro.simulation.network.SimulatedNetwork` -- the in-process
+  network with virtual-clock latency and loss, shared by every node of a
+  simulated overlay (the default for every experiment and benchmark);
 * :class:`~repro.net.udp.UdpTransport` -- a real UDP RPC layer with
   request-id correlation, timeout/retry with exponential backoff and
   max-datagram enforcement, used by ``dharma serve`` to run one node per OS
@@ -22,7 +21,10 @@ blocks it until its receiver thread hands over the reply.
 Every transport keeps :class:`TransportStats`: per-message-type counters of
 RPCs sent, succeeded and failed (plus retries and wire bytes where the
 transport has real frames), so operators can see *which* RPC type is burning
-the network regardless of which transport is plugged in.
+the network regardless of which transport is plugged in.  The transport is
+the only place traffic is counted: bytes on the wire are the UDP transport's
+``bytes_sent`` / ``bytes_received`` and the simulator's
+``NetworkStats.bytes_transferred``.
 
 Invariants
 ----------
@@ -241,14 +243,3 @@ class Transport(ABC):
 
     def close(self) -> None:
         """Release transport resources (no-op by default)."""
-
-    @property
-    def network(self) -> Any:
-        """Back-compat view of the underlying network object.
-
-        The simulated adapter returns the wrapped
-        :class:`~repro.simulation.network.SimulatedNetwork` so existing code
-        reading ``node.network.stats`` / ``node.network.clock`` keeps
-        working; transports without an inner network return themselves.
-        """
-        return self

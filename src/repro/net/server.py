@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.codec import BlockCodec
 from repro.dht.api import DHTClient
 from repro.dht.batched_lookup import BatchedLookupEngine
 from repro.dht.likir import CertificationService, Identity
@@ -130,11 +129,10 @@ class ServeNode:
         self,
         identity: Identity | None = None,
         batched: bool = True,
-        codec: BlockCodec | None = None,
     ) -> DHTClient:
         """A :class:`~repro.dht.api.DHTClient` using this node as access point."""
         engine = BatchedLookupEngine(self.node) if batched else None
-        return DHTClient(self.node, identity=identity, engine=engine, codec=codec)
+        return DHTClient(self.node, identity=identity, engine=engine)
 
     # -- observability -------------------------------------------------------- #
 

@@ -1,89 +1,5 @@
-"""The simulated transport: a thin adapter over ``SimulatedNetwork``.
+"""``SimulatedTransport``: another name for the simulator's network, which is a ``Transport``."""
 
-:class:`SimulatedTransport` implements the :class:`~repro.net.base.Transport`
-seam by delegating every call to one shared
-:class:`~repro.simulation.network.SimulatedNetwork`, so the refactored node
-layer behaves *bit for bit* like the pre-seam code: the same virtual-clock
-charging (two one-way latencies on success, ``timeout_ms`` on every failure
-leg -- pinned by ``tests/simulation/test_network_timing.py``), the same
-``NetworkStats`` counters, the same RNG draw order.  The only addition is the
-per-message-type :class:`~repro.net.base.TransportStats` every transport
-keeps.
-
-One adapter is shared by all nodes of a network (:func:`as_transport` caches
-it per network instance), so per-type RPC counters aggregate overlay-wide,
-mirroring how ``NetworkStats`` always worked.
-"""
-
-from __future__ import annotations
-
-from typing import Any
-from weakref import WeakKeyDictionary
-
-from repro.net.base import RPCHandler, Transport, TransportError, TransportStats, rpc_name
 from repro.simulation.network import SimulatedNetwork
 
-__all__ = ["SimulatedTransport", "as_transport"]
-
-
-class SimulatedTransport(Transport):
-    """Transport seam over the in-process simulated network."""
-
-    def __init__(self, network: SimulatedNetwork) -> None:
-        self._network = network
-        self.stats = TransportStats()
-
-    # -- delegation --------------------------------------------------------- #
-
-    @property
-    def network(self) -> SimulatedNetwork:
-        return self._network
-
-    @property
-    def clock(self):
-        return self._network.clock
-
-    def register(self, address: str, handler: RPCHandler) -> None:
-        self._network.register(address, handler)
-
-    def unregister(self, address: str) -> None:
-        self._network.unregister(address)
-
-    def is_registered(self, address: str) -> bool:
-        return self._network.is_registered(address)
-
-    def send(self, sender: str, destination: str, request: Any) -> Any:
-        per_type = self.stats.of(rpc_name(request))
-        per_type.sent += 1
-        try:
-            response = self._network.send(sender, destination, request)
-        except TransportError:
-            per_type.failed += 1
-            raise
-        per_type.succeeded += 1
-        return response
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"SimulatedTransport({len(self._network.addresses)} addresses)"
-
-
-#: One shared adapter per network, so all nodes of an overlay aggregate into
-#: the same per-type stats (and object identity is stable across nodes).
-_ADAPTERS: "WeakKeyDictionary[SimulatedNetwork, SimulatedTransport]" = WeakKeyDictionary()
-
-
-def as_transport(network: SimulatedNetwork | Transport) -> Transport:
-    """Coerce a raw ``SimulatedNetwork`` to its (cached) transport adapter.
-
-    Transports pass through unchanged, so node construction accepts either.
-    """
-    if isinstance(network, Transport):
-        return network
-    if isinstance(network, SimulatedNetwork):
-        adapter = _ADAPTERS.get(network)
-        if adapter is None:
-            adapter = _ADAPTERS[network] = SimulatedTransport(network)
-        return adapter
-    raise TypeError(
-        f"expected a SimulatedNetwork or Transport, got {type(network).__name__}"
-    )
+SimulatedTransport = SimulatedNetwork

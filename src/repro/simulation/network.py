@@ -1,9 +1,11 @@
 """The simulated overlay transport.
 
-RPCs between Kademlia nodes are delivered synchronously by
-:class:`SimulatedNetwork`: the caller invokes :meth:`SimulatedNetwork.send`,
-the network looks up the destination handler, models latency and loss, and
-returns the handler's response.  Two failure modes are modelled:
+:class:`SimulatedNetwork` is the in-process :class:`~repro.net.base.Transport`:
+every node of a simulated overlay registers on the one network and speaks
+through it, so the network is each node's ``transport``.  RPCs are delivered
+synchronously: the caller invokes :meth:`SimulatedNetwork.send`, the network
+looks up the destination handler, models latency and loss, and returns the
+handler's response.  Two failure modes are modelled:
 
 * **unreachable node** -- the destination address is not registered (node left
   the overlay or never existed): :class:`NodeUnreachable` is raised;
@@ -11,22 +13,21 @@ returns the handler's response.  Two failure modes are modelled:
   request or the response is dropped: :class:`MessageDropped` is raised after
   the configured timeout has been charged to the virtual clock.
 
-The network also keeps :class:`NetworkStats`: total messages, bytes (each
-message's estimated :mod:`repro.net.wire` frame size, both legs of an RPC),
-per-node received-message counters (used to study hotspots), and drop counts.
-All randomness is drawn from a seeded generator so simulations are
-reproducible.
+The network counts all traffic in one :class:`NetworkStats`: the per-type RPC
+counters every transport keeps, plus total messages, bytes (each message's
+estimated :mod:`repro.net.wire` frame size, both legs of an RPC), per-node
+received-message counters (used to study hotspots), and drop counts.  All
+randomness is drawn from a seeded generator so simulations are reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.net.base import TransportError
+from repro.net.base import RPCHandler, Transport, TransportError, TransportStats, rpc_name
 from repro.simulation.clock import SimulationClock
 
 __all__ = [
@@ -71,8 +72,8 @@ class NetworkConfig:
 
 
 @dataclass(slots=True)
-class NetworkStats:
-    """Aggregate counters maintained by the network."""
+class NetworkStats(TransportStats):
+    """The network's counters: per-type RPCs plus aggregate message totals."""
 
     messages_sent: int = 0
     messages_delivered: int = 0
@@ -83,6 +84,7 @@ class NetworkStats:
     received_by_node: Counter = field(default_factory=Counter)
 
     def reset(self) -> None:
+        TransportStats.reset(self)
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -95,12 +97,7 @@ class NetworkStats:
         return self.received_by_node.most_common(n)
 
 
-#: An RPC handler takes (sender_address, request_payload) and returns a
-#: response payload.
-RPCHandler = Callable[[str, Any], Any]
-
-
-class SimulatedNetwork:
+class SimulatedNetwork(Transport):
     """Synchronous in-process message bus with latency/loss modelling."""
 
     def __init__(
@@ -162,38 +159,52 @@ class SimulatedNetwork:
 
         Raises :class:`NodeUnreachable` or :class:`MessageDropped` on failure;
         in both cases the virtual clock has already been charged (timeout on
-        failure, two one-way latencies on success).
+        failure, two one-way latencies on success).  An exception raised by
+        the destination's handler propagates to the caller; like a
+        ``RemoteFault`` over UDP, that RPC is booked as succeeded.
         """
-        self.stats.messages_sent += 1
-        self.stats.bytes_transferred += self._wire_size(payload)
+        stats = self.stats
+        per_type = stats.of(rpc_name(payload))
+        per_type.sent += 1
+        stats.messages_sent += 1
+        stats.bytes_transferred += self._wire_size(payload)
 
         handler = self._handlers.get(destination)
         if handler is None or destination in self._partitioned or sender in self._partitioned:
-            self.stats.rpcs_failed_unreachable += 1
+            stats.rpcs_failed_unreachable += 1
+            per_type.failed += 1
             self.clock.advance(self.config.timeout_ms)
             raise NodeUnreachable(destination)
 
         # Request leg.
         if self.config.loss_rate and self._rng.random() < self.config.loss_rate:
-            self.stats.messages_dropped += 1
+            stats.messages_dropped += 1
+            per_type.failed += 1
             self.clock.advance(self.config.timeout_ms)
             raise MessageDropped(f"request {sender} -> {destination}")
         self.clock.advance(self._one_way_latency())
         # The request reached its destination and the handler runs: that leg
         # counts as delivered even if the response is lost below (the
         # destination did receive and serve the request).
-        self.stats.received_by_node[destination] += 1
-        self.stats.messages_delivered += 1
+        stats.received_by_node[destination] += 1
+        stats.messages_delivered += 1
 
-        response = handler(sender, payload)
+        try:
+            response = handler(sender, payload)
+        except BaseException:
+            # A live peer answered with a fault: the RPC itself got through.
+            per_type.succeeded += 1
+            raise
 
         # Response leg.
-        self.stats.messages_sent += 1
-        self.stats.bytes_transferred += self._wire_size(response)
+        stats.messages_sent += 1
+        stats.bytes_transferred += self._wire_size(response)
         if self.config.loss_rate and self._rng.random() < self.config.loss_rate:
-            self.stats.messages_dropped += 1
+            stats.messages_dropped += 1
+            per_type.failed += 1
             self.clock.advance(self.config.timeout_ms)
             raise MessageDropped(f"response {destination} -> {sender}")
         self.clock.advance(self._one_way_latency())
-        self.stats.messages_delivered += 1
+        stats.messages_delivered += 1
+        per_type.succeeded += 1
         return response

@@ -3,21 +3,17 @@
 import pytest
 
 from repro.core.blocks import (
-    BlockType,
     ResourceTagsBlock,
     ResourceURIBlock,
     TagNeighboursBlock,
     TagResourcesBlock,
 )
 from repro.core.codec import (
-    BlockCodec,
     CodecError,
-    decode_append,
     decode_block,
     decode_membership,
     decode_routing_table,
     decode_uvarint,
-    encode_append,
     encode_block,
     encode_membership,
     encode_routing_table,
@@ -87,16 +83,6 @@ class TestRoundTrip:
         payload = block.to_payload()
         assert decode_block(encode_block(payload)) == payload
 
-    def test_append_messages(self):
-        for increments, if_new in [
-            ({"grunge": 1}, None),
-            ({"grunge": 1}, {"grunge": 1}),
-            ({"a": 1, "b": 2, "тег": 3}, {"a": 1, "b": 1, "тег": 1}),
-            ({}, None),
-        ]:
-            data = encode_append("rock", BlockType.TAG_NEIGHBOURS, increments, if_new)
-            assert decode_append(data) == ("rock", BlockType.TAG_NEIGHBOURS, increments, if_new)
-
     def test_encoding_is_deterministic_under_dict_order(self):
         a = {"owner": "r", "type": "1", "entries": {"x": 1, "y": 2}}
         b = {"owner": "r", "type": "1", "entries": {"y": 2, "x": 1}}
@@ -139,12 +125,6 @@ class TestGoldenBytes:
         assert encode_block(payload).hex() == expected_hex
         assert decode_block(bytes.fromhex(expected_hex)) == payload
 
-    def test_append_golden_bytes(self):
-        data = encode_append("rock", BlockType.TAG_NEIGHBOURS, {"grunge": 1}, {"grunge": 1})
-        assert data.hex() == "da018304726f636b01066772756e6765010101066772756e676501"
-        plain = encode_append("rock", BlockType.TAG_NEIGHBOURS, {"grunge": 200})
-        assert plain.hex() == "da018304726f636b01066772756e6765c80100"
-
 
 class TestMalformedData:
     def test_bad_magic(self):
@@ -169,38 +149,9 @@ class TestMalformedData:
         with pytest.raises(CodecError):
             decode_block(good + b"\x00")
 
-    def test_block_vs_append_mixups(self):
-        block = encode_block({"owner": "r", "type": "1", "entries": {}})
-        append = encode_append("t", BlockType.TAG_RESOURCES, {"r": 1})
-        with pytest.raises(CodecError):
-            decode_append(block)
-        with pytest.raises(CodecError):
-            decode_block(append)
-
-    def test_append_rejected_for_uri_blocks(self):
-        with pytest.raises(CodecError):
-            encode_append("r", BlockType.RESOURCE_URI, {"x": 1})
-
     def test_non_block_payload_rejected(self):
         with pytest.raises(CodecError):
             encode_block({"random": "dict"})
-
-
-class TestBlockCodecFacade:
-    def test_payload_size_matches_encoding(self):
-        codec = BlockCodec()
-        payload = {"owner": "rock", "type": "2", "entries": {"nevermind": 3}}
-        assert codec.payload_size(payload) == len(encode_block(payload))
-
-    def test_payload_size_total_for_arbitrary_values(self):
-        codec = BlockCodec()
-        assert codec.payload_size({"weird": 1}) == len(repr({"weird": 1}).encode())
-        assert codec.payload_size("just a string") > 0
-
-    def test_append_size(self):
-        codec = BlockCodec()
-        expected = len(encode_append("t", BlockType.TAG_NEIGHBOURS, {"x": 1}, None))
-        assert codec.append_size("t", BlockType.TAG_NEIGHBOURS, {"x": 1}) == expected
 
 
 class TestMembershipRecords:

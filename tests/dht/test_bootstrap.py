@@ -1,5 +1,8 @@
 """Unit tests for overlay construction and membership management."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dht.bootstrap import build_overlay
@@ -27,6 +30,15 @@ class TestBuildOverlay:
         a = build_overlay(4, seed=42)
         b = build_overlay(4, seed=42)
         assert [n.node_id for n in a.nodes] == [n.node_id for n in b.nodes]
+
+    def test_a_dropped_overlay_is_freed(self):
+        """Nothing process-wide keeps a network (and every node registered
+        on it) alive once its overlay is gone."""
+        overlay = build_overlay(4, seed=0)
+        network = weakref.ref(overlay.network)
+        del overlay
+        gc.collect()
+        assert network() is None
 
     def test_nodes_know_each_other_after_bootstrap(self):
         overlay = build_overlay(6, seed=1)

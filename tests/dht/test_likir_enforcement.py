@@ -10,6 +10,7 @@ handlers -- the paths the adversarial harness
 import pytest
 
 from repro.core.blocks import BlockType
+from repro.dht.bootstrap import build_overlay
 from repro.dht.likir import CertificationService, Identity, LikirAuthError, SignedValue
 from repro.dht.messages import (
     AppendRequest,
@@ -98,6 +99,23 @@ class TestStoreEnforcement:
         forged = SignedValue.create(mallory, key, {"entries": {"x": 1}})
         with pytest.raises(LikirAuthError, match="unknown publisher"):
             b._dispatch(a.address, store_request(a, key, forged))
+
+    def test_rejected_store_is_booked_as_an_answered_rpc(self):
+        """A STORE the verifying handler rejects still reached a live peer:
+        the transport books it ``succeeded``, as UDP books a ``RemoteFault``."""
+        overlay = build_overlay(4, seed=0)
+        a, b = overlay.nodes[:2]
+        mallory = Identity(
+            user="mallory", node_id=NodeID.hash_of("mallory"), secret=b"\x07" * 20
+        )
+        key = NodeID.hash_of("k")
+        forged = SignedValue.create(mallory, key, {"entries": {"x": 1}})
+        with pytest.raises(LikirAuthError):
+            a.transport.send(a.address, b.address, store_request(a, key, forged))
+        store = a.transport.stats.of("store")
+        assert store.sent == 1
+        assert store.sent == store.succeeded + store.failed
+        assert store.succeeded == 1
 
     def test_unconfigured_service_rejects_instead_of_trusting(self, network, certification):
         a = make_node(network, certification, "a")

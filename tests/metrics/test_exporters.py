@@ -102,9 +102,9 @@ class TestPrometheusExposition:
         assert len(parsed) == 4
 
     def test_counter_suffix_not_doubled(self):
-        sample = {**SAMPLE, "counters": {"client.wire_bytes_total": 7}}
+        sample = {**SAMPLE, "counters": {"net.bytes_transferred_total": 7}}
         text = render_prometheus(sample)
-        assert "dharma_client_wire_bytes_total 7" in text
+        assert "dharma_net_bytes_transferred_total 7" in text
         assert "_total_total" not in text
 
     def test_rendering_is_deterministic(self):

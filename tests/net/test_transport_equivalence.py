@@ -1,8 +1,8 @@
 """The simulated transport is bit-for-bit the pre-seam network.
 
 The transport refactor's core promise is that every experiment, benchmark
-trajectory and published number survives unchanged: wrapping the
-``SimulatedNetwork`` in :class:`~repro.net.simulated.SimulatedTransport` must
+trajectory and published number survives unchanged: speaking to the
+``SimulatedNetwork`` through the :class:`~repro.net.base.Transport` seam must
 not perturb the virtual clock, the RNG draw order or any counter.  This test
 replays a fixed mixed workload (stores, appends, retrieves over a lossy
 25-node overlay) and asserts the exact clock position, message counters and
@@ -19,7 +19,6 @@ import pytest
 from repro.core.blocks import BlockType
 from repro.dht.bootstrap import build_overlay
 from repro.dht.node_id import NodeID
-from repro.net.simulated import SimulatedTransport, as_transport
 from repro.simulation.network import NetworkConfig
 
 # Captured by running this exact workload on the pre-seam implementation
@@ -83,17 +82,9 @@ class TestPinnedBaseline:
 
 
 class TestSeamWiring:
-    def test_nodes_share_one_cached_adapter(self, overlay):
-        transports = {id(node.transport) for node in overlay.nodes}
-        assert len(transports) == 1
-        adapter = overlay.nodes[0].transport
-        assert isinstance(adapter, SimulatedTransport)
-        assert as_transport(overlay.network) is adapter
-
-    def test_node_network_property_unwraps_to_simulated_network(self, overlay):
-        node = overlay.nodes[0]
-        assert node.network is overlay.network
-        assert node.transport.clock is overlay.network.clock
+    def test_every_node_speaks_through_the_overlay_network(self, overlay):
+        assert all(node.transport is overlay.network for node in overlay.nodes)
+        assert overlay.network.stats is overlay.nodes[0].transport.stats
 
     def test_transport_stats_track_per_type_counters(self, overlay):
         run_workload(overlay)
@@ -109,7 +100,3 @@ class TestSeamWiring:
         failed = stats.rpcs_failed
         net = overlay.network.stats
         assert failed == net.messages_dropped + net.rpcs_failed_unreachable
-
-    def test_as_transport_rejects_foreign_objects(self):
-        with pytest.raises(TypeError):
-            as_transport(object())

@@ -1,8 +1,8 @@
 """Virtual-time charging of the simulated transport, pinned path by path.
 
-The ``SimulatedTransport`` adapter (:mod:`repro.net.simulated`) promises to
-preserve the exact clock semantics of :meth:`SimulatedNetwork.send`.  These
-tests pin those semantics with a scripted RNG so every failure leg charges a
+:class:`SimulatedNetwork` is the transport of every simulated node, so
+:meth:`SimulatedNetwork.send` fixes the clock of every experiment.  These
+tests pin its semantics with a scripted RNG so every failure leg charges a
 known, asserted amount of virtual time:
 
 * **unreachable destination** -- one full ``timeout_ms`` is charged, nothing

@@ -326,7 +326,7 @@ class TestObservabilityCommands:
         churn = tmp_path / "BENCH_churn.json"
         core.write_text(json_module.dumps({
             "preset": "small", "legacy_s": 1.2, "frozen_s": 0.3,
-            "speedup": 4.0, "speedup_target": 3.0, "table1_ok": True,
+            "speedup": 4.0, "speedup_target": 3.0,
         }))
         churn.write_text(json_module.dumps({
             "nodes": 24, "duration_s": 60.0, "availability_floor": 0.99,
@@ -737,7 +737,6 @@ class TestObservabilityCommands:
 
     @pytest.mark.parametrize("kind, corrupt, code", [pytest.param(*case, id=case[2]) for case in [
         ("core", lambda p: p.update(speedup=2.9), "core-speedup"),
-        ("core", lambda p: p.update(table1_ok=False), "core-table1"),
         ("churn", lambda p: p["maintenance_off"].update(crashes=1), "churn-trace-divergence"),
         ("churn", lambda p: p["maintenance_on"].update(final_availability=0.98),
          "churn-availability"),

@@ -51,6 +51,15 @@ class TestUvarint:
         with pytest.raises(CodecError):
             decode_uvarint(b"\x80")
 
+    def test_over_long_rejected(self):
+        with pytest.raises(CodecError, match="too long"):
+            decode_uvarint(b"\x80" * 10 + b"\x01")
+
+    def test_decodes_from_an_offset(self):
+        data = b"\xff" + encode_uvarint(300) + b"\x07"
+        assert decode_uvarint(data, 1) == (300, 3)
+        assert decode_uvarint(data, 3) == (7, 4)
+
 
 class TestRoundTrip:
     """encode → decode is the identity for all four block types."""
@@ -149,9 +158,29 @@ class TestMalformedData:
         with pytest.raises(CodecError):
             decode_block(good + b"\x00")
 
+    def test_truncated_header(self):
+        with pytest.raises(CodecError, match="truncated header"):
+            decode_block(b"\xda\x01")
+
+    def test_invalid_utf8_owner(self):
+        good = encode_block({"owner": "r", "type": "1", "entries": {}})
+        with pytest.raises(CodecError, match="UTF-8"):
+            decode_block(good[:4] + b"\xff" + good[5:])
+
+    def test_cluster_state_records_are_not_blocks(self):
+        membership = encode_membership("u", bytes(20), "node-0", True)
+        routing = encode_routing_table(bytes(20), 8, [])
+        for record in (membership, routing):
+            with pytest.raises(CodecError, match="unknown block type"):
+                decode_block(record)
+        with pytest.raises(CodecError):
+            decode_membership(encode_block({"owner": "r", "type": "1", "entries": {}}))
+
     def test_non_block_payload_rejected(self):
         with pytest.raises(CodecError):
             encode_block({"random": "dict"})
+        with pytest.raises(CodecError):
+            encode_block({"owner": "r", "type": "9", "entries": {}})
 
 
 class TestMembershipRecords:

@@ -497,7 +497,7 @@ class TestDatagramBounds:
             )
         assert client.stats.of("store").failed == 1
 
-    def test_oversize_response_comes_back_as_a_transport_error(self, client, server):
+    def test_oversize_response_comes_back_as_transport_error(self, client, server):
         def handler(sender_address, request):
             return FindValueResponse(
                 responder_id=B,

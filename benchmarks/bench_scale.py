@@ -40,7 +40,7 @@ from repro.analysis.audit import run_audit
 from repro.analysis.report import write_json
 from repro.metrics import MetricsStream
 from repro.perf import PERF
-from repro.simulation.cluster import churn_cluster_config
+from repro.simulation.cluster import NODE_K, churn_cluster_config
 from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.workload import TaggingWorkload
 
@@ -86,7 +86,7 @@ SEED = 2
 MIN_AVAILABILITY = 0.90 if BENCH_SMOKE else 0.95
 
 
-def _random_contacts(nodes: int, node_k: int) -> int:
+def _random_contacts(nodes: int) -> int:
     """Fast-bootstrap contact spray sized like a converged table.
 
     A converged Kademlia table holds ~log2(n) non-empty buckets of up to
@@ -95,7 +95,7 @@ def _random_contacts(nodes: int, node_k: int) -> int:
     nodes, a fixed 24-contact spray reads 12% of blocks as unreachable while
     the log-scaled spray below resolves them with *fewer* total messages.
     """
-    return max(24, round(node_k * math.log2(nodes)))
+    return max(24, round(NODE_K * math.log2(nodes)))
 
 OUTPUT_PATH = Path("BENCH_scale.json")
 
@@ -110,9 +110,7 @@ def _run_rung(workload: TaggingWorkload, nodes: int, seed: int = SEED) -> dict:
         refresh_interval_ms=REFRESH_S * 1000.0,
         seed=seed,
     )
-    config = dataclasses.replace(
-        config, random_contacts=_random_contacts(nodes, config.node_k)
-    )
+    config = dataclasses.replace(config, random_contacts=_random_contacts(nodes))
     # In-memory stream: the queue gauges of the compact core (compactions,
     # raw heap size, cancelled backlog) ride the ordinary metrics path.
     stream = MetricsStream()

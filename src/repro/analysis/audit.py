@@ -78,7 +78,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.survival import forged_write_totals
-from repro.core.codec import decode_membership
+from repro.core.codec import decode_membership, decode_routing_table
 from repro.dht.likir import SignedValue
 from repro.dht.node_id import NodeID
 
@@ -196,12 +196,14 @@ def _decode_stored(record: dict) -> Any:
 def audit_snapshot(snapshot: dict[str, Any], report: AuditReport) -> None:
     """Check the replication and counter invariants of one snapshot."""
     replicate = int(snapshot["config"]["replicate"])
-    node_k = int(snapshot["config"]["node_k"])
+    nodes = snapshot["nodes"]
+    # The bucket size the nodes ran with travels in their routing records.
+    bucket_k = decode_routing_table(bytes.fromhex(nodes[0]["routing"]))[1] if nodes else 0
 
     node_ids: dict[str, NodeID] = {}
     holders: dict[str, list[str]] = {}
     payloads: dict[str, dict[str, dict]] = {}  # key_hex -> address -> counter payload
-    for record in snapshot["nodes"]:
+    for record in nodes:
         _user, node_id_bytes, address, _joined = decode_membership(
             bytes.fromhex(record["membership"])
         )
@@ -226,7 +228,7 @@ def audit_snapshot(snapshot: dict[str, Any], report: AuditReport) -> None:
                 "replicas (repairable by the next republish pass)",
             )
         key = NodeID.from_hex(key_hex)
-        ring = sorted(node_ids.values(), key=lambda nid: nid.distance_to(key))[:node_k]
+        ring = sorted(node_ids.values(), key=lambda nid: nid.distance_to(key))[:bucket_k]
         closest = set(ring)
         for address in addresses:
             if node_ids[address] not in closest:
@@ -234,7 +236,7 @@ def audit_snapshot(snapshot: dict[str, Any], report: AuditReport) -> None:
                 report.warning(
                     "orphaned-holder",
                     f"{address} holds key {key_hex[:12]}… but is outside its "
-                    f"{node_k} closest live nodes (hand-off pending)",
+                    f"{bucket_k} closest live nodes (hand-off pending)",
                 )
 
     benchmark = snapshot.get("benchmark")

@@ -30,7 +30,7 @@ from repro.dht.node_id import NodeID, xor_distance
 from repro.dht.routing_table import Contact, KBucket, RoutingTable
 from repro.dht.node import KademliaNode, NodeConfig
 from repro.dht.api import DHTClient, LookupStats
-from repro.dht.batched_lookup import BatchedLookupConfig, BatchedLookupEngine, BatchStats
+from repro.dht.batched_lookup import BatchedLookupEngine, BatchStats
 from repro.dht.likir import Identity, SignedValue, LikirAuthError
 from repro.dht.bootstrap import Overlay, build_overlay
 from repro.dht.maintenance import (
@@ -50,7 +50,6 @@ __all__ = [
     "NodeConfig",
     "DHTClient",
     "LookupStats",
-    "BatchedLookupConfig",
     "BatchedLookupEngine",
     "BatchStats",
     "Identity",

@@ -11,14 +11,14 @@ and removes that redundancy with three cooperating mechanisms:
 * **route caching** -- the replica set discovered by a lookup is remembered
   (LRU + TTL against the virtual clock), so the next operation on the same
   key talks to the replicas directly: an iterative lookup's worth of RPCs
-  collapses into at most ``probe_width`` direct messages.  A cached route
+  collapses into at most ``replicate`` direct messages.  A cached route
   that stops answering is invalidated and the full lookup re-run, so the
   engine degrades to seed behaviour instead of losing operations;
 * **in-flight deduplication** -- a batch of concurrent requests for the same
   key (e.g. the two halves of a search step landing on one hot tag) performs
   the iterative lookup once and shares the outcome;
 * **round coalescing** -- within a batch, lookups are ordered by key and a
-  lookup whose target shares a ``coalesce_bits``-bit XOR prefix with the
+  lookup whose target shares a :data:`COALESCE_BITS`-bit XOR prefix with the
   previous one is seeded with the contacts that lookup just discovered:
   nearby keys then skip the early routing rounds and converge in the final
   hops (the batched-RPC idea of hivemind's ``KademliaProtocol`` applied to
@@ -26,7 +26,10 @@ and removes that redundancy with three cooperating mechanisms:
 
 The engine mirrors the node's ``retrieve`` / ``store`` / ``append`` API, so
 the client can delegate blindly; all counters are collected in
-:class:`BatchStats` and surfaced by the cluster harness and benchmarks.
+:class:`BatchStats` and surfaced by the cluster harness and benchmarks.  Its
+policy is fixed: :data:`ROUTE_CACHE_SIZE` routes, each living
+:data:`ROUTE_CACHE_TTL_MS`, and :data:`COALESCE_BITS` of shared prefix to
+seed a neighbour's lookup.
 
 Invariants
 ----------
@@ -47,7 +50,7 @@ Invariants
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -58,35 +61,23 @@ from repro.dht.node import KademliaNode
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 
-__all__ = ["BatchedLookupConfig", "BatchStats", "BatchedLookupEngine"]
+__all__ = [
+    "BatchStats",
+    "BatchedLookupEngine",
+    "ROUTE_CACHE_SIZE",
+    "ROUTE_CACHE_TTL_MS",
+    "COALESCE_BITS",
+]
 
-
-@dataclass(frozen=True, slots=True)
-class BatchedLookupConfig:
-    """Tunable parameters of the lookup engine."""
-
-    #: Maximum number of cached routes (LRU beyond that).
-    route_cache_size: int = 4096
-    #: Route lifetime in virtual milliseconds (None = no expiry).  Routes are
-    #: also invalidated reactively when their replicas stop answering, so the
-    #: TTL only bounds staleness under silent topology change.
-    route_cache_ttl_ms: float | None = 60_000.0
-    #: How many cached replicas a FIND_VALUE probes before falling back to a
-    #: full iterative lookup (None = the node's ``replicate`` parameter).
-    probe_width: int | None = None
-    #: Two batched lookups whose targets share this many leading bits reuse
-    #: each other's discovered contacts as seeds; 0 disables coalescing.
-    coalesce_bits: int = 12
-
-    def __post_init__(self) -> None:
-        if self.route_cache_size < 1:
-            raise ValueError("route_cache_size must be >= 1")
-        if self.route_cache_ttl_ms is not None and self.route_cache_ttl_ms <= 0:
-            raise ValueError("route_cache_ttl_ms must be > 0 (None disables expiry)")
-        if self.probe_width is not None and self.probe_width < 1:
-            raise ValueError("probe_width must be >= 1")
-        if not (0 <= self.coalesce_bits <= 160):
-            raise ValueError("coalesce_bits must be in [0, 160]")
+#: Maximum number of cached routes (LRU beyond that).
+ROUTE_CACHE_SIZE = 4096
+#: Route lifetime in virtual milliseconds.  Routes are also invalidated
+#: reactively when their replicas stop answering, so the TTL only bounds
+#: staleness under silent topology change.
+ROUTE_CACHE_TTL_MS = 60_000.0
+#: Two batched lookups whose targets share this many leading bits reuse each
+#: other's discovered contacts as seeds.
+COALESCE_BITS = 12
 
 
 @dataclass(slots=True)
@@ -126,9 +117,8 @@ class BatchStats:
 class BatchedLookupEngine:
     """Cache-aware lookup scheduler bound to one access node."""
 
-    def __init__(self, node: KademliaNode, config: BatchedLookupConfig | None = None) -> None:
+    def __init__(self, node: KademliaNode) -> None:
         self.node = node
-        self.config = config or BatchedLookupConfig()
         self.stats = BatchStats()
         #: key -> (contacts sorted by distance, cached_at virtual ms)
         self._routes: OrderedDict[NodeID, tuple[tuple[Contact, ...], float]] = OrderedDict()
@@ -145,8 +135,7 @@ class BatchedLookupEngine:
         if entry is None:
             return None
         contacts, cached_at = entry
-        ttl = self.config.route_cache_ttl_ms
-        if ttl is not None and self._now() - cached_at > ttl:
+        if self._now() - cached_at > ROUTE_CACHE_TTL_MS:
             del self._routes[key]
             return None
         self._routes.move_to_end(key)
@@ -159,7 +148,7 @@ class BatchedLookupEngine:
             return
         if key in self._routes:
             del self._routes[key]
-        elif len(self._routes) >= self.config.route_cache_size:
+        elif len(self._routes) >= ROUTE_CACHE_SIZE:
             self._routes.popitem(last=False)
         self._routes[key] = (tuple(contacts), self._now())
 
@@ -173,9 +162,6 @@ class BatchedLookupEngine:
     @property
     def cached_routes(self) -> int:
         return len(self._routes)
-
-    def _probe_width(self) -> int:
-        return self.config.probe_width or self.node.config.replicate
 
     # ------------------------------------------------------------------ #
     # reads
@@ -210,9 +196,9 @@ class BatchedLookupEngine:
         previous: tuple[NodeID, tuple[Contact, ...]] | None = None
         for key in unique:
             seeds: list[Contact] | None = None
-            if previous is not None and self.config.coalesce_bits:
+            if previous is not None:
                 prev_key, prev_contacts = previous
-                shift = 160 - self.config.coalesce_bits
+                shift = 160 - COALESCE_BITS
                 if (key.value >> shift) == (prev_key.value >> shift) and prev_contacts:
                     seeds = list(prev_contacts)
                     self.stats.seeded_lookups += 1
@@ -255,7 +241,7 @@ class BatchedLookupEngine:
         route = self._cached_route(key)
         if route is not None:
             outcome = LookupOutcome(target=key)
-            for contact in route[: self._probe_width()]:
+            for contact in route[: node.config.replicate]:
                 outcome.messages += 1
                 reply = node.query(contact, key, True, top_n)
                 if reply is None:
@@ -289,6 +275,7 @@ class BatchedLookupEngine:
         if seeds is None:
             outcome = node.lookup_value(key, top_n=top_n)
         else:
+            node.note_lookup(key)
             merged: dict[NodeID, Contact] = {c.node_id: c for c in seeds}
             for contact in node.routing_table.closest_contacts(key, node.config.alpha):
                 merged.setdefault(contact.node_id, contact)
@@ -312,37 +299,49 @@ class BatchedLookupEngine:
     # writes
     # ------------------------------------------------------------------ #
 
-    def store(self, key: NodeID, value: Any, identity: Identity | None = None) -> LookupOutcome:
-        """PUT through the route cache; mirrors ``KademliaNode.store``."""
+    def _route_write(
+        self,
+        key: NodeID,
+        write_at: Callable[[list[Contact]], int],
+        write_full: Callable[[], LookupOutcome],
+    ) -> LookupOutcome:
+        """Write through the cached route of *key* when there is one.
+
+        All replicas accept: a route hit.  Some accept: still a route hit --
+        the write landed, and re-sending it would apply an APPEND twice
+        (counter updates are not idempotent) -- but the route is dropped so
+        the next operation re-resolves live replicas instead of degrading
+        the replication factor further.  None accept (or no route): the full
+        lookup-and-walk write of the node, whose replica set becomes the
+        route.
+        """
         self.stats.requests += 1
         route = self._cached_route(key)
         if route is not None:
             targets = list(route[: self.node.config.replicate])
-            stored = self.node.store_at(targets, key, value, identity=identity)
-            if stored == len(targets):
+            accepted = write_at(targets)
+            if accepted < len(targets):
+                self.invalidate_route(key)
+            if accepted:
                 self.stats.route_hits += 1
                 outcome = LookupOutcome(target=key)
                 outcome.closest = list(route)
-                outcome.accepted_replicas = stored
-                return outcome
-            # A partially (or fully) dead route must not keep degrading the
-            # replication factor: drop it so the next write re-resolves live
-            # replicas.  When at least one replica accepted the value the
-            # write itself succeeded (route hit); re-sending is harmless for
-            # an idempotent PUT but the full lookup is deferred to the next
-            # operation to keep the hot path cheap.
-            self.invalidate_route(key)
-            if stored:
-                self.stats.route_hits += 1
-                outcome = LookupOutcome(target=key)
-                outcome.closest = list(route)
-                outcome.accepted_replicas = stored
+                outcome.accepted_replicas = accepted
                 return outcome
             self.stats.route_fallbacks += 1
         self.stats.full_lookups += 1
-        outcome = self.node.store(key, value, identity=identity)
+        outcome = write_full()
         self._remember_route(key, outcome.closest)
         return outcome
+
+    def store(self, key: NodeID, value: Any, identity: Identity | None = None) -> LookupOutcome:
+        """PUT through the route cache; mirrors ``KademliaNode.store``."""
+        node = self.node
+        return self._route_write(
+            key,
+            lambda targets: node.store_at(targets, key, value, identity=identity),
+            lambda: node.store(key, value, identity=identity),
+        )
 
     def append(
         self,
@@ -353,35 +352,13 @@ class BatchedLookupEngine:
         increments_if_new: dict[str, int] | None = None,
     ) -> LookupOutcome:
         """APPEND through the route cache; mirrors ``KademliaNode.append``."""
-        self.stats.requests += 1
-        route = self._cached_route(key)
-        if route is not None:
-            targets = list(route[: self.node.config.replicate])
-            applied = self.node.append_at(
+        node = self.node
+        return self._route_write(
+            key,
+            lambda targets: node.append_at(
                 targets, key, owner, block_type, increments, increments_if_new=increments_if_new
-            )
-            if applied == len(targets):
-                self.stats.route_hits += 1
-                outcome = LookupOutcome(target=key)
-                outcome.closest = list(route)
-                outcome.accepted_replicas = applied
-                return outcome
-            self.invalidate_route(key)
-            if applied:
-                # The increments landed on at least one replica, so the
-                # operation succeeded; falling through to a full append would
-                # apply them a second time (counter updates are not
-                # idempotent).  The dropped route makes the next operation
-                # re-resolve live replicas.
-                self.stats.route_hits += 1
-                outcome = LookupOutcome(target=key)
-                outcome.closest = list(route)
-                outcome.accepted_replicas = applied
-                return outcome
-            self.stats.route_fallbacks += 1
-        self.stats.full_lookups += 1
-        outcome = self.node.append(
-            key, owner, block_type, increments, increments_if_new=increments_if_new
+            ),
+            lambda: node.append(
+                key, owner, block_type, increments, increments_if_new=increments_if_new
+            ),
         )
-        self._remember_route(key, outcome.closest)
-        return outcome

@@ -22,7 +22,11 @@ from typing import Any, Protocol
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 
-__all__ = ["LookupTransport", "LookupOutcome", "iterative_lookup"]
+__all__ = ["LookupTransport", "LookupOutcome", "iterative_lookup", "MAX_ROUNDS"]
+
+#: Hard bound on query rounds per lookup, protecting against a transport
+#: that keeps handing out ever-closer contacts.
+MAX_ROUNDS = 64
 
 
 class LookupTransport(Protocol):
@@ -82,7 +86,6 @@ def iterative_lookup(
     alpha: int = 3,
     find_value: bool = False,
     top_n: int | None = None,
-    max_rounds: int = 64,
 ) -> LookupOutcome:
     """Run the iterative node/value lookup starting from *seeds*.
 
@@ -105,8 +108,6 @@ def iterative_lookup(
         first value hit.
     top_n:
         Optional index-side filtering hint forwarded to FIND_VALUE.
-    max_rounds:
-        Hard bound protecting against pathological transports.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -122,7 +123,7 @@ def iterative_lookup(
 
     target_value = target.value
 
-    def ranked(limit: int | None = None) -> list[Contact]:
+    def ranked() -> list[Contact]:
         # Decorated tuples instead of a per-call key lambda: the (distance,
         # id) prefix is unique per contact, so the sort never compares the
         # Contact itself and the ordering matches the keyed sort exactly.
@@ -131,70 +132,59 @@ def iterative_lookup(
             for value, c in shortlist.items()
             if value not in failed
         )
-        decorated = live if limit is None else live[:limit]
-        return [c for _, _, c in decorated]
+        return [c for _, _, c in live[:k]]
 
     # The suspect check sits where a candidate is about to be queried -- once
     # per RPC, not on every contact of every reply.  A suspect leaves the
     # shortlist like a contact that failed, minus the RPC.
     is_suspect = transport.is_suspect
 
-    best_distance: int | None = None
-    while outcome.rounds < max_rounds:
-        candidates = [c for c in ranked(k) if c.node_id.value not in queried]
-        if not candidates:
-            break
-        batch = candidates[:alpha]
-        outcome.rounds += 1
-        improved = False
-        for contact in batch:
-            if is_suspect(contact.node_id):
-                failed.add(contact.node_id.value)
-                continue
-            queried.add(contact.node_id.value)
-            outcome.messages += 1
-            reply = transport.query(contact, target, find_value, top_n)
-            if reply is None:
-                outcome.failures += 1
-                failed.add(contact.node_id.value)
-                continue
-            closer_contacts, value = reply
-            if find_value and value is not None:
-                outcome.value = value
-                outcome.found_value = True
-                outcome.closest = ranked(k)
-                return outcome
+    def ask(contact: Contact) -> bool:
+        """Query *contact* unless it is suspect; True when it answered (with
+        the value, which then sits in *outcome*, or with closer contacts)."""
+        value = contact.node_id.value
+        if is_suspect(contact.node_id):
+            failed.add(value)
+            return False
+        queried.add(value)
+        outcome.messages += 1
+        reply = transport.query(contact, target, find_value, top_n)
+        if reply is None:
+            outcome.failures += 1
+            failed.add(value)
+            return False
+        closer_contacts, found = reply
+        if find_value and found is not None:
+            outcome.value = found
+            outcome.found_value = True
+        else:
             for new_contact in closer_contacts:
                 shortlist.setdefault(new_contact.node_id.value, new_contact)
+        return True
+
+    best_distance: int | None = None
+    while outcome.rounds < MAX_ROUNDS and not outcome.found_value:
+        candidates = [c for c in ranked() if c.node_id.value not in queried]
+        if not candidates:
+            break
+        outcome.rounds += 1
+        improved = False
+        for contact in candidates[:alpha]:
+            if not ask(contact):
+                continue
+            if outcome.found_value:
+                break
             distance = contact.distance_to(target)
             if best_distance is None or distance < best_distance:
                 best_distance = distance
                 improved = True
-        if not improved:
+        if not improved and not outcome.found_value:
             # No progress this round: finish by querying any unqueried contact
             # among the k closest, then stop.
-            remaining = [c for c in ranked(k) if c.node_id.value not in queried]
-            for contact in remaining:
-                if is_suspect(contact.node_id):
-                    failed.add(contact.node_id.value)
-                    continue
-                queried.add(contact.node_id.value)
-                outcome.messages += 1
-                reply = transport.query(contact, target, find_value, top_n)
-                if reply is None:
-                    outcome.failures += 1
-                    failed.add(contact.node_id.value)
-                    continue
-                closer_contacts, value = reply
-                if find_value and value is not None:
-                    outcome.value = value
-                    outcome.found_value = True
-                    outcome.closest = ranked(k)
-                    return outcome
-                for new_contact in closer_contacts:
-                    shortlist.setdefault(new_contact.node_id.value, new_contact)
+            for contact in [c for c in ranked() if c.node_id.value not in queried]:
+                if ask(contact) and outcome.found_value:
+                    break
             break
 
-    outcome.closest = ranked(k)
+    outcome.closest = ranked()
     return outcome
-

@@ -56,7 +56,7 @@ from repro.dht.messages import (
     StoreResponse,
 )
 from repro.dht.node_id import NodeID
-from repro.dht.routing_table import Contact, make_routing_table
+from repro.dht.routing_table import CompactRoutingTable, Contact
 from repro.dht.storage import LocalStorage
 from repro.net.base import DatagramTooLarge, RequestTimeout, Transport, TransportError
 from repro.perf import PERF
@@ -169,7 +169,7 @@ class KademliaNode:
         self.address = (
             address or self.transport.local_address() or f"node-{_ADDRESSES.take():06d}"
         )
-        self.routing_table = make_routing_table(node_id, k=self.config.k)
+        self.routing_table = CompactRoutingTable(node_id, k=self.config.k)
         self.storage = LocalStorage()
         self.certification = certification
         self.joined = False
@@ -510,15 +510,16 @@ class KademliaNode:
             return contacts
         return [c for c in contacts if self._admit_contact(c.node_id)]
 
-    def _note_lookup(self, target: NodeID) -> None:
-        """Record that a lookup just walked the bucket *target* falls in."""
+    def note_lookup(self, target: NodeID) -> None:
+        """Record that a lookup of this node is walking the bucket *target*
+        falls in."""
         distance = self.node_id.value ^ target.value
         if distance:
             self.bucket_lookup_at[distance.bit_length() - 1] = self.transport.clock.now
 
     def lookup_node(self, target: NodeID) -> LookupOutcome:
         """Iterative FIND_NODE for *target*."""
-        self._note_lookup(target)
+        self.note_lookup(target)
         seeds = self.routing_table.closest_contacts(target, self.config.alpha)
         return iterative_lookup(
             transport=self,
@@ -541,7 +542,7 @@ class KademliaNode:
             outcome.value = local
             outcome.found_value = True
             return outcome
-        self._note_lookup(key)
+        self.note_lookup(key)
         seeds = self.routing_table.closest_contacts(key, self.config.alpha)
         return iterative_lookup(
             transport=self,
@@ -556,6 +557,56 @@ class KademliaNode:
     # ------------------------------------------------------------------ #
     # client side: application operations
     # ------------------------------------------------------------------ #
+
+    def _write_at(
+        self, targets: list[Contact], request: RPCRequest, apply_locally: Callable[[], Any]
+    ) -> int:
+        """Send the write *request* to *targets* -- applying it locally where
+        a target is this node -- and return how many replicas accepted it.
+
+        A replica accepts only with the response its request expects: a
+        ``stored`` STORE or an ``applied`` APPEND answer.
+        """
+        store = isinstance(request, StoreRequest)
+        accepted = 0
+        for contact in targets:
+            if contact.node_id == self.node_id:
+                apply_locally()
+                accepted += 1
+                continue
+            response = self._call(contact, request)
+            if store:
+                if isinstance(response, StoreResponse) and response.stored:
+                    accepted += 1
+            elif isinstance(response, AppendResponse) and response.applied:
+                accepted += 1
+        return accepted
+
+    def _replicate(self, key: NodeID, write_at: Callable[[list[Contact]], int]) -> LookupOutcome:
+        """Look *key* up and walk the closest candidates in distance order,
+        stepping over current suspects, until ``replicate`` replicas accepted
+        the write.
+
+        The lookup's closest list can contain contacts that were reported by
+        peers but never answered themselves (they may have crashed since);
+        writing blindly to the first ``replicate`` entries would, on a
+        churning overlay, silently decay replication until data dies with its
+        last holder.
+        """
+        outcome = self.lookup_node(key)
+        accepted = 0
+        for contact in self.unsuspected(outcome.closest):
+            if accepted >= self.config.replicate:
+                break
+            accepted += write_at([contact])
+        if not accepted:
+            # Last resort: keep the write locally so it is not lost.  This
+            # stash is deliberately NOT counted in accepted_replicas -- no
+            # replica accepted anything, and callers (e.g. the maintenance
+            # hand-off) must not mistake it for durable replication.
+            write_at([self.contact])
+        outcome.accepted_replicas = accepted
+        return outcome
 
     def store_at(
         self,
@@ -578,45 +629,16 @@ class KademliaNode:
             key=key,
             value=value,
         )
-        stored = 0
-        for contact in targets:
-            if contact.node_id == self.node_id:
-                self.storage.put(key, value, now=self.transport.clock.now)
-                stored += 1
-                continue
-            response = self._call(contact, request)
-            if isinstance(response, StoreResponse) and response.stored:
-                stored += 1
-        return stored
+        return self._write_at(
+            targets, request, lambda: self.storage.put(key, value, now=self.transport.clock.now)
+        )
 
     def store(self, key: NodeID, value: Any, identity: Identity | None = None) -> LookupOutcome:
         """PUT *value* under *key* on the ``replicate`` closest *responding*
-        nodes.
-
-        The lookup's closest list can contain contacts that were reported by
-        peers but never answered themselves (they may have crashed since);
-        candidates are therefore walked in distance order, stepping over
-        current suspects, until ``replicate`` replicas accept, instead of
-        writing blindly to the first ``replicate`` entries -- on a churning
-        overlay the latter silently decays replication until data dies with
-        its last holder.
-        """
+        nodes (see :meth:`_replicate`)."""
         if identity is not None:
             value = SignedValue.create(identity, key, value)
-        outcome = self.lookup_node(key)
-        stored = 0
-        for contact in self.unsuspected(outcome.closest):
-            if stored >= self.config.replicate:
-                break
-            stored += self.store_at([contact], key, value)
-        if not stored:
-            # Last resort: keep the value locally so it is not lost.  This
-            # stash is deliberately NOT counted in accepted_replicas -- no
-            # replica accepted anything, and callers (e.g. the maintenance
-            # hand-off) must not mistake it for durable replication.
-            self.storage.put(key, value, now=self.transport.clock.now)
-        outcome.accepted_replicas = stored
-        return outcome
+        return self._replicate(key, lambda targets: self.store_at(targets, key, value))
 
     def append_at(
         self,
@@ -641,23 +663,18 @@ class KademliaNode:
             increments=dict(increments),
             increments_if_new=dict(increments_if_new) if increments_if_new else None,
         )
-        applied = 0
-        for contact in targets:
-            if contact.node_id == self.node_id:
-                self.storage.append(
-                    key,
-                    owner,
-                    block_type,
-                    increments,
-                    now=self.transport.clock.now,
-                    increments_if_new=increments_if_new,
-                )
-                applied += 1
-                continue
-            response = self._call(contact, request)
-            if isinstance(response, AppendResponse) and response.applied:
-                applied += 1
-        return applied
+        return self._write_at(
+            targets,
+            request,
+            lambda: self.storage.append(
+                key,
+                owner,
+                block_type,
+                increments,
+                now=self.transport.clock.now,
+                increments_if_new=increments_if_new,
+            ),
+        )
 
     def append(
         self,
@@ -667,36 +684,14 @@ class KademliaNode:
         increments: dict[str, int],
         increments_if_new: dict[str, int] | None = None,
     ) -> LookupOutcome:
-        """Apply counter *increments* to the block at *key* on its replicas.
-
-        Like :meth:`store`, candidates are walked in distance order until
-        ``replicate`` replicas applied the increments.
-        """
-        outcome = self.lookup_node(key)
-        applied = 0
-        for contact in self.unsuspected(outcome.closest):
-            if applied >= self.config.replicate:
-                break
-            applied += self.append_at(
-                [contact],
-                key,
-                owner,
-                block_type,
-                increments,
-                increments_if_new=increments_if_new,
-            )
-        if not applied:
-            # Local stash, not a replica accept (see store()).
-            self.storage.append(
-                key,
-                owner,
-                block_type,
-                increments,
-                now=self.transport.clock.now,
-                increments_if_new=increments_if_new,
-            )
-        outcome.accepted_replicas = applied
-        return outcome
+        """Apply counter *increments* to the block at *key* on its replicas,
+        walked like :meth:`store`'s."""
+        return self._replicate(
+            key,
+            lambda targets: self.append_at(
+                targets, key, owner, block_type, increments, increments_if_new=increments_if_new
+            ),
+        )
 
     def unwrap_value(self, value: Any) -> Any:
         """Verify and strip the Likir credential of a retrieved value.

@@ -11,32 +11,30 @@ layer decides when to ping and calls :meth:`KBucket.evict` /
 :meth:`KBucket.record_contact` accordingly.  This keeps the data structure
 easy to property-test (see ``tests/dht/test_routing_table.py``).
 
-Two interchangeable implementations live here:
+Two implementations of one contract live here:
 
+* :class:`CompactRoutingTable` -- the table every node builds: buckets are
+  allocated lazily on first contact, each bucket keeps its contacts in two
+  parallel flat lists (raw 160-bit int keys next to the :class:`Contact`
+  records), and k-closest selection walks the buckets in ascending distance
+  to the target and sorts only the ones it needs instead of fully sorting
+  every known contact with a per-call lambda on each FIND_NODE/FIND_VALUE
+  answer.
 * :class:`RoutingTable` -- the original reference structure: ``ID_BITS``
   eagerly allocated ``OrderedDict``-backed :class:`KBucket` objects.  Easy to
-  read, but at 10k simulated nodes the eager allocation alone is 1.6M dicts.
-* :class:`CompactRoutingTable` -- the array-backed equivalent used by
-  default: buckets are allocated lazily on first contact, each bucket keeps
-  its contacts in two parallel flat lists (raw 160-bit int keys next to the
-  :class:`Contact` records), and k-closest selection walks the buckets in
-  ascending distance to the target and sorts only the ones it needs instead
-  of fully sorting every known contact with a per-call lambda on each
-  FIND_NODE/FIND_VALUE answer.
+  read, but at 10k simulated nodes the eager allocation alone is 1.6M dicts;
+  it stays as the reference the compact table is tested against.
 
 Both expose the exact same contract (``record_contact`` / ``evict`` /
 ``closest_contacts`` / ``export_buckets`` / ``restore_buckets`` / ...), are
-pinned against each other by a randomized property test and a 1k-node
-cluster equivalence run, and restore each other's snapshot records verbatim.
-:func:`make_routing_table` picks the active implementation (see
-:func:`set_routing_table_impl` / :func:`routing_table_implementation`).
+pinned against each other by randomized lockstep tests, and restore each
+other's snapshot records verbatim.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.dht.node_id import ID_BITS, NodeID
@@ -48,10 +46,6 @@ __all__ = [
     "CompactKBucket",
     "CompactRoutingTable",
     "DEFAULT_K",
-    "make_routing_table",
-    "set_routing_table_impl",
-    "routing_table_impl",
-    "routing_table_implementation",
 ]
 
 #: Kademlia's replication / bucket-size parameter (20 in the original paper).
@@ -551,56 +545,3 @@ class CompactRoutingTable:
                     )
             self.bucket(index).restore_state(contacts, replacements)
 
-
-# --------------------------------------------------------------------------- #
-# implementation switch
-# --------------------------------------------------------------------------- #
-
-#: Implementations selectable through :func:`make_routing_table`.
-_IMPLEMENTATIONS = {
-    "legacy": RoutingTable,
-    "compact": CompactRoutingTable,
-}
-
-_active_impl = "compact"
-
-
-def routing_table_impl() -> str:
-    """Name of the implementation :func:`make_routing_table` currently builds."""
-    return _active_impl
-
-
-def set_routing_table_impl(kind: str) -> None:
-    """Select the routing-table implementation for new nodes.
-
-    ``"compact"`` (the default) or ``"legacy"``.  Existing tables are
-    untouched; only tables built afterwards through
-    :func:`make_routing_table` are affected.
-    """
-    global _active_impl
-    if kind not in _IMPLEMENTATIONS:
-        raise ValueError(
-            f"unknown routing-table implementation {kind!r} "
-            f"(choose from {sorted(_IMPLEMENTATIONS)})"
-        )
-    _active_impl = kind
-
-
-@contextmanager
-def routing_table_implementation(kind: str):
-    """Run a block with *kind* as the active implementation.
-
-    The equivalence tests use this to run the same cluster workload on
-    ``"legacy"`` and ``"compact"`` structures and compare bit-for-bit.
-    """
-    previous = _active_impl
-    set_routing_table_impl(kind)
-    try:
-        yield
-    finally:
-        set_routing_table_impl(previous)
-
-
-def make_routing_table(owner_id: NodeID, k: int = DEFAULT_K):
-    """Build a routing table with the active implementation."""
-    return _IMPLEMENTATIONS[_active_impl](owner_id, k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.core.approximation import ApproximationConfig, default_approximation
 from repro.core.faceted_search import SearchResult, SearchStrategy
 from repro.dht.api import DHTClient
-from repro.dht.batched_lookup import BatchedLookupConfig, BatchedLookupEngine
+from repro.dht.batched_lookup import BatchedLookupEngine
 from repro.dht.bootstrap import Overlay
 from repro.distributed.approximated_protocol import ApproximatedProtocol
 from repro.distributed.block_cache import BlockCache
@@ -77,7 +77,7 @@ class DharmaService:
         access_node = overlay.random_node()
         self.engine: BatchedLookupEngine | None = None
         if self.config.batch_lookups:
-            self.engine = BatchedLookupEngine(access_node, BatchedLookupConfig())
+            self.engine = BatchedLookupEngine(access_node)
         self.client: DHTClient = DHTClient(access_node, identity=self.identity, engine=self.engine)
         self.cache: BlockCache | None = None
         if self.config.cache_capacity:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.dht.likir import Identity, LikirAuthError, SignedValue
@@ -68,6 +68,8 @@ if TYPE_CHECKING:  # imported lazily to avoid a circular import with repro.dht
 
 __all__ = [
     "FORGE_KINDS",
+    "SYBIL_INTERVAL_MS",
+    "FORGED_PUBLISHER",
     "AttackTarget",
     "AdversaryConfig",
     "AdversaryProcess",
@@ -81,6 +83,10 @@ FORGE_KINDS = (
     "replayed-key",
     "unsigned-overwrite",
 )
+#: Virtual ms between successive sybil joins.
+SYBIL_INTERVAL_MS = 250.0
+#: Registered user name the forger impersonates on bad credentials.
+FORGED_PUBLISHER = "peer-000000"
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,42 +106,31 @@ class AttackTarget:
 class AdversaryConfig:
     """Parameters of the attack campaign (rates in events per virtual second)."""
 
-    #: Sybil nodes joined at ``sybil_interval_ms`` spacing, ids crowding the
-    #: primary victim key.
+    #: Sybil nodes joined at :data:`SYBIL_INTERVAL_MS` spacing, ids crowding
+    #: the primary victim key.
     sybil_count: int = 0
-    sybil_interval_ms: float = 250.0
     #: When set, sybils and compromised peers actively lie in RPC responses
     #: (forged FIND_VALUE payloads, sybil-ring FIND_NODE steering); otherwise
     #: sybils are passive id-squatters.
     eclipse: bool = True
     #: Fraction of honest nodes whose RPC responses the adversary rewrites.
     compromised_fraction: float = 0.0
-    #: Poisson rate of forged STOREs (cycling over ``forge_kinds``).
+    #: Poisson rate of forged STOREs (drawn from :data:`FORGE_KINDS`).
     forge_rate: float = 0.0
-    forge_kinds: tuple[str, ...] = FORGE_KINDS
     #: Poisson rate of forged APPENDs from an uncertified sender id.
     append_forge_rate: float = 0.0
     #: Poisson rate of stale-snapshot republish events (rollback attack).
     stale_republish_rate: float = 0.0
-    #: Registered user name the forger impersonates on bad credentials.
-    forged_publisher: str = "peer-000000"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.sybil_count < 0:
             raise ValueError("sybil_count must be >= 0")
-        if self.sybil_interval_ms <= 0:
-            raise ValueError("sybil_interval_ms must be > 0")
         if not (0.0 <= self.compromised_fraction <= 1.0):
             raise ValueError("compromised_fraction must be in [0, 1]")
         for rate in (self.forge_rate, self.append_forge_rate, self.stale_republish_rate):
             if rate < 0:
                 raise ValueError("attack rates must be >= 0")
-        if not self.forge_kinds:
-            raise ValueError("forge_kinds must not be empty")
-        unknown = set(self.forge_kinds) - set(FORGE_KINDS)
-        if unknown:
-            raise ValueError(f"unknown forge kinds: {sorted(unknown)}")
 
 
 class SybilNode(KademliaNode):
@@ -247,14 +242,13 @@ class AdversaryProcess:
         #: The node all forged traffic originates from (self-chosen id, never
         #: joined -- it speaks raw RPCs).
         self._attacker: KademliaNode | None = None
-        self.traced = False
         # -- counters (all deterministic under a fixed seed) ---------------- #
         self.sybil_joins = 0
         self.lies_served = 0
         self.blackholed_stores = 0
         self.blackholed_appends = 0
         self.forged_stores: dict[str, _Outcomes] = {
-            kind: _Outcomes() for kind in config.forge_kinds
+            kind: _Outcomes() for kind in FORGE_KINDS
         }
         self.forged_appends = _Outcomes()
         self.stale_republishes = _Outcomes()
@@ -269,12 +263,11 @@ class AdversaryProcess:
         number of scheduled events.
         """
         start = self.queue.clock.now
-        self.traced = True
         self._capture_signed_value()
         self._compromise_peers()
         scheduled = 0
         for index in range(self.config.sybil_count):
-            at = start + (index + 1) * self.config.sybil_interval_ms
+            at = start + (index + 1) * SYBIL_INTERVAL_MS
             if at > start + horizon_ms:
                 break
             self.queue.schedule_at(
@@ -308,7 +301,7 @@ class AdversaryProcess:
 
     def _schedule_forgery(self, at: float) -> None:
         target = self.targets[self._rng.randrange(len(self.targets))]
-        kind = self.config.forge_kinds[self._rng.randrange(len(self.config.forge_kinds))]
+        kind = FORGE_KINDS[self._rng.randrange(len(FORGE_KINDS))]
         self.queue.schedule_at(
             at,
             lambda t=target, k=kind: self._do_forged_store(t, k),
@@ -456,7 +449,7 @@ class AdversaryProcess:
         a corrupt payload under a registered publisher's name with a
         credential the forger cannot actually mint."""
         return SignedValue(
-            publisher=self.config.forged_publisher,
+            publisher=FORGED_PUBLISHER,
             key_hex=key.hex(),
             value=self._corrupt_payload(),
             credential=self._forged_credential("lie", key),
@@ -540,7 +533,7 @@ class AdversaryProcess:
         attacker = self._ensure_attacker()
         stale = {**target.payload, "entries": dict(target.payload["entries"])}
         value = SignedValue(
-            publisher=self.config.forged_publisher,
+            publisher=FORGED_PUBLISHER,
             key_hex=target.key.hex(),
             value=stale,
             credential=self._forged_credential("stale", target.key),
@@ -590,7 +583,7 @@ class AdversaryProcess:
             "blackholed_stores": self.blackholed_stores,
             "blackholed_appends": self.blackholed_appends,
         }
-        for kind in self.config.forge_kinds:
+        for kind in FORGE_KINDS:
             for metric, count in self.forged_stores[kind].snapshot().items():
                 out[f"forge_{kind.replace('-', '_')}_{metric}"] = count
         for metric, count in self.forged_appends.snapshot().items():

@@ -8,6 +8,10 @@ process with rate ``join_rate`` (nodes per virtual second) and each live node
 leaves after an exponentially distributed session of mean
 ``mean_session_s`` seconds.  Departures can be graceful (data republished) or
 abrupt (crash).
+
+The whole trace is drawn up front (:meth:`ChurnProcess.schedule_trace`) and
+pinned to absolute virtual times; each pending event carries its parameters
+in its label, which is what lets a cluster snapshot re-create it on restore.
 """
 
 from __future__ import annotations
@@ -58,31 +62,8 @@ class ChurnProcess:
         self.joins = 0
         self.graceful_leaves = 0
         self.crashes = 0
-        #: True once :meth:`schedule_trace` ran.  Pending traced events carry
-        #: their parameters in the event label (``churn-leave:<address>``,
-        #: ``churn-join:<at>:<session>:<horizon>``), which is what lets the
-        #: snapshot layer re-create them verbatim on restore; dynamic-mode
-        #: events draw follow-ups at execution time and cannot be
-        #: checkpointed.
-        self.traced = False
 
     # -- scheduling ------------------------------------------------------- #
-
-    def start(self) -> None:
-        """Schedule the initial events: one departure per live node and, if
-        joins are enabled, the first arrival.
-
-        Follow-up events are drawn on the fly relative to the *current*
-        clock, so the realised churn intensity depends on how much virtual
-        time the rest of the simulation consumes.  Experiments that compare
-        configurations under identical faults should use
-        :meth:`schedule_trace` instead.
-        """
-        for node in list(self.overlay.nodes):
-            if self.overlay.network.is_registered(node.address):
-                self._schedule_departure(node.address)
-        if self.config.join_rate > 0:
-            self._schedule_join()
 
     def schedule_trace(self, horizon_ms: float) -> int:
         """Pre-schedule the whole churn trace over the next *horizon_ms*.
@@ -92,10 +73,11 @@ class ChurnProcess:
         function of the config seed -- two runs over the same overlay see
         the *identical* fault injection trace no matter how much virtual
         time their own work (maintenance, probes) consumes in between.
-        Returns the number of scheduled events.
+        Returns the number of scheduled events.  Pending events carry their
+        parameters in the label (``churn-leave:<address>``,
+        ``churn-join:<at>:<session>:<horizon>``).
         """
         start = self.queue.clock.now
-        self.traced = True
         scheduled = 0
         for node in list(self.overlay.nodes):
             if not self.overlay.network.is_registered(node.address):
@@ -104,7 +86,7 @@ class ChurnProcess:
             if at <= start + horizon_ms:
                 address = node.address
                 self.queue.schedule_at(
-                    at, lambda a=address: self._do_departure(a, reschedule=False),
+                    at, lambda a=address: self._do_departure(a),
                     label=f"churn-leave:{address}",
                 )
                 scheduled += 1
@@ -136,28 +118,16 @@ class ChurnProcess:
         if at <= self.queue.clock.now:
             # The join outlasted its session (timeouts on dead contacts): leave
             # now, not at a clock time that other events' work decided.
-            self._do_departure(address, reschedule=False)
+            self._do_departure(address)
         else:
             self.queue.schedule_at(
                 at,
-                lambda: self._do_departure(address, reschedule=False),
+                lambda: self._do_departure(address),
                 label=f"churn-leave:{address}",
             )
 
     def _ms(self, seconds: float) -> float:
         return seconds * 1000.0
-
-    def _schedule_join(self) -> None:
-        delay_s = self._rng.expovariate(self.config.join_rate)
-        self.queue.schedule_in(self._ms(delay_s), self._do_join, label="churn-join")
-
-    def _schedule_departure(self, address: str) -> None:
-        delay_s = self._rng.expovariate(1.0 / self.config.mean_session_s)
-        self.queue.schedule_in(
-            self._ms(delay_s),
-            lambda: self._do_departure(address),
-            label=f"churn-leave:{address}",
-        )
 
     # -- event actions ------------------------------------------------------ #
 
@@ -168,18 +138,10 @@ class ChurnProcess:
             if self.overlay.network.is_registered(node.address)
         )
 
-    def _do_join(self) -> None:
-        node = self.overlay.add_node()
-        self.joins += 1
-        self._schedule_departure(node.address)
-        self._schedule_join()
-
-    def _do_departure(self, address: str, reschedule: bool = True) -> None:
+    def _do_departure(self, address: str) -> None:
         if self._live_count() <= self.config.min_nodes:
-            # Keep the overlay usable; retry later (dynamic mode) or skip the
-            # departure entirely (pre-scheduled traces stay on their timeline).
-            if reschedule:
-                self._schedule_departure(address)
+            # Keep the overlay usable: the departure is skipped, and the trace
+            # stays on its timeline.
             return
         node = self.overlay.node_by_address(address)
         if node is None or not self.overlay.network.is_registered(address):

@@ -17,17 +17,18 @@ cluster harness scales the same substrate to four-digit node counts:
   arrival interval and fan out round-robin over a pool of DHARMA service
   clients, each bound to a different access node.
 
-What a run costs is read off the overlay itself (``overlay.network.stats``,
-``overlay.clock``, each node's ``rpcs_served``); ``benchmarks/e2e`` turns
-those counters into ``msgs_per_op``, ``hotspot_ratio`` and the per-layer
-``batched_lookup.*`` metrics.  :attr:`ClusterConfig.batch_lookups` /
-``cache_capacity`` switch the batched lookup engine and the block cache on
-for every client.
+Every client runs the batched lookup engine and a block cache of
+:data:`CACHE_CAPACITY` blocks that expire after :data:`CACHE_TTL_MS`; every
+node's table holds :data:`NODE_K` contacts per bucket.  What a run costs is
+read off the overlay itself (``overlay.network.stats``, ``overlay.clock``,
+each node's ``rpcs_served``); ``benchmarks/e2e`` turns those counters into
+``msgs_per_op``, ``hotspot_ratio`` and the per-layer ``batched_lookup.*``
+metrics.
 
-Churn experiments flip :attr:`ClusterConfig.churn` (a
-:class:`~repro.simulation.churn.ChurnProcess` on the shared event queue) and
-:attr:`ClusterConfig.maintenance` (per-node periodic republish + bucket
-refresh from :mod:`repro.dht.maintenance`); attack experiments flip
+Churn experiments flip :attr:`ClusterConfig.churn` (a pre-scheduled
+:class:`~repro.simulation.churn.ChurnProcess` trace on the shared event
+queue) and :attr:`ClusterConfig.maintenance` (per-node periodic republish +
+bucket refresh from :mod:`repro.dht.maintenance`); attack experiments flip
 :attr:`ClusterConfig.adversary`.  The experiments that drive a cluster under
 such faults and audit what survived -- ``run_survival_benchmark`` and
 ``run_attack_benchmark`` -- live in :mod:`repro.simulation.experiment`; this
@@ -59,7 +60,25 @@ __all__ = [
     "SimulatedCluster",
     "churn_cluster_config",
     "attack_cluster_config",
+    "NODE_K",
+    "RING_NEIGHBOURS",
+    "CACHE_CAPACITY",
+    "CACHE_TTL_MS",
 ]
+
+#: Kademlia bucket size of every cluster node (a modest ``k`` keeps 1k-node
+#: runs fast).
+NODE_K = 8
+#: Sorted-order neighbours on each side that fast bootstrap wires into a
+#: node's table.
+RING_NEIGHBOURS = 4
+#: Block-cache capacity of every cluster client.
+CACHE_CAPACITY = 4096
+#: Block-cache TTL in virtual ms.  Each client only sees its *own* writes
+#: invalidate its cache, so with several clients the TTL is what bounds how
+#: stale a cached block can get relative to other clients' writes: ~2 virtual
+#: seconds of staleness traded for the message savings.
+CACHE_TTL_MS = 2_000.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,18 +93,7 @@ class ClusterConfig:
     protocol: str = "approximated"
     #: Connection parameter of Approximation A.
     k: int = 1
-    #: Block-cache capacity per client (0 = cache off).
-    cache_capacity: int = 4096
-    #: Block-cache TTL in virtual ms.  Each client only sees its *own* writes
-    #: invalidate its cache, so with several clients the TTL is what bounds
-    #: how stale a cached block can get relative to other clients' writes;
-    #: the default trades ~2 virtual seconds of staleness for the message
-    #: savings (None would make that staleness unbounded).
-    cache_ttl_ms: float | None = 2_000.0
-    #: Route lookups through the batched lookup engine.
-    batch_lookups: bool = True
-    #: Kademlia parameters (modest ``k`` keeps 1k-node runs fast).
-    node_k: int = 8
+    #: Kademlia parameters (the bucket size is :data:`NODE_K`).
     alpha: int = 3
     replicate: int = 2
     #: One-way latency bounds of the simulated transport (virtual ms).
@@ -101,13 +109,12 @@ class ClusterConfig:
     #: "fast" (direct table seeding), "iterative" (faithful joins) or "auto"
     #: (iterative up to 128 nodes, fast beyond).
     bootstrap: str = "auto"
-    #: Ring/random contacts per node under fast bootstrap.
-    ring_neighbours: int = 4
+    #: Random long-range contacts per node under fast bootstrap.
     random_contacts: int = 24
     #: Virtual ms between successive workload arrivals.
     op_interval_ms: float = 20.0
-    #: Drive node churn on the shared event queue (started explicitly via
-    #: :meth:`SimulatedCluster.start_churn`).
+    #: Drive a pre-scheduled churn trace on the shared event queue (started
+    #: explicitly via :meth:`SimulatedCluster.start_churn`).
     churn: bool = False
     churn_join_rate: float = 0.0
     mean_session_s: float = 300.0
@@ -130,7 +137,6 @@ class ClusterConfig:
     #: :class:`~repro.simulation.adversary.AdversaryConfig`.
     adversary: bool = False
     sybil_count: int = 0
-    sybil_interval_ms: float = 250.0
     eclipse: bool = True
     compromised_fraction: float = 0.0
     forge_rate: float = 0.0
@@ -159,7 +165,6 @@ class ClusterConfig:
     def adversary_config(self) -> AdversaryConfig:
         return AdversaryConfig(
             sybil_count=self.sybil_count,
-            sybil_interval_ms=self.sybil_interval_ms,
             eclipse=self.eclipse,
             compromised_fraction=self.compromised_fraction,
             forge_rate=self.forge_rate,
@@ -179,9 +184,9 @@ class ClusterConfig:
         return ServiceConfig(
             protocol=self.protocol,
             approximation=default_approximation(k=self.k),
-            cache_capacity=self.cache_capacity,
-            cache_ttl_ms=self.cache_ttl_ms,
-            batch_lookups=self.batch_lookups,
+            cache_capacity=CACHE_CAPACITY,
+            cache_ttl_ms=CACHE_TTL_MS,
+            batch_lookups=True,
             seed=seed,
         )
 
@@ -225,7 +230,7 @@ class SimulatedCluster:
     def _build_overlay(self) -> Overlay:
         cfg = self.config
         node_config = NodeConfig(
-            k=cfg.node_k,
+            k=NODE_K,
             alpha=cfg.alpha,
             replicate=cfg.replicate,
             verify_credentials=cfg.verify_credentials,
@@ -291,10 +296,9 @@ class SimulatedCluster:
         ordered = [overlay.nodes[i] for i in interner.argsort()]
         count = len(ordered)
         contacts = [n.contact for n in ordered]
-        ring = cfg.ring_neighbours
         for position, node in enumerate(ordered):
             neighbourhood: list[Contact] = []
-            for offset in range(1, ring + 1):
+            for offset in range(1, RING_NEIGHBOURS + 1):
                 neighbourhood.append(contacts[(position - offset) % count])
                 neighbourhood.append(contacts[(position + offset) % count])
             sampled = self._rng.sample(range(count), min(cfg.random_contacts, count))
@@ -376,19 +380,13 @@ class SimulatedCluster:
     # churn driving
     # ------------------------------------------------------------------ #
 
-    def start_churn(self, trace_horizon_ms: float | None = None) -> ChurnProcess:
-        """Schedule churn events (requires ``churn``).
-
-        With *trace_horizon_ms*, the whole membership trace is pre-scheduled
-        at absolute virtual times (identical faults across configurations);
-        without it, events are drawn on the fly.
-        """
+    def start_churn(self, trace_horizon_ms: float) -> ChurnProcess:
+        """Pre-schedule the membership trace of the next *trace_horizon_ms*
+        at absolute virtual times (requires ``churn``): identical faults
+        across configurations."""
         if self.churn is None:
             raise RuntimeError("cluster was built without churn (ClusterConfig.churn)")
-        if trace_horizon_ms is not None:
-            self.churn.schedule_trace(trace_horizon_ms)
-        else:
-            self.churn.start()
+        self.churn.schedule_trace(trace_horizon_ms)
         return self.churn
 
     # ------------------------------------------------------------------ #
@@ -400,10 +398,10 @@ class SimulatedCluster:
     ) -> AdversaryProcess:
         """Pre-schedule the whole attack campaign (requires ``adversary``).
 
-        Like :meth:`start_churn` with a trace horizon: every attack event is
-        pinned to an absolute virtual time drawn from the config seed, so a
-        verification-on and a verification-off cluster with the same config
-        face the byte-identical campaign.
+        Like :meth:`start_churn`: every attack event is pinned to an absolute
+        virtual time drawn from the config seed, so a verification-on and a
+        verification-off cluster with the same config face the byte-identical
+        campaign.
         """
         if not self.config.adversary:
             raise RuntimeError(

@@ -29,10 +29,7 @@ Design notes
   trace encodes its parameters in the label
   (``churn-join:<at>:<session>:<horizon>``), maintenance ticks name their
   node (``maint-republish:<address>``), and benchmark probes map back to the
-  restored :class:`~repro.simulation.experiment.SurvivalRun`.  Only traced
-  churn (:meth:`~repro.simulation.churn.ChurnProcess.schedule_trace`) is
-  checkpointable; dynamic churn draws follow-up events at execution time and
-  has no label encoding.
+  restored :class:`~repro.simulation.experiment.SurvivalRun`.
 * A node's failure memory (which peers it watched fail, how often, until
   when they stay suspected) steers its next lookups, so it travels with the
   node -- as a ``suspects`` list that is left out while empty.
@@ -41,7 +38,11 @@ Design notes
   ``bucket_lookups`` (left out while empty) and each loop's ``last_at`` next
   to its ``next_at``.  A field missing from an older file reads as "never";
   an older file's ``cluster.search_rng`` (the generator of a search helper
-  the cluster no longer has) is ignored.
+  the cluster no longer has) and ``churn.traced`` (churn is always traced
+  now) are ignored.
+* Cluster options that became constants (:data:`RETIRED_CONFIG_FIELDS`) are
+  dropped from an older file's config when they hold the constant's value;
+  any other value is refused, since this build cannot run it.
 * Default node addresses come from a process-wide counter; restore reserves
   every number seen in the snapshot so post-restore joiners cannot collide
   with restored nodes, even in a fresh process.
@@ -76,8 +77,16 @@ from repro.dht.node import KademliaNode, NodeConfig, reserve_addresses
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 from repro.perf import PERF
+from repro.simulation.adversary import SYBIL_INTERVAL_MS
 from repro.simulation.churn import ChurnProcess
-from repro.simulation.cluster import ClusterConfig, SimulatedCluster
+from repro.simulation.cluster import (
+    CACHE_CAPACITY,
+    CACHE_TTL_MS,
+    NODE_K,
+    RING_NEIGHBOURS,
+    ClusterConfig,
+    SimulatedCluster,
+)
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.experiment import SurvivalReport, SurvivalRun
 from repro.simulation.network import NetworkConfig, SimulatedNetwork
@@ -91,10 +100,22 @@ __all__ = [
     "resume_survival_benchmark",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
+    "RETIRED_CONFIG_FIELDS",
 ]
 
 SNAPSHOT_FORMAT = "dharma-cluster-snapshot"
 SNAPSHOT_VERSION = 1
+
+#: ``ClusterConfig`` fields that older snapshots carry and this build fixes:
+#: field name -> the only value it can restore.
+RETIRED_CONFIG_FIELDS: dict[str, Any] = {
+    "node_k": NODE_K,
+    "ring_neighbours": RING_NEIGHBOURS,
+    "cache_capacity": CACHE_CAPACITY,
+    "cache_ttl_ms": CACHE_TTL_MS,
+    "batch_lookups": True,
+    "sybil_interval_ms": SYBIL_INTERVAL_MS,
+}
 
 
 class SnapshotError(RuntimeError):
@@ -282,15 +303,6 @@ def snapshot_cluster(
                 "pending event without a label cannot be restored "
                 "(checkpoint after the workload phase has drained)"
             )
-        if event.label.startswith("churn-") and (
-            cluster.churn is None or not cluster.churn.traced
-        ):
-            # Dynamic-mode churn closures draw their follow-ups at execution
-            # time; their labels do not carry enough to re-create them.
-            raise SnapshotError(
-                "only traced churn is checkpointable -- dynamic churn draws "
-                "follow-up events at execution time (use schedule_trace)"
-            )
         events.append({"time": event.time, "label": event.label})
     users_by_id = {
         node_id: user for user, node_id in overlay.certification._node_ids.items()
@@ -328,7 +340,6 @@ def snapshot_cluster(
             "joins": cluster.churn.joins,
             "graceful_leaves": cluster.churn.graceful_leaves,
             "crashes": cluster.churn.crashes,
-            "traced": cluster.churn.traced,
         }
     if cluster.maintenance is not None:
         snapshot["maintenance"] = _maintenance_state(cluster.maintenance)
@@ -485,7 +496,7 @@ def _replay_events(
             churn = cluster.churn
             queue.schedule_at(
                 at,
-                lambda a=address, c=churn: c._do_departure(a, reschedule=False),
+                lambda a=address, c=churn: c._do_departure(a),
                 label=label,
             )
         elif label.startswith("churn-join:"):
@@ -518,6 +529,18 @@ def _replay_events(
             raise SnapshotError(f"cannot restore event with unknown label {label!r}")
 
 
+def _cluster_config(fields: dict) -> ClusterConfig:
+    """The snapshot's ``ClusterConfig``, minus retired fields at their
+    constant's value."""
+    fields = dict(fields)
+    for name, constant in RETIRED_CONFIG_FIELDS.items():
+        if name in fields and (value := fields.pop(name)) != constant:
+            raise SnapshotError(
+                f"snapshot sets {name}={value!r}; this build fixes it at {constant!r}"
+            )
+    return ClusterConfig(**fields)
+
+
 def restore_cluster(
     snapshot: dict,
     metrics_stream: Any | None = None,
@@ -530,7 +553,7 @@ def restore_cluster(
     :class:`~repro.metrics.stream.ClusterMetricsRecorder` when the snapshot
     carries one **and** *metrics_stream* is given (else ``None``).
     """
-    config = ClusterConfig(**snapshot["config"])
+    config = _cluster_config(snapshot["config"])
 
     reserve_addresses(int(snapshot.get("address_floor", 0)))
 
@@ -557,7 +580,7 @@ def restore_cluster(
     network.stats.received_by_node.update(stats["received_by_node"])
     network.clock.advance_to(snapshot["clock_ms"])
 
-    node_config = NodeConfig(k=config.node_k, alpha=config.alpha, replicate=config.replicate)
+    node_config = NodeConfig(k=NODE_K, alpha=config.alpha, replicate=config.replicate)
     from repro.dht.bootstrap import Overlay
 
     overlay = Overlay(
@@ -616,7 +639,6 @@ def restore_cluster(
         churn.joins = churn_state["joins"]
         churn.graceful_leaves = churn_state["graceful_leaves"]
         churn.crashes = churn_state["crashes"]
-        churn.traced = churn_state["traced"]
         cluster.churn = churn
 
     PERF.restore(snapshot["perf"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.blocks import BlockKey, BlockType
 from repro.dht.api import DHTClient
-from repro.dht.batched_lookup import BatchedLookupConfig, BatchedLookupEngine
+from repro.dht.batched_lookup import ROUTE_CACHE_SIZE, ROUTE_CACHE_TTL_MS, BatchedLookupEngine
 from repro.dht.bootstrap import build_overlay
 from repro.dht.node import NodeConfig
 from repro.dht.node_id import NodeID
@@ -23,7 +23,7 @@ def overlay():
 
 @pytest.fixture()
 def engine(overlay):
-    return BatchedLookupEngine(overlay.nodes[0], BatchedLookupConfig())
+    return BatchedLookupEngine(overlay.nodes[0])
 
 
 def remote_key(overlay, node, label: str) -> NodeID:
@@ -54,7 +54,7 @@ class TestRouteCache:
         assert value2 == {"v": 1}
         assert engine.stats.route_hits == 1
         assert engine.stats.full_lookups == 1  # no second iterative lookup
-        # The cached-route probe costs at most `probe_width` direct messages.
+        # The cached-route probe costs at most `replicate` direct messages.
         assert 1 <= outcome2.messages <= engine.node.config.replicate
 
     def test_store_through_cached_route_skips_lookup(self, overlay, engine):
@@ -112,31 +112,25 @@ class TestRouteCache:
         assert engine.store(key, {"v": 2}).accepted_replicas >= 1
         assert overlay.network.stats.rpcs_failed_unreachable == failed_before
 
-    def test_route_ttl_expiry(self, overlay):
-        engine = BatchedLookupEngine(
-            overlay.nodes[0], BatchedLookupConfig(route_cache_ttl_ms=10.0)
-        )
+    def test_route_ttl_expiry(self, overlay, engine):
         key = remote_key(overlay, engine.node, "pop")
         engine.store(key, {"v": 1})
         assert engine.cached_routes == 1
-        overlay.clock.advance(11.0)
+        overlay.clock.advance(ROUTE_CACHE_TTL_MS)
+        assert engine._cached_route(key) is not None
+        overlay.clock.advance(1.0)
         assert engine._cached_route(key) is None
 
-    def test_route_cache_is_lru_bounded(self, overlay):
-        engine = BatchedLookupEngine(
-            overlay.nodes[0], BatchedLookupConfig(route_cache_size=2)
-        )
-        for name in ("a", "b", "c"):
-            engine.store(remote_key(overlay, engine.node, name), {"v": name})
-        assert engine.cached_routes == 2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BatchedLookupConfig(route_cache_size=0)
-        with pytest.raises(ValueError):
-            BatchedLookupConfig(route_cache_ttl_ms=-1.0)
-        with pytest.raises(ValueError):
-            BatchedLookupConfig(coalesce_bits=200)
+    def test_route_cache_is_lru_bounded(self, overlay, engine):
+        replica = overlay.nodes[1].contact
+        keys = [NodeID(value) for value in range(1, ROUTE_CACHE_SIZE + 2)]
+        for key in keys[:-1]:
+            engine._remember_route(key, [replica])
+        engine._cached_route(keys[0])  # a use refreshes the oldest route
+        engine._remember_route(keys[-1], [replica])
+        assert engine.cached_routes == ROUTE_CACHE_SIZE
+        assert engine._cached_route(keys[0]) == (replica,)
+        assert engine._cached_route(keys[1]) is None
 
 
 class TestBatchedRetrieval:
@@ -157,6 +151,23 @@ class TestBatchedRetrieval:
             engine.node.store(key, {"name": name})
         results = engine.retrieve_many([keys["z"], keys["x"], keys["z"], keys["y"]])
         assert [value["name"] for value, _ in results] == ["z", "x", "z", "y"]
+
+    def test_coalesced_walk_marks_its_bucket(self, overlay, engine):
+        """A lookup seeded by its batch neighbour walks the key's bucket like
+        any other, so the next refresh pass may skip that bucket."""
+        node = engine.node
+        hit = remote_key(overlay, node, "coalesce")
+        overlay.nodes[5].store(hit, {"v": 1})
+        engine.retrieve(hit)  # caches the route
+        # Set the lowest clear bit: `near` sorts right after `hit` in the batch
+        # and shares its bucket and 12-bit prefix.
+        near = NodeID(hit.value | (~hit.value & (hit.value + 1)))
+        node.bucket_lookup_at.clear()
+        # The route hit on `hit` walks nothing; `near` is seeded from it.
+        engine.retrieve_many([hit, near])
+        assert engine.stats.route_hits == 1 and engine.stats.seeded_lookups == 1
+        bucket = (node.node_id.value ^ near.value).bit_length() - 1
+        assert list(node.bucket_lookup_at) == [bucket]
 
     def test_missing_key_returns_none(self, overlay, engine):
         value, outcome = engine.retrieve(remote_key(overlay, engine.node, "nothing"))

@@ -6,7 +6,7 @@ value rests on being indistinguishable through the public contract, so these
 tests drive both implementations through randomized operation sequences
 (record / evict / closest / export / restore) and require every observable
 to match exactly, plus pin the compact-specific properties (lazy bucket
-allocation, the implementation switch).
+allocation, the table every node builds).
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from repro.dht.routing_table import (
     Contact,
     KBucket,
     RoutingTable,
-    make_routing_table,
-    routing_table_impl,
-    routing_table_implementation,
-    set_routing_table_impl,
 )
 
 
@@ -205,30 +201,12 @@ class TestCompactSpecifics:
             table.bucket_index(owner)
 
 
-class TestImplementationSwitch:
-    def test_compact_is_the_default(self):
-        assert routing_table_impl() == "compact"
-        assert isinstance(make_routing_table(NodeID(1)), CompactRoutingTable)
-
-    def test_context_manager_switches_and_restores(self):
-        with routing_table_implementation("legacy"):
-            assert routing_table_impl() == "legacy"
-            assert isinstance(make_routing_table(NodeID(1)), RoutingTable)
-        assert routing_table_impl() == "compact"
-
-    def test_unknown_implementation_rejected(self):
-        with pytest.raises(ValueError):
-            set_routing_table_impl("vectorised")
-        assert routing_table_impl() == "compact"
-
-    def test_nodes_pick_up_the_switch(self):
+class TestNodesBuildTheCompactTable:
+    def test_every_node_builds_the_compact_table(self):
         from repro.dht.bootstrap import build_overlay
 
-        with routing_table_implementation("legacy"):
-            overlay = build_overlay(3, seed=0)
-            assert isinstance(overlay.nodes[0].routing_table, RoutingTable)
         overlay = build_overlay(3, seed=0)
-        assert isinstance(overlay.nodes[0].routing_table, CompactRoutingTable)
+        assert all(isinstance(n.routing_table, CompactRoutingTable) for n in overlay.nodes)
 
 
 class TestInterner:

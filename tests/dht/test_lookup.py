@@ -174,3 +174,37 @@ class TestSuspects:
         transport = ScriptedTransport({hub: far, **{c: [] for c in far}})
         iterative_lookup(transport, NodeID(0), seeds=[hub], k=4, alpha=2)
         assert transport.suspect_checks <= 2 * transport.queries
+
+
+class TestFinishingSweep:
+    """The round that finds nobody closer ends the rounds; one sweep then
+    queries every unqueried contact among the k closest, in distance order,
+    and the lookup stops."""
+
+    def test_sweep_finds_a_value_past_a_suspect_and_a_dead_contact(self):
+        c16, c1, c3, c5, c6, c7 = (contact(v) for v in (16, 1, 3, 5, 6, 7))
+        transport = ScriptedTransport(
+            {c16: [c1, c3, c5, c6, c7], c1: [], c3: [], c6: [], c7: []},
+            values={NodeID(7): {"entries": {"x": 1}}},
+            dead={NodeID(6)},
+            suspects={NodeID(5)},
+        )
+        outcome = iterative_lookup(
+            transport, NodeID(0), seeds=[c16], k=5, alpha=1, find_value=True
+        )
+        # Rounds: 16 (improves), 1 (improves), 3 (no progress); then the
+        # sweep skips suspect 5, loses 6 and finds the value at 7.
+        assert [n.value for n in transport.queried] == [16, 1, 3, 6, 7]
+        assert outcome.found_value and outcome.value == {"entries": {"x": 1}}
+        assert (outcome.rounds, outcome.messages, outcome.failures) == (3, 5, 1)
+        assert [c.node_id.value for c in outcome.closest] == [1, 3, 7, 16]
+
+    def test_contacts_learned_in_the_sweep_are_kept_but_not_queried(self):
+        c16, c1, c3, c6, c7, c2 = (contact(v) for v in (16, 1, 3, 6, 7, 2))
+        transport = ScriptedTransport(
+            {c16: [c1, c3, c6, c7], c1: [], c3: [], c6: [c2], c7: []}
+        )
+        outcome = iterative_lookup(transport, NodeID(0), seeds=[c16], k=4, alpha=1)
+        assert [n.value for n in transport.queried] == [16, 1, 3, 6, 7]
+        assert (outcome.rounds, outcome.messages, outcome.failures) == (3, 5, 0)
+        assert [c.node_id.value for c in outcome.closest] == [1, 2, 3, 6]

@@ -128,7 +128,7 @@ class TestResilience:
             queue,
             ChurnConfig(join_rate=0.2, mean_session_s=30.0, crash_probability=0.3, min_nodes=10, seed=6),
         )
-        churn.start()
+        churn.schedule_trace(30_000.0)
 
         errors = 0
         for index, event in enumerate(micro_workload.events[:150]):

@@ -36,29 +36,32 @@ class TestChurnProcess:
         queue = EventQueue(overlay.clock)
         config = ChurnConfig(join_rate=0.0, mean_session_s=1.0, crash_probability=1.0, min_nodes=3, seed=0)
         process = ChurnProcess(overlay, queue, config)
-        process.start()
-        queue.run_until(overlay.clock.now + 60_000, max_events=500)
+        process.schedule_trace(60_000.0)
+        queue.run_until(overlay.clock.now + 60_000)
         live = sum(1 for n in overlay.nodes if overlay.network.is_registered(n.address))
-        assert live >= 3
+        assert live == 3
+        assert process.crashes == 1  # every later departure was skipped
 
     def test_joins_grow_the_overlay(self):
         overlay = small_overlay(3)
         queue = EventQueue(overlay.clock)
         config = ChurnConfig(join_rate=1.0, mean_session_s=10_000.0, min_nodes=2, seed=1)
         process = ChurnProcess(overlay, queue, config)
-        process.start()
-        queue.run_until(overlay.clock.now + 20_000, max_events=200)
+        process.schedule_trace(20_000.0)
+        queue.run_until(overlay.clock.now + 20_000)
         assert process.joins >= 1
-        assert len(overlay.nodes) > 3
+        assert len(overlay.nodes) == 3 + process.joins
 
     def test_graceful_and_crash_departures_counted(self):
         overlay = small_overlay(8)
         queue = EventQueue(overlay.clock)
         config = ChurnConfig(join_rate=0.0, mean_session_s=2.0, crash_probability=0.5, min_nodes=2, seed=2)
         process = ChurnProcess(overlay, queue, config)
-        process.start()
-        queue.run_until(overlay.clock.now + 120_000, max_events=500)
-        assert process.graceful_leaves + process.crashes >= 1
+        process.schedule_trace(120_000.0)
+        queue.run_until(overlay.clock.now + 120_000)
+        # Six of eight leave before the floor of two stops the rest.
+        assert process.graceful_leaves + process.crashes == 6
+        assert process.graceful_leaves >= 1 and process.crashes >= 1
 
     def test_crashed_nodes_are_pruned_from_the_roster(self):
         """Long churn runs must not accumulate dead entries in
@@ -69,8 +72,8 @@ class TestChurnProcess:
             join_rate=0.5, mean_session_s=2.0, crash_probability=1.0, min_nodes=2, seed=4
         )
         process = ChurnProcess(overlay, queue, config)
-        process.start()
-        queue.run_until(overlay.clock.now + 60_000, max_events=300)
+        process.schedule_trace(60_000.0)
+        queue.run_until(overlay.clock.now + 60_000)
         assert process.crashes >= 1
         live = [n for n in overlay.nodes if overlay.network.is_registered(n.address)]
         assert len(overlay.nodes) == len(live)
@@ -136,8 +139,9 @@ class TestChurnProcess:
         queue = EventQueue(overlay.clock)
         config = ChurnConfig(join_rate=0.5, mean_session_s=5.0, crash_probability=0.0, min_nodes=4, seed=3)
         process = ChurnProcess(overlay, queue, config)
-        process.start()
-        queue.run_until(overlay.clock.now + 30_000, max_events=300)
+        process.schedule_trace(30_000.0)
+        queue.run_until(overlay.clock.now + 30_000)
+        assert process.graceful_leaves >= 1
 
         access = overlay.random_node()
         recovered = 0

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.datasets import generate_lastfm_like
+from repro.distributed.tagging_service import DharmaService, ServiceConfig
 from repro.simulation.cluster import ClusterConfig, SimulatedCluster
 from repro.simulation.workload import TaggingWorkload
 
@@ -87,14 +88,15 @@ class TestLookupEngineAcceptance:
 
     @classmethod
     def messages_per_search(cls, workload: TaggingWorkload, engine_on: bool) -> float:
-        cluster = SimulatedCluster(
-            ClusterConfig(
-                num_nodes=64,
-                cache_capacity=4096 if engine_on else 0,
-                batch_lookups=engine_on,
-                seed=0,
-            )
-        )
+        cluster = SimulatedCluster(ClusterConfig(num_nodes=64, seed=0))
+        if not engine_on:
+            # A default ServiceConfig runs neither the engine nor the cache.
+            cluster.services = [
+                DharmaService(
+                    cluster.overlay, user=f"plain-{index:03d}", config=ServiceConfig(seed=index)
+                )
+                for index in range(len(cluster.services))
+            ]
         assert cluster.run_workload(workload, limit=cls.OPS, ignore_errors=False).errors == 0
         # Popular tags, drawn by popularity: folksonomy search traffic
         # revisits hot tags, which is what a block cache is for.
@@ -123,7 +125,7 @@ class TestLookupEngineAcceptance:
 class TestChurnWiring:
     def test_cluster_without_churn_rejects_start_churn(self, cluster):
         with pytest.raises(RuntimeError):
-            cluster.start_churn()
+            cluster.start_churn(trace_horizon_ms=1_000.0)
 
     def test_churn_and_maintenance_are_wired_from_the_config(self):
         config = ClusterConfig(

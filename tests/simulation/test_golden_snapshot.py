@@ -39,7 +39,12 @@ import pytest
 from repro.core.codec import decode_routing_table, encode_routing_table
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import CompactRoutingTable, Contact
-from repro.simulation.snapshot import load_snapshot, resume_survival_benchmark
+from repro.simulation.snapshot import (
+    SnapshotError,
+    load_snapshot,
+    restore_cluster,
+    resume_survival_benchmark,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_SNAPSHOT = FIXTURES / "golden_pre_compact_snapshot.json"
@@ -111,3 +116,19 @@ class TestGoldenResume:
         summary.pop("wall_time_s")
         assert summary == expected
         assert report.samples == expected_samples
+
+
+class TestRetiredOptions:
+    """The golden snapshot's config still names options that are constants
+    now (``node_k``, ``cache_capacity``, ...): at the constant's value they
+    restore, at any other they are refused by name."""
+
+    def test_golden_config_restores(self):
+        cluster, _, _ = restore_cluster(load_snapshot(GOLDEN_SNAPSHOT))
+        assert all(node.routing_table.k == 8 for node in cluster.overlay.nodes)
+
+    def test_a_retired_option_off_its_constant_is_refused(self):
+        snapshot = load_snapshot(GOLDEN_SNAPSHOT)
+        snapshot["config"]["node_k"] = 16
+        with pytest.raises(SnapshotError, match="node_k=16"):
+            restore_cluster(snapshot)

@@ -1,17 +1,17 @@
-"""Legacy and compact routing tables drive bit-identical simulations.
+"""The compact DHT core drives the simulation the legacy routing table did.
 
-The compact DHT core (array-backed k-buckets, ``nsmallest`` k-closest
-selection, interned-id bootstrap ordering) replaces the legacy routing table
+The compact DHT core (array-backed k-buckets, bucket-ordered k-closest
+selection, interned-id bootstrap ordering) replaced the legacy routing table
 on every hot path, so this module pins a full 1000-node lossy churn workload
--- maintenance on, 5% message loss, crash/leave/join trace -- under *both*
-implementations and requires the virtual clock, the message totals and the
-complete :class:`SurvivalReport` to agree bit-for-bit, with each other and
-with the hardcoded baseline below.
+-- maintenance on, 5% message loss, crash/leave/join trace -- and requires the
+virtual clock, the message totals and the complete :class:`SurvivalReport`
+to equal, bit-for-bit, the hardcoded baseline below.
 
 The constants mirror ``tests/net/test_transport_equivalence.py``: they were
-captured from a run of the legacy implementation and must never drift.  If a
-change moves any of them, it altered simulation behaviour -- either fix it,
-or consciously re-baseline and say so in the commit.
+captured from a run of the legacy implementation, which nodes could still
+build until the compact table became the only one, and must never drift.
+If a change moves any of them, it altered simulation behaviour -- either fix
+it, or consciously re-baseline and say so in the commit.
 
 Re-baselined once, on purpose, when nodes started remembering peers they
 watched fail (ISSUE 14): 89 nodes crash in this run, and a node no longer
@@ -48,7 +48,6 @@ import dataclasses
 import pytest
 
 from repro.datasets.lastfm_synthetic import generate_lastfm_like
-from repro.dht.routing_table import routing_table_implementation
 from repro.simulation.cluster import churn_cluster_config
 from repro.simulation.experiment import run_survival_benchmark
 from repro.simulation.workload import TaggingWorkload
@@ -91,35 +90,30 @@ EXPECTED_SAMPLES = [
 ]
 
 
-def run_workload(impl: str):
-    """One 1k-node lossy churn run under the named routing implementation."""
-    workload = TaggingWorkload.from_triples(generate_lastfm_like("tiny").triples())
-    with routing_table_implementation(impl):
-        config = dataclasses.replace(
-            churn_cluster_config(
-                num_nodes=1000,
-                maintenance=True,
-                mean_session_s=120.0,
-                republish_interval_ms=6_000.0,
-                refresh_interval_ms=60_000.0,
-                seed=3,
-            ),
-            loss_rate=0.05,
-        )
-        return run_survival_benchmark(
-            config,
-            workload,
-            ops=32,
-            duration_s=20.0,
-            sample_every_s=5.0,
-            probe_keys=40,
-            append_keys=5,
-        )
-
-
 @pytest.fixture(scope="module")
-def reports():
-    return {impl: run_workload(impl) for impl in ("legacy", "compact")}
+def report():
+    """One 1k-node lossy churn run."""
+    workload = TaggingWorkload.from_triples(generate_lastfm_like("tiny").triples())
+    config = dataclasses.replace(
+        churn_cluster_config(
+            num_nodes=1000,
+            maintenance=True,
+            mean_session_s=120.0,
+            republish_interval_ms=6_000.0,
+            refresh_interval_ms=60_000.0,
+            seed=3,
+        ),
+        loss_rate=0.05,
+    )
+    return run_survival_benchmark(
+        config,
+        workload,
+        ops=32,
+        duration_s=20.0,
+        sample_every_s=5.0,
+        probe_keys=40,
+        append_keys=5,
+    )
 
 
 def _summary(report) -> dict:
@@ -129,24 +123,14 @@ def _summary(report) -> dict:
 
 
 class TestPinnedBaseline:
-    @pytest.mark.parametrize("impl", ["legacy", "compact"])
-    def test_virtual_clock_is_pinned(self, reports, impl):
-        assert reports[impl].virtual_time_s == EXPECTED_CLOCK
+    def test_virtual_clock_is_pinned(self, report):
+        assert report.virtual_time_s == EXPECTED_CLOCK
 
-    @pytest.mark.parametrize("impl", ["legacy", "compact"])
-    def test_message_count_is_pinned(self, reports, impl):
-        assert reports[impl].messages_total == EXPECTED_MESSAGES
+    def test_message_count_is_pinned(self, report):
+        assert report.messages_total == EXPECTED_MESSAGES
 
-    @pytest.mark.parametrize("impl", ["legacy", "compact"])
-    def test_survival_report_is_pinned(self, reports, impl):
-        assert _summary(reports[impl]) == EXPECTED_SUMMARY
+    def test_survival_report_is_pinned(self, report):
+        assert _summary(report) == EXPECTED_SUMMARY
 
-    @pytest.mark.parametrize("impl", ["legacy", "compact"])
-    def test_availability_samples_are_pinned(self, reports, impl):
-        assert reports[impl].samples == EXPECTED_SAMPLES
-
-
-class TestCrossImplementation:
-    def test_reports_match_bit_for_bit(self, reports):
-        assert _summary(reports["legacy"]) == _summary(reports["compact"])
-        assert reports["legacy"].samples == reports["compact"].samples
+    def test_availability_samples_are_pinned(self, report):
+        assert report.samples == EXPECTED_SAMPLES

@@ -171,16 +171,23 @@ class TestSnapshotGuards:
         with pytest.raises(SnapshotError, match="without a label"):
             snapshot_cluster(cluster)
 
-    def test_dynamic_churn_is_rejected(self):
+    def test_pending_churn_trace_is_restored_verbatim(self):
         config = churn_cluster_config(
             num_nodes=12, maintenance=False, mean_session_s=60.0,
             republish_interval_ms=5_000.0, refresh_interval_ms=20_000.0,
             min_nodes=6, clients=1, seed=4,
         )
         cluster = SimulatedCluster(config)
-        cluster.start_churn()  # no trace horizon: follow-ups drawn at run time
-        with pytest.raises(SnapshotError, match="traced churn"):
-            snapshot_cluster(cluster)
+        cluster.start_churn(trace_horizon_ms=60_000.0)
+        restored, _, _ = restore_cluster(snapshot_cluster(cluster))
+
+        def pending(c):
+            return [(event.time, event.label) for event in c.queue.pending_events()]
+
+        labels = [label for _, label in pending(cluster)]
+        assert any(label.startswith("churn-join:") for label in labels)
+        assert any(label.startswith("churn-leave:") for label in labels)
+        assert pending(restored) == pending(cluster)
 
 
 # --------------------------------------------------------------------------- #

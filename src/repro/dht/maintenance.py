@@ -13,9 +13,10 @@ classic Kademlia maintenance loops make block data survive that churn:
   a republished counter-block snapshot can never roll back APPENDs applied
   concurrently at the destination;
 * **periodic bucket refresh** -- every live node periodically refreshes its
-  routing table (one lookup per non-empty bucket), evicting contacts that
-  crashed and discovering joiners, which keeps republish lookups converging
-  on the true closest nodes.
+  routing table (one lookup per non-empty bucket outside its neighbourhood,
+  one self-lookup for the neighbourhood), evicting contacts that crashed and
+  discovering joiners, which keeps republish lookups converging on the true
+  closest nodes.
 
 Both loops follow Kademlia's two rules for not doing work a peer just did
 (Maymounkov & Mazières 2002, §2.3 and §2.5).  Their windows are the loops'
@@ -35,6 +36,19 @@ own intervals -- "since this loop's previous pass" -- so they add no knob:
   (:attr:`~repro.dht.node.KademliaNode.bucket_lookup_at`): that lookup
   refreshed it.  A pass's window opens when the previous pass *finished*, so
   the refresh lookups themselves never make the next pass skip a bucket.
+
+Refresh adds a third rule, from Kademlia's join (§2.3), that again adds no
+knob:
+
+* **neighbourhood refresh** -- let ``r`` be the bucket index of the k-th
+  closest contact to the node's own id.  Every due bucket below ``r`` is
+  refreshed by **one** lookup of the node's own id per pass (it returns the
+  whole neighbourhood); each due bucket at or above ``r`` keeps its own
+  lookup of a random id in its range.  A table with fewer than k contacts
+  has no ``r`` and refreshes every due bucket with its own lookup.  A bucket
+  the self-lookup covers counts as *refreshed*: ``buckets_skipped`` and
+  ``maint.refresh_skips`` count only buckets the refresh-skip rule left
+  alone.
 
 A holder that republishes a block onto a full replica set it is no longer
 part of *hands the block off* (drops its copy), so the per-key holder set --
@@ -128,7 +142,9 @@ class MaintenanceStats:
     blocks_handed_off: int = 0
     refresh_runs: int = 0
     buckets_refreshed: int = 0
-    #: Non-empty buckets a refresh pass left alone: a lookup walked them.
+    #: Non-empty buckets a refresh pass left alone: a lookup walked them
+    #: (refresh skip).  Buckets the neighbourhood self-lookup covered count
+    #: as refreshed.
     buckets_skipped: int = 0
     timers_cancelled: int = 0
 
@@ -287,7 +303,7 @@ class NodeMaintenance:
         if not self._alive():
             return
         node = self.node
-        buckets = sum(1 for size in node.routing_table.bucket_utilisation().values() if size)
+        buckets = len(node.routing_table.bucket_utilisation())
         refreshed = node.refresh_buckets(
             self._rng, since=self._last_at.get("refresh", float("-inf"))
         )

@@ -726,28 +726,46 @@ class KademliaNode:
     def refresh_buckets(
         self, rng: random.Random | None = None, since: float = float("-inf")
     ) -> int:
-        """Look up a random id in the range of every non-empty bucket that no
-        lookup of this node walked after *since* (transport-clock time of the
-        previous refresh); returns the number of refresh lookups issued.
+        """Refresh every non-empty bucket that no lookup of this node walked
+        after *since* (transport-clock time of the previous refresh); returns
+        the number of buckets refreshed -- not of lookups issued.
 
         A bucket some lookup touched since then is fresh already (Kademlia
         §2.3); callers pass the clock *after* their previous pass, so the
         refresh lookups themselves never make the next pass skip a bucket.
+
+        The neighbourhood -- every bucket below the one holding the k-th
+        closest contact -- is refreshed by one lookup of the node's own id,
+        which returns all of it (Kademlia §2.3's join lookup); each bucket
+        farther out gets a lookup of a random id in its range.  A table
+        with fewer than k contacts has no neighbourhood.
         """
         rng = rng or random.Random(0)
+        utilisation = self.routing_table.bucket_utilisation()
+        radius = -1
+        held = 0
+        for index, size in utilisation.items():
+            held += size
+            if held >= self.config.k:
+                radius = index
+                break
         refreshed = 0
-        for index, size in self.routing_table.bucket_utilisation().items():
-            if size == 0:
-                continue
+        looked_up_self = False
+        for index in utilisation:
             if self.bucket_lookup_at.get(index, float("-inf")) > since:
                 PERF.count("maint.refresh_skips")
+                continue
+            refreshed += 1
+            if index < radius:
+                if not looked_up_self:
+                    self.lookup_node(self.node_id)
+                    looked_up_self = True
                 continue
             low = 1 << index
             high = (1 << (index + 1)) - 1
             distance = rng.randint(low, high)
             target = NodeID(self.node_id.value ^ distance)
             self.lookup_node(target)
-            refreshed += 1
         return refreshed
 
     def leave(self, republish: bool = False) -> dict[NodeID, Any]:

@@ -118,7 +118,9 @@ class ServeNode:
 
     def refresh(self, rng: random.Random | None = None) -> int:
         """Refresh the routing buckets no lookup walked since the previous
-        call (periodic upkeep while serving); returns the lookups issued."""
+        call (periodic upkeep while serving) under
+        :meth:`~repro.dht.node.KademliaNode.refresh_buckets`' rule; returns
+        the number of buckets refreshed, not of lookups issued."""
         refreshed = self.node.refresh_buckets(rng, since=self._refreshed_at)
         self._refreshed_at = self.transport.clock.now
         return refreshed

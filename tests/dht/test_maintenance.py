@@ -1,11 +1,14 @@
 """Unit tests for the replica-maintenance subsystem."""
 
+import random
+
 import pytest
 
 from repro.dht.bootstrap import build_overlay
 from repro.dht.maintenance import MaintenanceConfig, NodeMaintenance, OverlayMaintenance
 from repro.dht.node import NodeConfig
 from repro.dht.node_id import NodeID
+from repro.perf import PERF
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.network import NetworkConfig
 
@@ -148,6 +151,44 @@ class TestNodeMaintenance:
         assert maintenance.stats.refresh_runs == 1
         assert maintenance.stats.buckets_skipped == 1
         assert maintenance.stats.buckets_refreshed >= 1
+
+    def test_every_refresh_pass_accounts_for_every_non_empty_bucket(self):
+        """refreshed + skipped is the pass's non-empty bucket count, with
+        skipped meaning walked by an earlier lookup -- never covered by the
+        neighbourhood self-lookup."""
+        overlay = small_overlay(24)
+        queue = EventQueue(overlay.clock)
+        node = overlay.nodes[0]
+        maintenance = NodeMaintenance(
+            node,
+            queue,
+            MaintenanceConfig(republish_interval_ms=0.0, refresh_interval_ms=1_000.0, jitter=0.0),
+        )
+        passes = []  # (non-empty buckets, PERF skips, refreshed, skipped) at each start
+        refresh_buckets = node.refresh_buckets
+
+        def observed(rng, since):
+            passes.append(counters(len(node.routing_table.bucket_utilisation())))
+            return refresh_buckets(rng, since=since)
+
+        def counters(buckets):
+            stats = maintenance.stats
+            skips = PERF.counters.get("maint.refresh_skips", 0)
+            return buckets, skips, stats.buckets_refreshed, stats.buckets_skipped
+
+        node.refresh_buckets = observed
+        maintenance.start()
+        rng = random.Random(1)
+        for _ in range(4):
+            node.lookup_node(NodeID(rng.getrandbits(160)))
+            queue.run_until(overlay.clock.now + 1_000.0)
+        passes.append(counters(None))
+        assert len(passes) >= 4
+        for start, end in zip(passes, passes[1:]):
+            refreshed, skipped = end[2] - start[2], end[3] - start[3]
+            assert refreshed + skipped == start[0]
+            assert skipped == end[1] - start[1]
+        assert maintenance.stats.buckets_skipped > 0
 
     def test_tick_on_a_dead_node_stops_its_loops(self):
         overlay = small_overlay(4)

@@ -329,43 +329,58 @@ def bucket_of(node: KademliaNode, target: NodeID) -> int:
     return (node.node_id.value ^ target.value).bit_length() - 1
 
 
+def radius(node: KademliaNode) -> int:
+    """Bucket index of the k-th closest contact to *node*'s own id."""
+    ranked = sorted(
+        node.routing_table.contacts(), key=lambda c: c.node_id.value ^ node.node_id.value
+    )
+    return bucket_of(node, ranked[node.config.k - 1].node_id)
+
+
+def refresh_pass(node: KademliaNode, since: float) -> tuple[list, int]:
+    """One refresh pass: the buckets it looked up, in order (``"self"`` for
+    the self-lookup), and the number of buckets it says it refreshed."""
+    targets = []
+    lookup_node = node.lookup_node
+    node.lookup_node = lambda target: targets.append(target) or lookup_node(target)
+    try:
+        refreshed = node.refresh_buckets(since=since)
+    finally:
+        del node.lookup_node
+    return ["self" if t == node.node_id else bucket_of(node, t) for t in targets], refreshed
+
+
+def joined_overlay(network, certification, size: int) -> list[KademliaNode]:
+    nodes = []
+    for index in range(size):
+        node = make_node(network, certification, f"peer{index}")
+        node.join(nodes[0].contact if nodes else None)
+        nodes.append(node)
+    return nodes
+
+
 class TestRefreshSkip:
     """Kademlia §2.3: a bucket one of the node's own lookups walked since the
     previous refresh is fresh already."""
 
     @pytest.fixture()
     def overlay(self, network, certification):
-        nodes = []
-        for index in range(16):
-            node = make_node(network, certification, f"peer{index}")
-            node.join(nodes[0].contact if nodes else None)
-            nodes.append(node)
-        return nodes
-
-    @staticmethod
-    def refreshed_buckets(node, since):
-        """Bucket indices the refresh pass looked up, in order."""
-        targets = []
-        lookup_node = node.lookup_node
-        node.lookup_node = lambda target: targets.append(target) or lookup_node(target)
-        try:
-            node.refresh_buckets(since=since)
-        finally:
-            del node.lookup_node
-        return [bucket_of(node, target) for target in targets]
+        return joined_overlay(network, certification, 16)
 
     def test_a_walked_bucket_is_skipped_and_an_untouched_one_refreshed(self, overlay, network):
         node = overlay[0]
         since = network.clock.now
         network.clock.advance(1.0)
-        nonempty = [i for i, size in node.routing_table.bucket_utilisation().items() if size]
-        assert len(nonempty) >= 2
-        walked = nonempty[0]
+        walked = max(node.routing_table.bucket_utilisation())
         node.lookup_node(NodeID(node.node_id.value ^ (1 << walked)))
-        nonempty = [i for i, size in node.routing_table.bucket_utilisation().items() if size]
+        buckets = node.routing_table.bucket_utilisation()
+        r = radius(node)
+        assert min(buckets) < r <= walked  # near buckets, and a far one walked
         skips = PERF.counters.get("maint.refresh_skips", 0)
 
-        assert self.refreshed_buckets(node, since) == [i for i in nonempty if i != walked]
+        targets, refreshed = refresh_pass(node, since)
+        assert targets == ["self"] + [i for i in buckets if r <= i != walked]
+        assert refreshed == len(buckets) - 1
         assert PERF.counters.get("maint.refresh_skips", 0) == skips + 1
 
     def test_lookup_value_counts_but_a_local_hit_does_not(self, overlay, network):
@@ -381,10 +396,18 @@ class TestRefreshSkip:
 
     def test_a_bucket_walked_before_the_window_is_refreshed(self, overlay, network):
         node = overlay[0]
-        walked = next(i for i, size in node.routing_table.bucket_utilisation().items() if size)
-        node.lookup_node(NodeID(node.node_id.value ^ (1 << walked)))
+        buckets = node.routing_table.bucket_utilisation()
+        near, far = min(buckets), max(buckets)
+        for walked in (near, far):
+            node.lookup_node(NodeID(node.node_id.value ^ (1 << walked)))
         network.clock.advance(1.0)
-        assert walked in self.refreshed_buckets(node, since=network.clock.now)
+        buckets = node.routing_table.bucket_utilisation()
+        assert near < radius(node) <= far
+
+        targets, refreshed = refresh_pass(node, since=network.clock.now)
+        assert targets[0] == "self"  # the near bucket's refresh
+        assert far in targets
+        assert refreshed == len(buckets)
 
     def test_serve_node_refresh_obeys_the_same_rule(self):
         from repro.net.server import ServeNode
@@ -396,6 +419,99 @@ class TestRefreshSkip:
             b.node.lookup_node(a.node_id)
             assert b.refresh() == 0  # the lookup refreshed a's bucket
             assert b.refresh() == 1  # ... until the next window
+
+
+class TestNeighbourhoodRefresh:
+    """Every due bucket below the k-th closest contact's is refreshed by one
+    lookup of the node's own id; each due bucket farther out by its own."""
+
+    def test_a_converged_overlay_looks_itself_up_once_plus_once_per_far_bucket(
+        self, network, certification
+    ):
+        overlay = joined_overlay(network, certification, 40)
+        network.clock.advance(1.0)
+        with_neighbourhood = 0
+        for node in overlay:
+            buckets = node.routing_table.bucket_utilisation()
+            r = radius(node)
+            targets, refreshed = refresh_pass(node, since=network.clock.now)
+            near = [i for i in buckets if i < r]
+            far = [i for i in buckets if i >= r]
+            assert targets == ["self"] * bool(near) + far
+            assert refreshed == len(buckets)
+            with_neighbourhood += len(near) >= 2
+        assert with_neighbourhood >= len(overlay) // 2
+
+    def test_a_pass_with_no_due_near_bucket_sends_no_self_lookup(self, network, certification):
+        node = joined_overlay(network, certification, 16)[0]
+        since = network.clock.now
+        network.clock.advance(1.0)
+        r = radius(node)
+        for index in [i for i in node.routing_table.bucket_utilisation() if i < r]:
+            node.lookup_node(NodeID(node.node_id.value ^ (1 << index)))
+        buckets = node.routing_table.bucket_utilisation()
+        assert radius(node) == r
+
+        targets, refreshed = refresh_pass(node, since)
+        assert targets == [i for i in buckets if i >= r]
+        assert refreshed == len(targets)
+
+    def test_a_table_under_k_contacts_looks_up_every_due_bucket(self, trio, network):
+        a, _b, _c = trio
+        buckets = a.routing_table.bucket_utilisation()
+        assert len(a.routing_table) < a.config.k
+
+        targets, refreshed = refresh_pass(a, since=network.clock.now)
+        assert targets == list(buckets)
+        assert refreshed == len(buckets)
+
+    def test_a_joiner_inside_the_radius_is_found_by_the_next_pass(self, network, certification):
+        x = joined_overlay(network, certification, 40)[0]
+        joiner = KademliaNode(
+            NodeID(x.node_id.value ^ 1),
+            network=network,
+            config=NodeConfig(k=8, alpha=2, replicate=2),
+        )
+        # The joiner announces itself to x's neighbourhood, never to x.
+        served = sum(x.rpcs_served.values())
+        for contact in x.routing_table.closest_contacts(x.node_id):
+            assert joiner.ping(contact)
+        joiner.joined = True
+        assert sum(x.rpcs_served.values()) == served
+        assert joiner.node_id not in x.routing_table
+        network.clock.advance(1.0)
+
+        targets, _ = refresh_pass(x, since=network.clock.now)
+        assert targets[0] == "self"
+        assert joiner.node_id in x.routing_table
+
+    def test_serve_node_refresh_looks_itself_up_over_udp(self):
+        from repro.net.server import ServeNode
+
+        base = NodeID.hash_of("serve-refresh").value
+        config = NodeConfig(k=2, alpha=2, replicate=1, verify_credentials=False)
+        # Buckets 0 (the neighbourhood), 5 (holds the k-th closest) and 100.
+        nodes = [
+            ServeNode(node_id=NodeID(base ^ offset), node_config=config)
+            for offset in (0, 1, 1 << 5, 1 << 100)
+        ]
+        try:
+            node, *peers = nodes
+            node.bootstrap(None)
+            for peer in peers:
+                peer.bootstrap(node.address)
+            assert node.node.routing_table.bucket_utilisation() == {0: 1, 5: 1, 100: 1}
+            find_nodes = sum(peer.node.rpcs_served["find_node"] for peer in peers)
+
+            targets = []
+            lookup_node = node.node.lookup_node
+            node.node.lookup_node = lambda target: targets.append(target) or lookup_node(target)
+            assert node.refresh() == 3
+            assert [bucket_of(node.node, t) for t in targets] == [-1, 5, 100]
+            assert sum(peer.node.rpcs_served["find_node"] for peer in peers) > find_nodes
+        finally:
+            for each in nodes:
+                each.close()
 
 
 class TestFailureMemory:

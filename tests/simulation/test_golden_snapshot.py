@@ -16,8 +16,14 @@ every other field and every availability sample unchanged), and a third
 time, the same way, when maintenance took up Kademlia's two skip rules
 (18,053 -> 12,612 messages; 632 -> 393 blocks republished with 238 skipped,
 130 -> 98 buckets refreshed with 38 skipped; availability 1.0 at every
-probe on both sides).  The frozen snapshot carries none of the skip-rule
-state, which reads as "never": its first passes after t=9s skip nothing.
+probe on both sides), and a fourth time, by resuming the frozen snapshot
+under the compact table, when bucket refresh began covering a node's
+neighbourhood with one self-lookup (12,612 -> 12,099 messages; 98 -> 96
+buckets refreshed with 38 -> 34 skipped over 26 -> 25 refresh passes;
+393 -> 391 blocks republished with 238 -> 233 skipped; clock 20.16323 ->
+20.16256 s; availability 1.0 at every probe on both sides).  The frozen
+snapshot carries none of the skip-rule state, which reads as "never": its
+first passes after t=9s skip nothing.
 
 Two compatibility properties are pinned here:
 

@@ -25,13 +25,19 @@ file, and ``dharma audit --churn BENCH_churn.json`` re-checks it offline):
   (no counter ever goes backwards);
 * with maintenance off, the same fault trace demonstrates measurable loss.
 
+The gates read seed 0 only.  As a record, not a gate, the maintenance-on arm
+also runs at every seed of :data:`SWEEP_SEEDS` (the same config, another
+churn trace and overlay): the point's ``seed_sweep`` holds messages, lost
+blocks, violations and final availability per seed, and the script prints
+them as a table.
+
 Each run writes a trajectory point to ``BENCH_churn.json`` (CI uploads it
-with the other ``BENCH_*.json`` artifacts), and the maintenance-on run
+with the other ``BENCH_*.json`` artifacts), and the seed-0 maintenance-on run
 streams live metrics to ``BENCH_churn_metrics.jsonl`` /
 ``BENCH_churn_metrics.prom`` -- the sample source for ``dharma dashboard
---metrics`` and ``dharma audit``.  ``BENCH_SMOKE=1`` shrinks the cluster and
-the churn phase so the script stays in CI-smoke time; the availability gate
-is relaxed there (tiny inventories quantise coarsely).
+--metrics`` and ``dharma audit``.  ``BENCH_SMOKE=1`` shrinks the cluster, the
+churn phase and the sweep (two seeds) so the script stays in CI-smoke time;
+the availability gate is relaxed there (tiny inventories quantise coarsely).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from pathlib import Path
 from benchmarks.conftest import BENCH_PRESET, BENCH_SMOKE, print_banner, smoke_scaled
 from repro.analysis.audit import run_audit
 from repro.analysis.report import write_json
-from repro.analysis.survival import churn_point, render_survival_comparison
+from repro.analysis.survival import churn_point, render_seed_sweep, render_survival_comparison
 from repro.metrics import MetricsStream
 from repro.perf import PERF
 from repro.simulation.cluster import churn_cluster_config
@@ -57,6 +63,8 @@ REPUBLISH_S = smoke_scaled(15.0, 6.0)
 REFRESH_S = smoke_scaled(60.0, 24.0)
 SAMPLE_EVERY_S = smoke_scaled(30.0, 20.0)
 CRASH_PROBABILITY = 0.5
+#: Churn-trace seeds of the maintenance-on sweep (seed 0 is the gated run).
+SWEEP_SEEDS = range(smoke_scaled(8, 2))
 
 #: Availability floor with maintenance on.
 MIN_AVAILABILITY = 0.95 if BENCH_SMOKE else 0.99
@@ -66,7 +74,7 @@ METRICS_PATH = Path("BENCH_churn_metrics.jsonl")
 PROM_PATH = Path("BENCH_churn_metrics.prom")
 
 
-def _run(workload: TaggingWorkload, maintenance: bool, seed: int = 0):
+def _run(workload: TaggingWorkload, maintenance: bool, seed: int = 0, streamed: bool = False):
     config = churn_cluster_config(
         num_nodes=NUM_NODES,
         maintenance=maintenance,
@@ -77,7 +85,7 @@ def _run(workload: TaggingWorkload, maintenance: bool, seed: int = 0):
         seed=seed,
     )
     stream = None
-    if maintenance:
+    if streamed:
         # PERF is process-global and the stream exports its counters: without
         # the reset, a single-process `pytest benchmarks/` run records whatever
         # the benches collected before this one left behind.
@@ -101,10 +109,10 @@ class TestChurnSurvival:
         workload = TaggingWorkload.from_triples(bench_dataset.triples())
 
         def run():
-            return {
-                "on": _run(workload, maintenance=True),
-                "off": _run(workload, maintenance=False),
-            }
+            on = _run(workload, maintenance=True, streamed=True)
+            off = _run(workload, maintenance=False)
+            rest = [_run(workload, maintenance=True, seed=seed) for seed in SWEEP_SEEDS[1:]]
+            return {"on": on, "off": off, "sweep": [on, *rest]}
 
         reports = benchmark.pedantic(run, rounds=1, iterations=1)
         on, off = reports["on"], reports["off"]
@@ -118,6 +126,7 @@ class TestChurnSurvival:
 
         point = churn_point(
             [on, off],
+            sweep=reports["sweep"],
             preset=BENCH_PRESET,
             smoke=BENCH_SMOKE,
             timestamp=time.time(),
@@ -127,6 +136,7 @@ class TestChurnSurvival:
             republish_interval_s=REPUBLISH_S,
             availability_floor=MIN_AVAILABILITY,
         )
+        print(render_seed_sweep(point["seed_sweep"]))
         write_json(OUTPUT_PATH, point)
         print(f"\ntrajectory point written to {OUTPUT_PATH.resolve()}")
         if METRICS_PATH.exists():

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.report import format_mapping
-from repro.analysis.survival import forged_write_totals
+from repro.analysis.survival import forged_write_totals, render_seed_sweep
 
 __all__ = [
     "percentile",
@@ -207,6 +207,8 @@ def _render_churn(churn: dict[str, Any]) -> str:
     if deltas:
         parts = ", ".join(f"{name} {value:+.4g}" for name, value in sorted(deltas.items()))
         lines.append(f"  on-vs-off deltas: {parts}")
+    if churn.get("seed_sweep"):
+        lines.extend(f"  {line}" for line in render_seed_sweep(churn["seed_sweep"]).splitlines())
     return "\n".join(lines)
 
 

@@ -16,7 +16,10 @@ CLI and ``bench_churn_survival.py`` print, and into the record both write:
   (:func:`churn_point`, :func:`attack_point`): one builder each for the bench
   script and for ``dharma {churn,attack}-bench --json``, so
   :mod:`repro.analysis.audit` and :mod:`repro.analysis.dashboard` read one
-  shape whoever wrote the file.
+  shape whoever wrote the file;
+* the **seed sweep** of the maintenance-on arm (:func:`render_seed_sweep`):
+  messages, lost blocks and violations per churn-trace seed, since one seed's
+  durability says little about the next one's.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "summarise_survival",
     "survival_deltas",
     "render_survival_comparison",
+    "render_seed_sweep",
     "churn_point",
     "attack_point",
     "forged_write_totals",
@@ -50,7 +54,8 @@ SURVIVAL_METRICS = [
     "integrity_violations", "entries_checked", "churn_appends",
     "joins", "graceful_leaves", "crashes", "live_nodes_end",
     "messages_total", "maint_blocks_republished", "maint_blocks_skipped",
-    "maint_buckets_refreshed", "maint_buckets_skipped", "wall_time_s",
+    "maint_buckets_refreshed", "maint_buckets_pinged", "maint_buckets_skipped",
+    "wall_time_s",
 ]
 
 
@@ -149,6 +154,22 @@ def render_survival_comparison(
     return "\n".join(parts)
 
 
+#: The per-seed fields of a ``BENCH_churn.json`` ``seed_sweep`` row.
+SWEEP_FIELDS = ["messages_total", "lost_blocks", "integrity_violations", "final_availability"]
+
+
+def render_seed_sweep(rows: Sequence[Mapping[str, Any]]) -> str:
+    """The ``seed_sweep`` rows of a churn record as a table, with totals;
+    shared by ``bench_churn_survival.py`` and ``dharma dashboard``."""
+    body = [[row["seed"], *[row[name] for name in SWEEP_FIELDS]] for row in rows]
+    totals = [sum(row[name] for row in rows) for name in SWEEP_FIELDS[:-1]]
+    body.append(["total", *totals, ""])
+    return format_table(
+        ["seed", *SWEEP_FIELDS], body,
+        title="seed sweep (maintenance on, same config)", precision=4,
+    )
+
+
 def _arm(report: "ExperimentReport") -> dict[str, Any]:
     """One run as an arm of a record: its flat summary plus the
     ``(seconds, availability)`` probe samples."""
@@ -162,15 +183,23 @@ def _point(bench: str, reports: Sequence["ExperimentReport"], run: dict[str, Any
     return {"bench": bench, "nodes": first.config.num_nodes, "duration_s": first.duration_s, **run}
 
 
-def churn_point(reports: Sequence["SurvivalReport"], **run: Any) -> dict[str, Any]:
+def churn_point(
+    reports: Sequence["SurvivalReport"], sweep: Sequence["SurvivalReport"] = (), **run: Any
+) -> dict[str, Any]:
     """The ``BENCH_churn.json`` record of one or both maintenance arms (the
-    on-vs-off ``deltas`` only when both ran)."""
+    on-vs-off ``deltas`` only when both ran) and, given *sweep* runs, one
+    ``seed_sweep`` row of :data:`SWEEP_FIELDS` per run, keyed by its seed."""
     point = _point("churn_survival", reports, run)
     arms = {report.maintenance_on: report for report in reports}
     for maintenance_on, report in arms.items():
         point["maintenance_on" if maintenance_on else "maintenance_off"] = _arm(report)
     if len(arms) == 2:
         point["deltas"] = survival_deltas(arms[True], arms[False])
+    if sweep:
+        point["seed_sweep"] = [
+            {"seed": report.config.seed, **{name: getattr(report, name) for name in SWEEP_FIELDS}}
+            for report in sweep
+        ]
     return point
 
 

@@ -782,41 +782,44 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"cannot bind udp://{args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
     # SIGTERM (docker stop, systemd, most supervisors) leaves the overlay the
-    # way Ctrl-C does, for as long as this command runs.  Only the main
-    # thread may install handlers; a caller on another thread keeps its own.
+    # way Ctrl-C does, for as long as this command runs -- during bootstrap
+    # too.  Only the main thread may install handlers; a caller on another
+    # thread keeps its own.
     try:
         previous_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
     except ValueError:
         previous_sigterm = None
     try:
-        # The "listening" line is the machine-readable handshake: the smoke
-        # test (and any operator script) parses the udp:// endpoint from it,
-        # so it must be first and flushed before bootstrap begins.
-        print(
-            f"dharma node {node.node_id.hex()} listening on udp://{node.address}",
-            flush=True,
-        )
         try:
-            contact = node.bootstrap(args.join)
-        except TransportError as exc:
-            print(f"bootstrap failed: {exc}", file=sys.stderr, flush=True)
-            return 1
-        if contact is None:
-            print("founded a new overlay (no --join given)", flush=True)
-        else:
+            # The "listening" line is the machine-readable handshake: the
+            # smoke test (and any operator script) parses the udp:// endpoint
+            # from it, so it must be first and flushed before bootstrap begins.
             print(
-                f"joined overlay via {contact.address} "
-                f"(peer {contact.node_id.hex()[:12]}…)",
+                f"dharma node {node.node_id.hex()} listening on udp://{node.address}",
                 flush=True,
             )
-        rng = random_module.Random(0)
-        deadline = None if args.run_seconds is None else time.monotonic() + args.run_seconds
-        next_refresh = (
-            None
-            if args.refresh_seconds <= 0
-            else time.monotonic() + args.refresh_seconds
-        )
-        try:
+            try:
+                contact = node.bootstrap(args.join)
+            except TransportError as exc:
+                print(f"bootstrap failed: {exc}", file=sys.stderr, flush=True)
+                return 1
+            if contact is None:
+                print("founded a new overlay (no --join given)", flush=True)
+            else:
+                print(
+                    f"joined overlay via {contact.address} "
+                    f"(peer {contact.node_id.hex()[:12]}…)",
+                    flush=True,
+                )
+            rng = random_module.Random(0)
+            deadline = (
+                None if args.run_seconds is None else time.monotonic() + args.run_seconds
+            )
+            next_refresh = (
+                None
+                if args.refresh_seconds <= 0
+                else time.monotonic() + args.refresh_seconds
+            )
             while deadline is None or time.monotonic() < deadline:
                 time.sleep(0.2)
                 if next_refresh is not None and time.monotonic() >= next_refresh:

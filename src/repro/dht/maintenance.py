@@ -13,8 +13,8 @@ classic Kademlia maintenance loops make block data survive that churn:
   a republished counter-block snapshot can never roll back APPENDs applied
   concurrently at the destination;
 * **periodic bucket refresh** -- every live node periodically refreshes its
-  routing table (one lookup per non-empty bucket outside its neighbourhood,
-  one self-lookup for the neighbourhood), evicting contacts that crashed and
+  routing table (one self-lookup for the neighbourhood, one PING or lookup
+  per non-empty bucket outside it), evicting contacts that crashed and
   discovering joiners, which keeps republish lookups converging on the true
   closest nodes.
 
@@ -37,8 +37,8 @@ own intervals -- "since this loop's previous pass" -- so they add no knob:
   refreshed it.  A pass's window opens when the previous pass *finished*, so
   the refresh lookups themselves never make the next pass skip a bucket.
 
-Refresh adds a third rule, from Kademlia's join (§2.3), that again adds no
-knob:
+Refresh adds two more rules, from Kademlia's join (§2.3) and its preference
+for old live contacts (§2.2), that again add no knob:
 
 * **neighbourhood refresh** -- let ``r`` be the bucket index of the k-th
   closest contact to the node's own id.  Every due bucket below ``r`` is
@@ -48,7 +48,15 @@ knob:
   has no ``r`` and refreshes every due bucket with its own lookup.  A bucket
   the self-lookup covers counts as *refreshed*: ``buckets_skipped`` and
   ``maint.refresh_skips`` count only buckets the refresh-skip rule left
-  alone.
+  alone;
+* **far-bucket PING** -- a due bucket at or above ``r`` that is **full**
+  first PINGs its least-recently-seen contact, the one likeliest to be dead.
+  If it answers, the bucket has nothing to evict and no room for a joiner
+  (newcomers wait in the replacement cache), so it counts as refreshed
+  without a walk (``buckets_pinged`` / ``maint.refresh_pings``, also counted
+  in ``buckets_refreshed``).  If it does not, the failed call strikes and
+  evicts it -- promoting a replacement -- and the bucket is walked as above.
+  A far bucket with room keeps its walk: that walk is what finds joiners.
 
 A holder that republishes a block onto a full replica set it is no longer
 part of *hands the block off* (drops its copy), so the per-key holder set --
@@ -93,8 +101,8 @@ Invariants
 
 Ticks also feed the process-wide :data:`repro.perf.PERF` registry
 (``maint.republish_ticks`` / ``maint.refresh_ticks`` / ``maint.handoffs`` /
-``maint.republish_skips`` / ``maint.refresh_skips``) so live metrics streams
-can export maintenance progress per interval.
+``maint.republish_skips`` / ``maint.refresh_skips`` / ``maint.refresh_pings``)
+so live metrics streams can export maintenance progress per interval.
 """
 
 from __future__ import annotations
@@ -142,6 +150,9 @@ class MaintenanceStats:
     blocks_handed_off: int = 0
     refresh_runs: int = 0
     buckets_refreshed: int = 0
+    #: Full far buckets a PING to their least-recently-seen contact vouched
+    #: for instead of a walk; they count in ``buckets_refreshed`` too.
+    buckets_pinged: int = 0
     #: Non-empty buckets a refresh pass left alone: a lookup walked them
     #: (refresh skip).  Buckets the neighbourhood self-lookup covered count
     #: as refreshed.
@@ -157,6 +168,7 @@ class MaintenanceStats:
             "blocks_handed_off": self.blocks_handed_off,
             "refresh_runs": self.refresh_runs,
             "buckets_refreshed": self.buckets_refreshed,
+            "buckets_pinged": self.buckets_pinged,
             "buckets_skipped": self.buckets_skipped,
             "timers_cancelled": self.timers_cancelled,
         }
@@ -302,14 +314,13 @@ class NodeMaintenance:
         self._pending.pop("refresh", None)
         if not self._alive():
             return
-        node = self.node
-        buckets = len(node.routing_table.bucket_utilisation())
-        refreshed = node.refresh_buckets(
+        outcome = self.node.refresh_buckets(
             self._rng, since=self._last_at.get("refresh", float("-inf"))
         )
         self.stats.refresh_runs += 1
-        self.stats.buckets_refreshed += refreshed
-        self.stats.buckets_skipped += buckets - refreshed
+        self.stats.buckets_refreshed += outcome.refreshed
+        self.stats.buckets_pinged += outcome.pinged
+        self.stats.buckets_skipped += outcome.skipped
         PERF.count("maint.refresh_ticks")
         self._last_at["refresh"] = self.queue.clock.now
         self._schedule("refresh", self.config.refresh_interval_ms)

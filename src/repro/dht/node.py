@@ -65,6 +65,7 @@ from repro.simulation.network import NodeUnreachable
 __all__ = [
     "NodeConfig",
     "KademliaNode",
+    "RefreshPass",
     "reserve_addresses",
     "SUSPECT_BASE_MS",
     "SUSPECT_CAP_MS",
@@ -147,6 +148,27 @@ class NodeConfig:
             raise ValueError("k, alpha and replicate must all be >= 1")
         if self.replicate > self.k:
             raise ValueError("replicate cannot exceed k")
+
+
+@dataclass(frozen=True, slots=True)
+class RefreshPass:
+    """What one :meth:`KademliaNode.refresh_buckets` pass did.
+
+    ``refreshed + skipped == buckets`` always holds; ``pinged`` is the part
+    of ``refreshed`` that one answered PING vouched for (no lookup).
+    """
+
+    #: Non-empty buckets at the start of the pass.
+    buckets: int
+    #: Buckets refreshed: walked, covered by the self-lookup, or vouched for.
+    refreshed: int
+    #: Full far buckets whose least-recently-seen contact answered a PING.
+    pinged: int
+
+    @property
+    def skipped(self) -> int:
+        """Buckets the refresh-skip rule left alone (a lookup walked them)."""
+        return self.buckets - self.refreshed
 
 
 class KademliaNode:
@@ -725,10 +747,10 @@ class KademliaNode:
 
     def refresh_buckets(
         self, rng: random.Random | None = None, since: float = float("-inf")
-    ) -> int:
+    ) -> RefreshPass:
         """Refresh every non-empty bucket that no lookup of this node walked
         after *since* (transport-clock time of the previous refresh); returns
-        the number of buckets refreshed -- not of lookups issued.
+        the pass as a :class:`RefreshPass` -- buckets, not lookups.
 
         A bucket some lookup touched since then is fresh already (Kademlia
         §2.3); callers pass the clock *after* their previous pass, so the
@@ -736,22 +758,28 @@ class KademliaNode:
 
         The neighbourhood -- every bucket below the one holding the k-th
         closest contact -- is refreshed by one lookup of the node's own id,
-        which returns all of it (Kademlia §2.3's join lookup); each bucket
-        farther out gets a lookup of a random id in its range.  A table
-        with fewer than k contacts has no neighbourhood.
+        which returns all of it (Kademlia §2.3's join lookup).  A full bucket
+        farther out first PINGs its least-recently-seen contact, the one
+        likeliest to be dead: if it answers, the bucket has nothing to evict
+        and no room for a joiner (§2.2), so it counts as refreshed without a
+        walk; if not, the failed call evicts it and the bucket is walked.
+        Every other far bucket gets a lookup of a random id in its range.  A
+        table with fewer than k contacts has no neighbourhood (and no full
+        bucket).
         """
         rng = rng or random.Random(0)
+        k = self.config.k
         utilisation = self.routing_table.bucket_utilisation()
         radius = -1
         held = 0
         for index, size in utilisation.items():
             held += size
-            if held >= self.config.k:
+            if held >= k:
                 radius = index
                 break
-        refreshed = 0
+        refreshed = pinged = 0
         looked_up_self = False
-        for index in utilisation:
+        for index, size in utilisation.items():
             if self.bucket_lookup_at.get(index, float("-inf")) > since:
                 PERF.count("maint.refresh_skips")
                 continue
@@ -761,12 +789,18 @@ class KademliaNode:
                     self.lookup_node(self.node_id)
                     looked_up_self = True
                 continue
+            if size >= k:
+                oldest = self.routing_table.bucket(index).least_recently_seen()
+                if oldest is not None and self.ping(oldest):
+                    pinged += 1
+                    PERF.count("maint.refresh_pings")
+                    continue
             low = 1 << index
             high = (1 << (index + 1)) - 1
             distance = rng.randint(low, high)
             target = NodeID(self.node_id.value ^ distance)
             self.lookup_node(target)
-        return refreshed
+        return RefreshPass(buckets=len(utilisation), refreshed=refreshed, pinged=pinged)
 
     def leave(self, republish: bool = False) -> dict[NodeID, Any]:
         """Leave the overlay; optionally hand back stored items for

@@ -25,7 +25,7 @@ from repro.dht.api import DHTClient
 from repro.dht.batched_lookup import BatchedLookupEngine
 from repro.dht.likir import CertificationService, Identity
 from repro.dht.messages import PingRequest
-from repro.dht.node import KademliaNode, NodeConfig
+from repro.dht.node import KademliaNode, NodeConfig, RefreshPass
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 from repro.net.udp import UdpTransport, UdpTransportConfig
@@ -116,14 +116,14 @@ class ServeNode:
         self.node.join(contact)
         return contact
 
-    def refresh(self, rng: random.Random | None = None) -> int:
+    def refresh(self, rng: random.Random | None = None) -> RefreshPass:
         """Refresh the routing buckets no lookup walked since the previous
         call (periodic upkeep while serving) under
-        :meth:`~repro.dht.node.KademliaNode.refresh_buckets`' rule; returns
-        the number of buckets refreshed, not of lookups issued."""
-        refreshed = self.node.refresh_buckets(rng, since=self._refreshed_at)
+        :meth:`~repro.dht.node.KademliaNode.refresh_buckets`' rule, and
+        return that pass."""
+        outcome = self.node.refresh_buckets(rng, since=self._refreshed_at)
         self._refreshed_at = self.transport.clock.now
-        return refreshed
+        return outcome
 
     # -- application access --------------------------------------------------- #
 

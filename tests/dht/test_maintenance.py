@@ -6,11 +6,13 @@ import pytest
 
 from repro.dht.bootstrap import build_overlay
 from repro.dht.maintenance import MaintenanceConfig, NodeMaintenance, OverlayMaintenance
-from repro.dht.node import NodeConfig
+from repro.dht.node import KademliaNode, NodeConfig
 from repro.dht.node_id import NodeID
 from repro.perf import PERF
+from repro.simulation.cluster import SimulatedCluster, churn_cluster_config
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.network import NetworkConfig
+from repro.simulation.workload import TaggingWorkload
 
 
 def small_overlay(n=8, replicate=2):
@@ -259,6 +261,47 @@ class TestOverlayMaintenance:
         overlay.add_node("early-joiner")
         assert len(manager) == 0
         assert len(queue) == 0
+
+
+    def test_every_refresh_pass_of_a_churn_run_accounts_for_its_buckets(self, monkeypatch):
+        """Per pass, refreshed + skipped is the non-empty bucket count at its
+        start and pinged is part of refreshed; each agrees with its PERF
+        counter, and the fleet's stats are the sum of the passes."""
+        passes = []  # (non-empty buckets, RefreshPass, PERF pings, PERF skips)
+        refresh_buckets = KademliaNode.refresh_buckets
+
+        def observed(node, rng=None, since=float("-inf")):
+            buckets = len(node.routing_table.bucket_utilisation())
+            before = [PERF.counters.get(f"maint.refresh_{c}", 0) for c in ("pings", "skips")]
+            outcome = refresh_buckets(node, rng, since=since)
+            after = [PERF.counters.get(f"maint.refresh_{c}", 0) for c in ("pings", "skips")]
+            passes.append((buckets, outcome, after[0] - before[0], after[1] - before[1]))
+            return outcome
+
+        monkeypatch.setattr(KademliaNode, "refresh_buckets", observed)
+        cluster = SimulatedCluster(churn_cluster_config(
+            num_nodes=64, maintenance=True, mean_session_s=30.0,
+            republish_interval_ms=4_000.0, refresh_interval_ms=4_000.0, seed=5,
+        ))
+        # Data to republish: republish lookups walk buckets, so passes skip.
+        triples = [(f"u{i}", f"r{i % 5}", f"t{i % 7}") for i in range(30)]
+        cluster.run_workload(TaggingWorkload.from_triples(triples), ignore_errors=False)
+        cluster.start_churn(trace_horizon_ms=20_000.0)
+        cluster.run_for(20_000.0)
+
+        assert cluster.churn.crashes > 0
+        for buckets, outcome, pings, skips in passes:
+            assert outcome.buckets == buckets
+            assert outcome.refreshed + outcome.skipped == buckets
+            assert 0 <= outcome.pinged <= outcome.refreshed
+            assert (pings, skips) == (outcome.pinged, outcome.skipped)
+        stats = cluster.maintenance.stats
+        assert stats.refresh_runs == len(passes)
+        assert stats.buckets_refreshed == sum(p[1].refreshed for p in passes)
+        assert stats.buckets_pinged == sum(p[1].pinged for p in passes) > 0
+        assert stats.buckets_skipped == sum(p[1].skipped for p in passes) > 0
+        assert stats.buckets_refreshed + stats.buckets_skipped == sum(p[0] for p in passes)
+        assert any(p[1].refreshed > p[1].pinged for p in passes)  # some walked
 
 
 def counter(**entries):

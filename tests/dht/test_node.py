@@ -11,6 +11,7 @@ from repro.dht.node import (
     SUSPECT_CAP_MS,
     KademliaNode,
     NodeConfig,
+    RefreshPass,
 )
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
@@ -322,7 +323,7 @@ class TestLargerOverlay:
 
     def test_refresh_buckets_issues_lookups(self, trio):
         a, _b, _c = trio
-        assert a.refresh_buckets() >= 1
+        assert a.refresh_buckets().refreshed >= 1
 
 
 def bucket_of(node: KademliaNode, target: NodeID) -> int:
@@ -344,7 +345,7 @@ def refresh_pass(node: KademliaNode, since: float) -> tuple[list, int]:
     lookup_node = node.lookup_node
     node.lookup_node = lambda target: targets.append(target) or lookup_node(target)
     try:
-        refreshed = node.refresh_buckets(since=since)
+        refreshed = node.refresh_buckets(since=since).refreshed
     finally:
         del node.lookup_node
     return ["self" if t == node.node_id else bucket_of(node, t) for t in targets], refreshed
@@ -415,32 +416,38 @@ class TestRefreshSkip:
         with ServeNode() as a, ServeNode() as b:
             a.bootstrap(None)
             b.bootstrap(a.address)
-            assert b.refresh() == 1  # the join walked no bucket
+            assert b.refresh().refreshed == 1  # the join walked no bucket
             b.node.lookup_node(a.node_id)
-            assert b.refresh() == 0  # the lookup refreshed a's bucket
-            assert b.refresh() == 1  # ... until the next window
+            assert b.refresh().refreshed == 0  # the lookup refreshed a's bucket
+            assert b.refresh().refreshed == 1  # ... until the next window
 
 
 class TestNeighbourhoodRefresh:
     """Every due bucket below the k-th closest contact's is refreshed by one
-    lookup of the node's own id; each due bucket farther out by its own."""
+    lookup of the node's own id; each due bucket farther out by its own,
+    unless it is full and its least-recently-seen contact answers a PING."""
 
-    def test_a_converged_overlay_looks_itself_up_once_plus_once_per_far_bucket(
+    def test_a_converged_overlay_looks_itself_up_once_plus_once_per_non_full_far_bucket(
         self, network, certification
     ):
         overlay = joined_overlay(network, certification, 40)
         network.clock.advance(1.0)
-        with_neighbourhood = 0
+        with_neighbourhood = with_full_far = 0
         for node in overlay:
             buckets = node.routing_table.bucket_utilisation()
             r = radius(node)
+            pings = PERF.counters.get("maint.refresh_pings", 0)
             targets, refreshed = refresh_pass(node, since=network.clock.now)
             near = [i for i in buckets if i < r]
             far = [i for i in buckets if i >= r]
-            assert targets == ["self"] * bool(near) + far
+            full = [i for i in far if buckets[i] >= node.config.k]
+            assert targets == ["self"] * bool(near) + [i for i in far if i not in full]
+            assert PERF.counters.get("maint.refresh_pings", 0) == pings + len(full)
             assert refreshed == len(buckets)
             with_neighbourhood += len(near) >= 2
+            with_full_far += bool(full)
         assert with_neighbourhood >= len(overlay) // 2
+        assert with_full_far  # the PING rule ran
 
     def test_a_pass_with_no_due_near_bucket_sends_no_self_lookup(self, network, certification):
         node = joined_overlay(network, certification, 16)[0]
@@ -485,6 +492,35 @@ class TestNeighbourhoodRefresh:
         assert targets[0] == "self"
         assert joiner.node_id in x.routing_table
 
+    def test_a_joiner_in_a_far_bucket_with_room_is_found_by_the_next_pass(
+        self, network, certification
+    ):
+        overlay = joined_overlay(network, certification, 40)
+        x, index = next(
+            (node, i)
+            for node in overlay
+            for i, size in node.routing_table.bucket_utilisation().items()
+            if radius(node) <= i and size < node.config.k
+        )
+        joiner = KademliaNode(
+            NodeID(x.node_id.value ^ (1 << index) ^ 1),
+            network=network,
+            config=NodeConfig(k=8, alpha=2, replicate=2),
+        )
+        assert bucket_of(x, joiner.node_id) == index
+        # The joiner announces itself to the peers of x's bucket, never to x.
+        served = sum(x.rpcs_served.values())
+        for contact in x.routing_table.bucket(index).contacts():
+            assert joiner.ping(contact)
+        joiner.joined = True
+        assert sum(x.rpcs_served.values()) == served
+        assert joiner.node_id not in x.routing_table
+        network.clock.advance(1.0)
+
+        targets, _ = refresh_pass(x, since=network.clock.now)
+        assert index in targets
+        assert joiner.node_id in x.routing_table
+
     def test_serve_node_refresh_looks_itself_up_over_udp(self):
         from repro.net.server import ServeNode
 
@@ -506,9 +542,96 @@ class TestNeighbourhoodRefresh:
             targets = []
             lookup_node = node.node.lookup_node
             node.node.lookup_node = lambda target: targets.append(target) or lookup_node(target)
-            assert node.refresh() == 3
+            assert node.refresh().refreshed == 3
             assert [bucket_of(node.node, t) for t in targets] == [-1, 5, 100]
             assert sum(peer.node.rpcs_served["find_node"] for peer in peers) > find_nodes
+        finally:
+            for each in nodes:
+                each.close()
+
+
+class TestFullFarBucketPing:
+    """A due far bucket that is full sends one PING to its least-recently-seen
+    contact first: an answer makes a walk pointless (Kademlia §2.2), silence
+    evicts the contact and the bucket is walked."""
+
+    @pytest.fixture()
+    def due(self, network, certification):
+        """A node of a 40-node overlay, its farthest full bucket -- the only
+        one due: every other bucket was walked inside the window -- the
+        window's start, and the overlay."""
+        overlay = joined_overlay(network, certification, 40)
+        node = overlay[0]
+        since = network.clock.now
+        network.clock.advance(1.0)
+        buckets = node.routing_table.bucket_utilisation()
+        full = max(
+            i for i, size in buckets.items() if radius(node) <= i and size >= node.config.k
+        )
+        for index in buckets:
+            if index != full:
+                node.lookup_node(NodeID(node.node_id.value ^ (1 << index)))
+        assert node.routing_table.bucket_utilisation().keys() == buckets.keys()
+        return node, full, since, overlay
+
+    def test_a_live_oldest_contact_costs_one_ping_and_no_walk(self, due, network):
+        node, full, since, overlay = due
+        oldest = node.routing_table.bucket(full).least_recently_seen()
+        peer = next(each for each in overlay if each.node_id == oldest.node_id)
+        pings = peer.rpcs_served["ping"]
+        find_nodes = network.stats.of("find_node").sent
+        sent = network.stats.messages_sent
+
+        outcome = node.refresh_buckets(since=since)
+        assert outcome == RefreshPass(
+            buckets=len(node.routing_table.bucket_utilisation()), refreshed=1, pinged=1
+        )
+        assert outcome.skipped == outcome.buckets - 1
+        assert peer.rpcs_served["ping"] == pings + 1
+        assert network.stats.of("find_node").sent == find_nodes
+        assert network.stats.messages_sent == sent + 2  # request and answer
+        # The answer made it the bucket's most recently seen contact.
+        assert node.routing_table.bucket(full).contacts()[-1].node_id == oldest.node_id
+
+    def test_a_crashed_oldest_contact_is_struck_and_its_bucket_walked(self, due, network):
+        node, full, since, _ = due
+        oldest = node.routing_table.bucket(full).least_recently_seen()
+        network.partition(oldest.address)
+        strikes = PERF.counters.get("dht.suspect_strikes", 0)
+
+        targets, refreshed = refresh_pass(node, since)
+        assert targets == [full]
+        assert refreshed == 1
+        assert oldest.node_id not in node.routing_table
+        assert node.is_suspect(oldest.node_id)
+        assert PERF.counters.get("dht.suspect_strikes", 0) == strikes + 1
+
+    def test_serve_node_refresh_pings_a_full_far_bucket_over_udp(self):
+        from repro.net.server import ServeNode
+
+        base = NodeID.hash_of("serve-refresh-ping").value
+        config = NodeConfig(k=2, alpha=2, replicate=1, verify_credentials=False)
+        # Bucket 0 (the neighbourhood), 5 (holds the k-th closest, room for
+        # one more) and 100 (full).
+        offsets = (0, 1, 1 << 5, 1 << 100, (1 << 100) | 1)
+        nodes = [ServeNode(node_id=NodeID(base ^ o), node_config=config) for o in offsets]
+        try:
+            node, *peers = nodes
+            node.bootstrap(None)
+            for peer in peers:
+                peer.bootstrap(node.address)
+            table = node.node.routing_table
+            assert table.bucket_utilisation() == {0: 1, 5: 1, 100: 2}
+            oldest = table.bucket(100).least_recently_seen()
+            pinged = next(p for p in peers if p.node_id == oldest.node_id)
+            pings = pinged.node.rpcs_served["ping"]
+
+            targets = []
+            lookup_node = node.node.lookup_node
+            node.node.lookup_node = lambda target: targets.append(target) or lookup_node(target)
+            assert node.refresh() == RefreshPass(buckets=3, refreshed=3, pinged=1)
+            assert [bucket_of(node.node, t) for t in targets] == [-1, 5]
+            assert pinged.node.rpcs_served["ping"] == pings + 1
         finally:
             for each in nodes:
                 each.close()

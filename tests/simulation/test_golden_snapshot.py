@@ -21,9 +21,15 @@ under the compact table, when bucket refresh began covering a node's
 neighbourhood with one self-lookup (12,612 -> 12,099 messages; 98 -> 96
 buckets refreshed with 38 -> 34 skipped over 26 -> 25 refresh passes;
 393 -> 391 blocks republished with 238 -> 233 skipped; clock 20.16323 ->
-20.16256 s; availability 1.0 at every probe on both sides).  The frozen
-snapshot carries none of the skip-rule state, which reads as "never": its
-first passes after t=9s skip nothing.
+20.16256 s; availability 1.0 at every probe on both sides), and a fifth
+time, the same way, when a full far bucket whose least-recently-seen contact
+answers one PING stopped being walked (12,099 -> 11,752 messages; 96 -> 92
+buckets refreshed, 18 of them by PING, with 34 -> 33 skipped over 25 -> 24
+refresh passes; 391 -> 389 blocks republished with 233 -> 231 skipped;
+1,173 -> 1,167 replicas written; clock 20.16256 -> 20.16524 s; the last
+three sample times moved, availability 1.0 at every probe on both sides).
+The frozen snapshot carries none of the skip-rule state, which reads as
+"never": its first passes after t=9s skip nothing.
 
 Two compatibility properties are pinned here:
 

@@ -71,6 +71,7 @@ EXPECTED_SUMMARY = {
     "maint_blocks_handed_off": 42,
     "maint_blocks_republished": 242,
     "maint_blocks_skipped": 402,
+    "maint_buckets_pinged": 0,
     "maint_buckets_refreshed": 0,
     "maint_buckets_skipped": 0,
     "maint_refresh_runs": 0,

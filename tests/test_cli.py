@@ -804,6 +804,19 @@ class TestObservabilityCommands:
         assert "gauge attack.eclipse_progress is -0.1 at sample 5" in out
         assert out.count("gauge-out-of-range") == 2
 
+    def test_dashboard_renders_the_churn_seed_sweep(self, tmp_path, capsys):
+        record = Path(__file__).resolve().parents[1] / "BENCH_churn.json"
+        rows = json.loads(record.read_text())["seed_sweep"]
+        assert [row["seed"] for row in rows] == list(range(8))  # full mode
+        assert main(dashboard_of(tmp_path, churn=record)) == 0
+        out = capsys.readouterr().out
+        assert "seed sweep (maintenance on, same config)" in out
+        totals = [
+            sum(row[name] for row in rows)
+            for name in ("messages_total", "lost_blocks", "integrity_violations")
+        ]
+        assert re.search(r"total\s*\|\s*{}\s*\|\s*{}\s*\|\s*{}\s".format(*totals), out)
+
     def test_audit_requires_an_input(self, capsys):
         assert main(["audit"]) == 2
         assert "nothing to audit" in capsys.readouterr().err
@@ -856,6 +869,37 @@ class TestObservabilityCommands:
         assert "interrupted, leaving the overlay" in out
         assert "served 0 RPCs" in out
         assert json_module.loads(stats_out.read_text())["joined"] is True
+
+    def test_serve_leaves_the_overlay_on_sigterm_during_bootstrap(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A SIGTERM that lands before the serve loop -- here, inside
+        bootstrap -- still ends in the summary, ``--stats-out`` and exit 0."""
+        import json as json_module
+        import os
+        import signal
+
+        from repro.net.server import ServeNode
+
+        bootstrap = ServeNode.bootstrap
+
+        def terminated(node, join):
+            os.kill(os.getpid(), signal.SIGTERM)
+            return bootstrap(node, join)
+
+        monkeypatch.setattr(ServeNode, "bootstrap", terminated)
+        previous = signal.getsignal(signal.SIGTERM)
+        stats_out = tmp_path / "serve_stats.json"
+        assert main(
+            ["serve", "--port", "0", "--run-seconds", "30", "--refresh-seconds", "0",
+             "--stats-out", str(stats_out)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "founded a new overlay" not in out
+        assert "interrupted, leaving the overlay" in out
+        assert "served 0 RPCs" in out
+        assert json_module.loads(stats_out.read_text())["joined"] is False
+        assert signal.getsignal(signal.SIGTERM) is previous
 
     def test_serve_on_a_taken_port_reports_the_bind_error(self, capsys):
         import socket

@@ -78,7 +78,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.survival import forged_write_totals
-from repro.core.codec import decode_membership, decode_routing_table
 from repro.dht.likir import SignedValue
 from repro.dht.node_id import NodeID
 
@@ -195,19 +194,19 @@ def _decode_stored(record: dict) -> Any:
 
 def audit_snapshot(snapshot: dict[str, Any], report: AuditReport) -> None:
     """Check the replication and counter invariants of one snapshot."""
+    # Local import, as in _decode_stored: the bucket size every cluster node
+    # ran with.
+    from repro.simulation.cluster import NODE_K as bucket_k
+
     replicate = int(snapshot["config"]["replicate"])
     nodes = snapshot["nodes"]
-    # The bucket size the nodes ran with travels in their routing records.
-    bucket_k = decode_routing_table(bytes.fromhex(nodes[0]["routing"]))[1] if nodes else 0
 
     node_ids: dict[str, NodeID] = {}
     holders: dict[str, list[str]] = {}
     payloads: dict[str, dict[str, dict]] = {}  # key_hex -> address -> counter payload
     for record in nodes:
-        _user, node_id_bytes, address, _joined = decode_membership(
-            bytes.fromhex(record["membership"])
-        )
-        node_ids[address] = NodeID.from_bytes(node_id_bytes)
+        address = record["address"]
+        node_ids[address] = NodeID.from_hex(record["node_id"])
         for item in record["storage"]:
             key_hex = item["key"]
             holders.setdefault(key_hex, []).append(address)

@@ -18,8 +18,8 @@ can be exercised without writing Python:
   verification on and/or off, and report availability, integrity violations
   and enforcement counters for each posture;
 * ``dharma profile`` -- drive the interned core (build, freeze, legacy vs
-  frozen faceted search, block codec pass) under the :mod:`repro.perf`
-  counters/timers and print or export the snapshot;
+  frozen faceted search, value-codec pass over every block) under the
+  :mod:`repro.perf` counters/timers and print or export the snapshot;
 * ``dharma dashboard`` -- one-screen health view over the five root
   ``BENCH_*.json`` records and (optionally) a live metrics log: availability
   timelines, per-interval message/byte cost percentiles, node health;
@@ -614,7 +614,7 @@ def _cmd_attack_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core.codec import encode_block
+    from repro.core.codec import encode_value
     from repro.core.compact import freeze_folksonomy
     from repro.core.faceted_search import FacetedSearch, ModelView
     from repro.core.tagging_model import derive_folksonomy_graph
@@ -645,23 +645,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     legacy_s = run_searches(ModelView(trg, fg), "search.legacy")
     frozen_s = run_searches(compact, "search.frozen")
 
-    # Codec pass: encode every block of the folksonomy, counting bytes.
+    # Codec pass: every block of the folksonomy as the value union a STORE
+    # carries, counting bytes.
     with PERF.timer("codec.encode"):
         total_bytes = 0
         blocks = 0
         for resource in trg.resources:
             payload = {"owner": resource, "type": "1", "entries": dict(trg.tags_of(resource))}
-            total_bytes += len(encode_block(payload))
+            total_bytes += len(encode_value(payload))
             uri = {"owner": resource, "type": "4", "uri": f"urn:dharma:{resource}"}
-            total_bytes += len(encode_block(uri))
+            total_bytes += len(encode_value(uri))
             blocks += 2
         for tag in trg.tags:
             payload = {"owner": tag, "type": "2", "entries": dict(trg.resources_of(tag))}
-            total_bytes += len(encode_block(payload))
+            total_bytes += len(encode_value(payload))
             blocks += 1
         for tag in fg.tags:
             payload = {"owner": tag, "type": "3", "entries": dict(fg.out_arcs(tag))}
-            total_bytes += len(encode_block(payload))
+            total_bytes += len(encode_value(payload))
             blocks += 1
     PERF.count("codec.blocks", blocks)
     PERF.count("codec.bytes", total_bytes)

@@ -1,76 +1,29 @@
-"""Struct-packed varint binary codec for the four DHARMA block types.
+"""LEB128 varints and the tagged value union of the DHARMA wire format.
 
-This module defines a compact, deterministic binary encoding for the block
-payloads of :mod:`repro.core.blocks`.  Cluster snapshots store blocks in it,
-and ``dharma profile`` sizes a dataset's blocks with it.  Block records are
-not what travels between nodes: RPC frames come from :mod:`repro.net.wire`
-(built on this module's varint and value vocabulary), and bytes on the wire
-are counted by the transport (:mod:`repro.net.base`).
-
-========  ==========================================================
-offset    content
-========  ==========================================================
-0         magic ``0xDA``
-1         format version (``0x01``)
-2         block-type byte: ``1``-``4``
-3...      owner name: uvarint byte-length + UTF-8 bytes
-...       body (see below)
-========  ==========================================================
-
-Counter blocks (types 1-3) encode their entries as a uvarint count followed
-by ``(uvarint name-length, UTF-8 name, uvarint counter)`` triples **sorted
-by name**, so equal blocks always serialize to equal bytes.  The URI block
-(type 4) encodes the URI as one length-prefixed string.
-
-All integers use unsigned LEB128 ("uvarint"): 7 value bits per byte, high
-bit says "more bytes follow" -- the standard varint of protobuf and WebAssembly.
-
-Beyond block payloads, the same header/varint vocabulary encodes two
-*cluster-state* record types used by the snapshot/restore layer
-(:mod:`repro.simulation.snapshot`): overlay-membership records (type byte
-``0x10``: certified user, 20-byte node id, transport address, joined flag)
-and routing-table records (type byte ``0x11``: owner id, bucket parameter
-``k``, then each non-empty k-bucket with its contacts and replacement-cache
-entries in least- to most-recently-seen order).  Contact order is part of
-the encoding because restoring a table must reproduce the exact LRU state,
-not just the membership.
+Two pieces of vocabulary live here.  :func:`encode_uvarint` /
+:func:`decode_uvarint` are unsigned LEB128 ("uvarint"): 7 value bits per
+byte, high bit says "more bytes follow" -- the standard varint of protobuf
+and WebAssembly.  :func:`encode_value` / :func:`decode_value` are a tagged
+union over plain data (None/bool/int/float/str/bytes/list/dict): every RPC
+frame of :mod:`repro.net.wire` carries stored values in it, and Likir signs
+a value's sorted rendering in it (:meth:`repro.dht.likir.SignedValue.canonical_bytes`).
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.core.blocks import BlockType
-
 __all__ = [
     "CodecError",
     "encode_uvarint",
     "decode_uvarint",
-    "encode_block",
-    "decode_block",
-    "encode_membership",
-    "decode_membership",
-    "encode_routing_table",
-    "decode_routing_table",
     "encode_value",
     "decode_value",
 ]
 
-_MAGIC = 0xDA
-_VERSION = 1
-#: Cluster-state record types (snapshot/restore), disjoint from the block
-#: type bytes ``1``-``4``.
-_MEMBERSHIP_TYPE = 0x10
-_ROUTING_TYPE = 0x11
-_HEADER = struct.Struct("<BBB")
-
-#: Node-id size in membership and routing-table records (the 160-bit SHA-1
-#: key space of Section IV-A).
-KEY_BYTES = 20
-
 
 class CodecError(ValueError):
-    """Raised on malformed binary block data."""
+    """Raised on malformed binary data."""
 
 
 # --------------------------------------------------------------------- #
@@ -127,195 +80,14 @@ def _read_string(data: bytes, offset: int) -> tuple[str, int]:
         raise CodecError(f"invalid UTF-8 string: {exc}") from None
 
 
-def _write_entries(out: bytearray, entries: dict[str, int]) -> None:
-    out += encode_uvarint(len(entries))
-    for name in sorted(entries):
-        _write_string(out, name)
-        out += encode_uvarint(entries[name])
-
-
-def _read_entries(data: bytes, offset: int) -> tuple[dict[str, int], int]:
-    count, offset = decode_uvarint(data, offset)
-    entries: dict[str, int] = {}
-    for _ in range(count):
-        name, offset = _read_string(data, offset)
-        value, offset = decode_uvarint(data, offset)
-        entries[name] = value
-    return entries, offset
-
-
-# --------------------------------------------------------------------- #
-# whole blocks
-# --------------------------------------------------------------------- #
-
-
-def encode_block(payload: dict) -> bytes:
-    """Serialize a block payload (the ``to_payload()`` dict) to bytes."""
-    try:
-        block_type = BlockType(payload["type"])
-        owner = payload["owner"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CodecError(f"not a block payload: {payload!r}") from exc
-    out = bytearray(_HEADER.pack(_MAGIC, _VERSION, int(block_type.value)))
-    _write_string(out, owner)
-    if block_type is BlockType.RESOURCE_URI:
-        _write_string(out, payload["uri"])
-    else:
-        _write_entries(out, payload["entries"])
-    return bytes(out)
-
-
-def decode_block(data: bytes) -> dict:
-    """Inverse of :func:`encode_block`; returns the payload dict."""
-    type_byte, offset = _check_header(data)
-    block_type = _block_type_for(type_byte)
-    owner, offset = _read_string(data, offset)
-    if block_type is BlockType.RESOURCE_URI:
-        uri, offset = _read_string(data, offset)
-        _check_consumed(data, offset)
-        return {"owner": owner, "type": block_type.value, "uri": uri}
-    entries, offset = _read_entries(data, offset)
-    _check_consumed(data, offset)
-    return {"owner": owner, "type": block_type.value, "entries": entries}
-
-
-def _check_header(data: bytes) -> tuple[int, int]:
-    if len(data) < _HEADER.size:
-        raise CodecError("truncated header")
-    magic, version, type_byte = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise CodecError(f"bad magic {magic:#x}")
-    if version != _VERSION:
-        raise CodecError(f"unsupported codec version {version}")
-    return type_byte, _HEADER.size
-
-
-def _block_type_for(type_byte: int) -> BlockType:
-    try:
-        return BlockType(str(type_byte))
-    except ValueError:
-        raise CodecError(f"unknown block type byte {type_byte:#x}") from None
-
-
-def _check_consumed(data: bytes, offset: int) -> None:
-    if offset != len(data):
-        raise CodecError(f"{len(data) - offset} trailing bytes")
-
-
-# --------------------------------------------------------------------- #
-# cluster-state records (snapshot/restore)
-# --------------------------------------------------------------------- #
-
-
-def _write_node_id(out: bytearray, node_id: bytes) -> None:
-    if len(node_id) != KEY_BYTES:
-        raise CodecError(f"node id must be {KEY_BYTES} bytes, got {len(node_id)}")
-    out += node_id
-
-
-def _read_node_id(data: bytes, offset: int) -> tuple[bytes, int]:
-    end = offset + KEY_BYTES
-    if end > len(data):
-        raise CodecError("truncated node id")
-    return data[offset:end], end
-
-
-def encode_membership(user: str, node_id: bytes, address: str, joined: bool) -> bytes:
-    """Serialize one overlay-membership record (type byte ``0x10``)."""
-    out = bytearray(_HEADER.pack(_MAGIC, _VERSION, _MEMBERSHIP_TYPE))
-    _write_string(out, user)
-    _write_node_id(out, node_id)
-    _write_string(out, address)
-    out.append(0x01 if joined else 0x00)
-    return bytes(out)
-
-
-def decode_membership(data: bytes) -> tuple[str, bytes, str, bool]:
-    """Inverse of :func:`encode_membership`: ``(user, node_id, address, joined)``."""
-    type_byte, offset = _check_header(data)
-    if type_byte != _MEMBERSHIP_TYPE:
-        raise CodecError(f"not a membership record (type byte {type_byte:#x})")
-    user, offset = _read_string(data, offset)
-    node_id, offset = _read_node_id(data, offset)
-    address, offset = _read_string(data, offset)
-    if offset >= len(data):
-        raise CodecError("truncated joined flag")
-    flag = data[offset]
-    offset += 1
-    if flag not in (0x00, 0x01):
-        raise CodecError(f"bad joined flag {flag:#x}")
-    _check_consumed(data, offset)
-    return user, node_id, address, flag == 0x01
-
-
-#: One contact on the wire: ``(20-byte node id, transport address)``.
-ContactRecord = tuple[bytes, str]
-
-#: One k-bucket on the wire: ``(bucket index, contacts, replacement cache)``,
-#: both contact lists in least- to most-recently-seen order.
-BucketRecord = tuple[int, list[ContactRecord], list[ContactRecord]]
-
-
-def _write_contacts(out: bytearray, contacts: list[ContactRecord]) -> None:
-    out += encode_uvarint(len(contacts))
-    for node_id, address in contacts:
-        _write_node_id(out, node_id)
-        _write_string(out, address)
-
-
-def _read_contacts(data: bytes, offset: int) -> tuple[list[ContactRecord], int]:
-    count, offset = decode_uvarint(data, offset)
-    contacts: list[ContactRecord] = []
-    for _ in range(count):
-        node_id, offset = _read_node_id(data, offset)
-        address, offset = _read_string(data, offset)
-        contacts.append((node_id, address))
-    return contacts, offset
-
-
-def encode_routing_table(owner_id: bytes, k: int, buckets: list[BucketRecord]) -> bytes:
-    """Serialize one routing-table record (type byte ``0x11``).
-
-    *buckets* lists only the non-empty k-buckets; contact order within a
-    bucket is significant (it **is** the LRU order).
-    """
-    out = bytearray(_HEADER.pack(_MAGIC, _VERSION, _ROUTING_TYPE))
-    _write_node_id(out, owner_id)
-    out += encode_uvarint(k)
-    out += encode_uvarint(len(buckets))
-    for index, contacts, replacements in buckets:
-        out += encode_uvarint(index)
-        _write_contacts(out, contacts)
-        _write_contacts(out, replacements)
-    return bytes(out)
-
-
-def decode_routing_table(data: bytes) -> tuple[bytes, int, list[BucketRecord]]:
-    """Inverse of :func:`encode_routing_table`: ``(owner_id, k, buckets)``."""
-    type_byte, offset = _check_header(data)
-    if type_byte != _ROUTING_TYPE:
-        raise CodecError(f"not a routing-table record (type byte {type_byte:#x})")
-    owner_id, offset = _read_node_id(data, offset)
-    k, offset = decode_uvarint(data, offset)
-    bucket_count, offset = decode_uvarint(data, offset)
-    buckets: list[BucketRecord] = []
-    for _ in range(bucket_count):
-        index, offset = decode_uvarint(data, offset)
-        contacts, offset = _read_contacts(data, offset)
-        replacements, offset = _read_contacts(data, offset)
-        buckets.append((index, contacts, replacements))
-    _check_consumed(data, offset)
-    return owner_id, k, buckets
-
-
 # --------------------------------------------------------------------- #
 # generic values (tagged union)
 # --------------------------------------------------------------------- #
 
 #: Tag bytes of the generic value union used by the RPC wire format
 #: (:mod:`repro.net.wire`).  Dict entries are written in **insertion order**,
-#: not sorted: Likir credentials are HMACs over ``repr(value)``, and a
-#: round-trip that re-ordered keys would silently invalidate every signature.
+#: not sorted: the golden wire bytes pin that order.  Likir credentials do not
+#: depend on it -- they cover a sorted rendering of the value.
 _V_NONE = 0x00
 _V_FALSE = 0x01
 _V_TRUE = 0x02

@@ -108,21 +108,10 @@ class SignedValue:
 
         Dict payloads are rendered with sorted keys through the binary value
         codec, so two equal payloads always produce the same bytes no matter
-        their insertion history (the ``2|`` prefix domain-separates this form
-        from the legacy repr-based one).
+        their insertion history (the ``2|`` prefix names this form's version).
         """
         head = f"2|{publisher}|{key_hex}|".encode("utf-8")
         return head + _canonical_value_bytes(value)
-
-    @staticmethod
-    def legacy_canonical_bytes(publisher: str, key_hex: str, value: Any) -> bytes:
-        """The pre-v2 repr-based serialisation (insertion-order sensitive).
-
-        Retained so credentials minted by older builds -- including the ones
-        embedded in pinned snapshot fixtures -- keep verifying; new
-        credentials are always minted over :meth:`canonical_bytes`.
-        """
-        return f"{publisher}|{key_hex}|{value!r}".encode("utf-8")
 
     @classmethod
     def create(cls, identity: Identity, key: NodeID, value: Any) -> "SignedValue":
@@ -136,23 +125,14 @@ class SignedValue:
         )
 
     def verify(self, service: "CertificationService") -> None:
-        """Raise :class:`LikirAuthError` unless the credential is valid.
-
-        Accepts credentials over either the canonical (sorted) serialisation
-        or the legacy repr form, so values signed by older builds still
-        verify.
-        """
+        """Raise :class:`LikirAuthError` unless the credential is valid."""
         secret = service.secret_for(self.publisher)
         if secret is None:
             raise LikirAuthError(f"unknown publisher {self.publisher!r}")
-        for payload in (
-            self.canonical_bytes(self.publisher, self.key_hex, self.value),
-            self.legacy_canonical_bytes(self.publisher, self.key_hex, self.value),
-        ):
-            expected = hmac.new(secret, payload, hashlib.sha1).digest()
-            if hmac.compare_digest(expected, self.credential):
-                return
-        raise LikirAuthError(f"invalid credential from {self.publisher!r}")
+        payload = self.canonical_bytes(self.publisher, self.key_hex, self.value)
+        expected = hmac.new(secret, payload, hashlib.sha1).digest()
+        if not hmac.compare_digest(expected, self.credential):
+            raise LikirAuthError(f"invalid credential from {self.publisher!r}")
 
 
 class CertificationService:

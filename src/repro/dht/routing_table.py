@@ -527,9 +527,9 @@ class CompactRoutingTable:
     ) -> None:
         """Replace the whole table content with an exported bucket list.
 
-        Accepts records exported by either implementation (the snapshot codec
-        does not distinguish them), preserving LRU and replacement-cache
-        order verbatim.
+        Accepts records exported by either implementation (a snapshot does
+        not distinguish them), preserving LRU and replacement-cache order
+        verbatim.
         """
         self._buckets.clear()
         for index, contacts, replacements in buckets:

@@ -1,7 +1,7 @@
 """Binary wire format of the DHT RPCs.
 
 Every RPC of :mod:`repro.dht.messages` has a frame encoding built from the
-same header/varint vocabulary as the block codec (:mod:`repro.core.codec`):
+varint vocabulary of :mod:`repro.core.codec`:
 
 ========  ==========================================================
 offset    content
@@ -250,9 +250,9 @@ def _write_wrapped_value(out: bytearray, value: Any) -> None:
     """A stored value with its Likir envelope flag.
 
     The signed wrapper keeps the inner value's dict insertion order on the
-    wire (``encode_value`` guarantees it), because the credential is an HMAC
-    over ``repr(value)`` -- re-ordering keys would break verification after a
-    round-trip.
+    wire (``encode_value`` guarantees it, and the golden bytes pin it); the
+    credential covers a sorted rendering, so verification does not depend on
+    that order.
     """
     if isinstance(value, SignedValue):
         out.append(_SIGNED_VALUE)

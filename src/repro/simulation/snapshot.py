@@ -12,12 +12,16 @@ the identical :class:`~repro.simulation.experiment.SurvivalReport`.
 Design notes
 ------------
 
-* Per-node routing tables and overlay membership are stored as the binary
-  codec records of :mod:`repro.core.codec` (``encode_routing_table`` /
-  ``encode_membership``), hex-encoded into the JSON container.  Contact
-  order inside each bucket is part of the encoding because it *is* state:
-  Kademlia buckets are LRU-ordered and eviction picks the least-recently
-  seen contact.
+* Every field is plain JSON, so a checkpoint reads and diffs with ``jq``.
+  A node's membership is its ``user``, ``node_id`` (hex), ``address`` and
+  ``joined`` fields; its routing table is a ``buckets`` list of
+  ``[index, contacts, replacements]``, each contact an ``[id_hex, address]``
+  pair.  Contact order inside each bucket is part of the format because it
+  *is* state: Kademlia buckets are LRU-ordered and eviction picks the
+  least-recently seen contact.
+* A stored value is ``{"kind": "json", "data": ...}`` -- a block is its
+  payload dict -- or ``{"kind": "signed", ...}`` around the inner value,
+  with the Likir credential in hex.
 * RNG states are captured with :meth:`random.Random.getstate` and stored as
   nested lists; Python guarantees ``setstate`` restores the exact stream.
 * The certification service is not dumped -- it is **replayed**.  Likir
@@ -32,17 +36,15 @@ Design notes
   restored :class:`~repro.simulation.experiment.SurvivalRun`.
 * A node's failure memory (which peers it watched fail, how often, until
   when they stay suspected) steers its next lookups, so it travels with the
-  node -- as a ``suspects`` list that is left out while empty.
+  node as its ``suspects`` list.
 * The state of the two maintenance skip rules travels the same way: a
-  stored record's ``dominated_at`` (left out while never), a node's
-  ``bucket_lookups`` (left out while empty) and each loop's ``last_at`` next
-  to its ``next_at``.  A field missing from an older file reads as "never";
-  an older file's ``cluster.search_rng`` (the generator of a search helper
-  the cluster no longer has) and ``churn.traced`` (churn is always traced
-  now) are ignored.
-* Cluster options that became constants (:data:`RETIRED_CONFIG_FIELDS`) are
-  dropped from an older file's config when they hold the constant's value;
-  any other value is refused, since this build cannot run it.
+  stored record's ``dominated_at`` (``null`` while never), a node's
+  ``bucket_lookups`` and each loop's ``last_at`` next to its ``next_at``.
+* Every field is always written and read strictly: a missing field raises
+  :class:`KeyError`, a config that does not name exactly this build's
+  ``ClusterConfig`` fields is a :class:`SnapshotError`, and so is a file of
+  another :data:`SNAPSHOT_VERSION`.  Checkpoints are artefacts of one run,
+  so no older layout is read.
 * Default node addresses come from a process-wide counter; restore reserves
   every number seen in the snapshot so post-restore joiners cannot collide
   with restored nodes, even in a fresh process.
@@ -55,41 +57,24 @@ cluster therefore has an empty client pool (``cluster.services == []``).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 from typing import Any
 
 import random
 import time
 
-from repro.core.codec import (
-    decode_block,
-    decode_membership,
-    decode_routing_table,
-    encode_block,
-    encode_membership,
-    encode_routing_table,
-    CodecError,
-)
 from repro.dht.likir import CertificationService, SignedValue
 from repro.dht.maintenance import NodeMaintenance, OverlayMaintenance
 from repro.dht.node import KademliaNode, NodeConfig, reserve_addresses
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 from repro.perf import PERF
-from repro.simulation.adversary import SYBIL_INTERVAL_MS
 from repro.simulation.churn import ChurnProcess
-from repro.simulation.cluster import (
-    CACHE_CAPACITY,
-    CACHE_TTL_MS,
-    NODE_K,
-    RING_NEIGHBOURS,
-    ClusterConfig,
-    SimulatedCluster,
-)
+from repro.simulation.cluster import ClusterConfig, SimulatedCluster
 from repro.simulation.event_queue import EventQueue
 from repro.simulation.experiment import SurvivalReport, SurvivalRun
-from repro.simulation.network import NetworkConfig, SimulatedNetwork
+from repro.simulation.network import SimulatedNetwork
 
 __all__ = [
     "SnapshotError",
@@ -100,22 +85,10 @@ __all__ = [
     "resume_survival_benchmark",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "RETIRED_CONFIG_FIELDS",
 ]
 
 SNAPSHOT_FORMAT = "dharma-cluster-snapshot"
-SNAPSHOT_VERSION = 1
-
-#: ``ClusterConfig`` fields that older snapshots carry and this build fixes:
-#: field name -> the only value it can restore.
-RETIRED_CONFIG_FIELDS: dict[str, Any] = {
-    "node_k": NODE_K,
-    "ring_neighbours": RING_NEIGHBOURS,
-    "cache_capacity": CACHE_CAPACITY,
-    "cache_ttl_ms": CACHE_TTL_MS,
-    "batch_lookups": True,
-    "sybil_interval_ms": SYBIL_INTERVAL_MS,
-}
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -145,9 +118,9 @@ def _restored_rng(data: list) -> random.Random:
 def _encode_value(value: Any) -> dict:
     """Encode one stored value for the JSON container.
 
-    Block payloads go through the binary codec (compact, validated);
     :class:`SignedValue` wrappers recurse on their inner value; anything else
-    must be JSON-serialisable and is embedded verbatim.
+    (a block is its payload dict) must be JSON-serialisable and is embedded
+    verbatim.
     """
     if isinstance(value, SignedValue):
         return {
@@ -157,16 +130,11 @@ def _encode_value(value: Any) -> dict:
             "credential": value.credential.hex(),
             "value": _encode_value(value.value),
         }
-    if isinstance(value, dict) and "type" in value and "owner" in value:
-        try:
-            return {"kind": "block", "hex": encode_block(value).hex()}
-        except (CodecError, KeyError, TypeError, ValueError):
-            pass
     return {"kind": "json", "data": value}
 
 
 def _decode_value(record: dict) -> Any:
-    kind = record.get("kind")
+    kind = record["kind"]
     if kind == "signed":
         return SignedValue(
             publisher=record["publisher"],
@@ -174,8 +142,6 @@ def _decode_value(record: dict) -> Any:
             value=_decode_value(record["value"]),
             credential=bytes.fromhex(record["credential"]),
         )
-    if kind == "block":
-        return decode_block(bytes.fromhex(record["hex"]))
     if kind == "json":
         return record["data"]
     raise SnapshotError(f"unknown stored-value kind {kind!r}")
@@ -205,45 +171,40 @@ def _node_state(node: KademliaNode, users_by_id: dict[NodeID, str]) -> dict:
     user = users_by_id.get(node.node_id)
     if user is None:
         raise SnapshotError(f"node {node.address} has no certified identity")
-    membership = encode_membership(user, node.node_id.to_bytes(), node.address, node.joined)
-    buckets = [
-        (
-            index,
-            [(c.node_id.to_bytes(), c.address) for c in contacts],
-            [(c.node_id.to_bytes(), c.address) for c in replacements],
-        )
-        for index, contacts, replacements in node.routing_table.export_buckets()
-    ]
-    routing = encode_routing_table(node.node_id.to_bytes(), node.routing_table.k, buckets)
-    storage = []
-    for key, record in node.storage.records_snapshot().items():
-        item = {
-            "key": key.hex(),
-            "value": _encode_value(record.value),
-            "stored_at": record.stored_at,
-            "writes": record.writes,
-            "reads": record.reads,
-        }
-        if record.dominated_at is not None:
-            item["dominated_at"] = record.dominated_at
-        storage.append(item)
-    state = {
-        "membership": membership.hex(),
-        "routing": routing.hex(),
+    return {
+        "user": user,
+        "node_id": node.node_id.hex(),
+        "address": node.address,
+        "joined": node.joined,
         "rpcs_served": dict(node.rpcs_served),
-        "storage": storage,
+        "buckets": [
+            [index, _contacts_to_json(contacts), _contacts_to_json(replacements)]
+            for index, contacts, replacements in node.routing_table.export_buckets()
+        ],
+        "storage": [
+            {
+                "key": key.hex(),
+                "value": _encode_value(record.value),
+                "stored_at": record.stored_at,
+                "writes": record.writes,
+                "reads": record.reads,
+                "dominated_at": record.dominated_at,
+            }
+            for key, record in node.storage.records_snapshot().items()
+        ],
+        "suspects": [
+            [node_id.hex(), strikes, until] for node_id, strikes, until in node.export_suspects()
+        ],
+        "bucket_lookups": [[index, at] for index, at in node.bucket_lookup_at.items()],
     }
-    suspects = node.export_suspects()
-    if suspects:
-        # Omitted while a node has none, so snapshots of runs in which no
-        # RPC ever failed are byte-identical to those written before the
-        # failure memory existed.
-        state["suspects"] = [
-            [node_id.hex(), strikes, until] for node_id, strikes, until in suspects
-        ]
-    if node.bucket_lookup_at:
-        state["bucket_lookups"] = [[index, at] for index, at in node.bucket_lookup_at.items()]
-    return state
+
+
+def _contacts_to_json(contacts: list[Contact]) -> list[list[str]]:
+    return [[contact.node_id.hex(), contact.address] for contact in contacts]
+
+
+def _contacts_from_json(pairs: list[list[str]]) -> list[Contact]:
+    return [Contact(NodeID.from_hex(id_hex), address) for id_hex, address in pairs]
 
 
 def _maintenance_state(maintenance: OverlayMaintenance) -> dict:
@@ -387,12 +348,9 @@ def _restore_nodes(
 ) -> list[KademliaNode]:
     nodes: list[KademliaNode] = []
     for record in snapshot["nodes"]:
-        user, node_id_bytes, address, joined = decode_membership(
-            bytes.fromhex(record["membership"])
-        )
-        node_id = NodeID.from_bytes(node_id_bytes)
-        expected = certification.node_id_for(user)
-        if expected != node_id:
+        user, address = record["user"], record["address"]
+        node_id = NodeID.from_hex(record["node_id"])
+        if certification.node_id_for(user) != node_id:
             raise SnapshotError(
                 f"certified id for {user!r} does not match the snapshot "
                 "(wrong seed or corrupted snapshot)"
@@ -404,19 +362,12 @@ def _restore_nodes(
             address=address,
             certification=certification,
         )
-        node.joined = joined
+        node.joined = record["joined"]
         node.rpcs_served = {name: int(count) for name, count in record["rpcs_served"].items()}
-        owner_id, k, raw_buckets = decode_routing_table(bytes.fromhex(record["routing"]))
-        if owner_id != node_id_bytes:
-            raise SnapshotError(f"routing record of {address} belongs to a different node")
         node.routing_table.restore_buckets(
             [
-                (
-                    index,
-                    [Contact(NodeID.from_bytes(i), a) for i, a in contacts],
-                    [Contact(NodeID.from_bytes(i), a) for i, a in replacements],
-                )
-                for index, contacts, replacements in raw_buckets
+                (index, _contacts_from_json(contacts), _contacts_from_json(replacements))
+                for index, contacts, replacements in record["buckets"]
             ]
         )
         for item in record["storage"]:
@@ -426,13 +377,13 @@ def _restore_nodes(
                 stored_at=item["stored_at"],
                 writes=item["writes"],
                 reads=item["reads"],
-                dominated_at=item.get("dominated_at"),
+                dominated_at=item["dominated_at"],
             )
-        node.bucket_lookup_at = {int(index): at for index, at in record.get("bucket_lookups", ())}
+        node.bucket_lookup_at = {int(index): at for index, at in record["bucket_lookups"]}
         node.restore_suspects(
             [
                 (NodeID.from_hex(node_id), int(strikes), until)
-                for node_id, strikes, until in record.get("suspects", ())
+                for node_id, strikes, until in record["suspects"]
             ]
         )
         nodes.append(node)
@@ -530,14 +481,13 @@ def _replay_events(
 
 
 def _cluster_config(fields: dict) -> ClusterConfig:
-    """The snapshot's ``ClusterConfig``, minus retired fields at their
-    constant's value."""
-    fields = dict(fields)
-    for name, constant in RETIRED_CONFIG_FIELDS.items():
-        if name in fields and (value := fields.pop(name)) != constant:
-            raise SnapshotError(
-                f"snapshot sets {name}={value!r}; this build fixes it at {constant!r}"
-            )
+    """The snapshot's ``ClusterConfig``: exactly this build's fields."""
+    names = {field.name for field in dataclass_fields(ClusterConfig)}
+    if set(fields) != names:
+        raise SnapshotError(
+            f"snapshot config does not fit this build: missing {sorted(names - set(fields))}, "
+            f"unknown {sorted(set(fields) - names)}"
+        )
     return ClusterConfig(**fields)
 
 
@@ -551,25 +501,18 @@ def restore_cluster(
     :class:`SurvivalRun` when the snapshot carries benchmark context
     (else ``None``); *recorder* is a re-armed
     :class:`~repro.metrics.stream.ClusterMetricsRecorder` when the snapshot
-    carries one **and** *metrics_stream* is given (else ``None``).
+    carries one **and** *metrics_stream* is given (else ``None``).  A field
+    missing from *snapshot* raises :class:`KeyError`.
     """
     config = _cluster_config(snapshot["config"])
 
-    reserve_addresses(int(snapshot.get("address_floor", 0)))
+    reserve_addresses(int(snapshot["address_floor"]))
 
     certification = CertificationService(seed=config.seed)
     for user in snapshot["certified_users"]:
         certification.register(user)
 
-    network = SimulatedNetwork(
-        config=NetworkConfig(
-            min_latency_ms=config.min_latency_ms,
-            max_latency_ms=config.max_latency_ms,
-            loss_rate=config.loss_rate,
-            timeout_ms=config.timeout_ms,
-            seed=config.seed,
-        )
-    )
+    network = SimulatedNetwork(config=config.network_config())
     network._rng.setstate(_rng_from_json(snapshot["network"]["rng"]))
     stats = snapshot["network"]["stats"]
     network.stats.messages_sent = stats["messages_sent"]
@@ -580,7 +523,7 @@ def restore_cluster(
     network.stats.received_by_node.update(stats["received_by_node"])
     network.clock.advance_to(snapshot["clock_ms"])
 
-    node_config = NodeConfig(k=NODE_K, alpha=config.alpha, replicate=config.replicate)
+    node_config = config.node_config()
     from repro.dht.bootstrap import Overlay
 
     overlay = Overlay(
@@ -603,11 +546,12 @@ def restore_cluster(
     cluster._rng = _restored_rng(snapshot["cluster"]["rng"])
     cluster.overlay = overlay
     cluster.queue = EventQueue(clock=overlay.clock)
-    cluster.queue._processed = snapshot["queue"].get("processed", 0)
+    cluster.queue._processed = snapshot["queue"]["processed"]
     cluster.services = []
+    cluster.adversary = None
 
     cluster.maintenance = None
-    maint_state = snapshot.get("maintenance")
+    maint_state = snapshot["maintenance"]
     if maint_state is not None:
         maintenance = OverlayMaintenance(overlay, cluster.queue, config.maintenance_config())
         maintenance._rng.setstate(_rng_from_json(maint_state["rng"]))
@@ -626,13 +570,13 @@ def restore_cluster(
                 rng=_restored_rng(node_state["rng"]),
             )
             nm._next_at = dict(node_state["next_at"])
-            nm._last_at = dict(node_state.get("last_at", {}))
+            nm._last_at = dict(node_state["last_at"])
             nm._running = node_state["running"]
             maintenance._by_address[address] = nm
         cluster.maintenance = maintenance
 
     cluster.churn = None
-    churn_state = snapshot.get("churn")
+    churn_state = snapshot["churn"]
     if churn_state is not None:
         churn = ChurnProcess(overlay, cluster.queue, config.churn_config())
         churn._rng.setstate(_rng_from_json(churn_state["rng"]))
@@ -644,11 +588,11 @@ def restore_cluster(
     PERF.restore(snapshot["perf"])
 
     run = None
-    if snapshot.get("benchmark") is not None:
+    if snapshot["benchmark"] is not None:
         run = _restore_benchmark(snapshot["benchmark"], cluster)
 
     recorder = None
-    if metrics_stream is not None and snapshot.get("recorder") is not None:
+    if metrics_stream is not None and snapshot["recorder"] is not None:
         from repro.metrics.stream import ClusterMetricsRecorder
 
         state = snapshot["recorder"]

@@ -1,4 +1,8 @@
-"""Round-trip and golden-bytes tests for the binary block codec."""
+"""The codec's LEB128 varints, and DHARMA blocks in its value union.
+
+The value union's golden bytes and fuzzing live with the wire-format tests
+(``tests/net/test_rpc_wire_codec.py``).
+"""
 
 import pytest
 
@@ -10,14 +14,10 @@ from repro.core.blocks import (
 )
 from repro.core.codec import (
     CodecError,
-    decode_block,
-    decode_membership,
-    decode_routing_table,
     decode_uvarint,
-    encode_block,
-    encode_membership,
-    encode_routing_table,
+    decode_value,
     encode_uvarint,
+    encode_value,
 )
 
 
@@ -61,8 +61,9 @@ class TestUvarint:
         assert decode_uvarint(data, 3) == (7, 4)
 
 
-class TestRoundTrip:
-    """encode → decode is the identity for all four block types."""
+class TestBlocksAsValues:
+    """A STORE carries every block type as its payload dict in the value
+    union: decoding gives the payload back, entry order included."""
 
     @pytest.mark.parametrize(
         "block",
@@ -71,180 +72,31 @@ class TestRoundTrip:
             TagResourcesBlock("rock", {"nevermind": 3, "in-utero": 1}),
             TagNeighboursBlock("rock", {"grunge": 2, "alternative": 7}),
             ResourceTagsBlock("empty-res", {}),
-            TagResourcesBlock("empty-tag", {}),
             TagNeighboursBlock("lonely", {}),
             TagResourcesBlock("müsic", {"тег": 130, "日本語": 1, "café": 2**40}),
-        ],
-    )
-    def test_counter_blocks(self, block):
-        payload = block.to_payload()
-        assert decode_block(encode_block(payload)) == payload
-
-    @pytest.mark.parametrize(
-        "block",
-        [
             ResourceURIBlock(owner="nevermind", uri="urn:dharma:nevermind"),
-            ResourceURIBlock(owner="emptyuri", uri=""),
             ResourceURIBlock(owner="ünïcode", uri="https://example.org/ü?q=日本"),
         ],
     )
-    def test_uri_blocks(self, block):
+    def test_payload_round_trips(self, block):
         payload = block.to_payload()
-        assert decode_block(encode_block(payload)) == payload
+        encoded = encode_value(payload)
+        decoded, offset = decode_value(encoded)
+        assert decoded == payload
+        assert offset == len(encoded)
+        assert list(decoded) == list(payload)
+        if "entries" in payload:
+            assert list(decoded["entries"]) == list(payload["entries"])
 
-    def test_encoding_is_deterministic_under_dict_order(self):
-        a = {"owner": "r", "type": "1", "entries": {"x": 1, "y": 2}}
-        b = {"owner": "r", "type": "1", "entries": {"y": 2, "x": 1}}
-        assert encode_block(a) == encode_block(b)
+    def test_truncated_payload_is_refused(self):
+        encoded = encode_value(ResourceTagsBlock("res", {"a": 1}).to_payload())
+        for cut in range(len(encoded)):
+            with pytest.raises(CodecError):
+                decode_value(encoded[:cut])
 
-
-class TestGoldenBytes:
-    """Pin the exact wire format so it cannot drift silently."""
-
-    GOLDEN = {
-        "r_bar": (
-            {"owner": "nevermind", "type": "1", "entries": {"rock": 3, "grunge": 1}},
-            "da0101096e657665726d696e6402066772756e67650104726f636b03",
-        ),
-        "t_bar": (
-            {"owner": "rock", "type": "2", "entries": {"nevermind": 3}},
-            "da010204726f636b01096e657665726d696e6403",
-        ),
-        "t_hat": (
-            {"owner": "rock", "type": "3", "entries": {"grunge": 2, "90s": 1}},
-            "da010304726f636b020339307301066772756e676502",
-        ),
-        "r_tilde": (
-            {"owner": "nevermind", "type": "4", "uri": "urn:dharma:nevermind"},
-            "da0104096e657665726d696e641475726e3a646861726d613a6e657665726d696e64",
-        ),
-        "empty_t_hat": (
-            {"owner": "lonely", "type": "3", "entries": {}},
-            "da0103066c6f6e656c7900",
-        ),
-        "unicode_t_bar": (
-            {"owner": "müsic", "type": "2", "entries": {"тег": 130}},
-            "da010206" + "6dc3bc736963" + "0106" + "d182d0b5d0b3" + "8201",
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_block_golden_bytes(self, name):
-        payload, expected_hex = self.GOLDEN[name]
-        assert encode_block(payload).hex() == expected_hex
-        assert decode_block(bytes.fromhex(expected_hex)) == payload
-
-
-class TestMalformedData:
-    def test_bad_magic(self):
-        good = encode_block({"owner": "r", "type": "1", "entries": {}})
-        with pytest.raises(CodecError):
-            decode_block(b"\x00" + good[1:])
-
-    def test_bad_version(self):
-        good = encode_block({"owner": "r", "type": "1", "entries": {}})
-        with pytest.raises(CodecError):
-            decode_block(good[:1] + b"\x63" + good[2:])
-
-    def test_unknown_type_byte(self):
-        good = encode_block({"owner": "r", "type": "1", "entries": {}})
-        with pytest.raises(CodecError):
-            decode_block(good[:2] + b"\x09" + good[3:])
-
-    def test_truncated_and_trailing(self):
-        good = encode_block({"owner": "res", "type": "1", "entries": {"a": 1}})
-        with pytest.raises(CodecError):
-            decode_block(good[:-1])
-        with pytest.raises(CodecError):
-            decode_block(good + b"\x00")
-
-    def test_truncated_header(self):
-        with pytest.raises(CodecError, match="truncated header"):
-            decode_block(b"\xda\x01")
-
-    def test_invalid_utf8_owner(self):
-        good = encode_block({"owner": "r", "type": "1", "entries": {}})
+    def test_invalid_utf8_owner_is_refused(self):
+        encoded = bytearray(encode_value({"owner": "r", "type": "1", "entries": {}}))
+        owner_byte = encoded.index(b"r"[0], encoded.index(b"owner") + len(b"owner"))
+        encoded[owner_byte] = 0xFF
         with pytest.raises(CodecError, match="UTF-8"):
-            decode_block(good[:4] + b"\xff" + good[5:])
-
-    def test_cluster_state_records_are_not_blocks(self):
-        membership = encode_membership("u", bytes(20), "node-0", True)
-        routing = encode_routing_table(bytes(20), 8, [])
-        for record in (membership, routing):
-            with pytest.raises(CodecError, match="unknown block type"):
-                decode_block(record)
-        with pytest.raises(CodecError):
-            decode_membership(encode_block({"owner": "r", "type": "1", "entries": {}}))
-
-    def test_non_block_payload_rejected(self):
-        with pytest.raises(CodecError):
-            encode_block({"random": "dict"})
-        with pytest.raises(CodecError):
-            encode_block({"owner": "r", "type": "9", "entries": {}})
-
-
-class TestMembershipRecords:
-    def test_golden_bytes(self):
-        encoded = encode_membership("alice", bytes(range(20)), "node-3", True)
-        assert encoded.hex() == (
-            "da011005616c696365000102030405060708090a0b0c0d0e0f10111213066e6f64652d3301"
-        )
-
-    def test_round_trip(self):
-        for joined in (True, False):
-            encoded = encode_membership("u~42", bytes(20), "node-1007", joined)
-            assert decode_membership(encoded) == ("u~42", bytes(20), "node-1007", joined)
-
-    def test_rejects_bad_node_id_length(self):
-        with pytest.raises(CodecError):
-            encode_membership("u", b"\x01" * 19, "node-0", True)
-
-    def test_rejects_bad_joined_flag(self):
-        encoded = bytearray(encode_membership("u", bytes(20), "node-0", True))
-        encoded[-1] = 0x02
-        with pytest.raises(CodecError):
-            decode_membership(bytes(encoded))
-
-    def test_rejects_wrong_record_type(self):
-        routing = encode_routing_table(bytes(20), 8, [])
-        with pytest.raises(CodecError):
-            decode_membership(routing)
-
-
-class TestRoutingTableRecords:
-    BUCKETS = [
-        (0, [(bytes([1]) * 20, "node-1")], []),
-        (159, [(bytes([2]) * 20, "node-2"), (bytes([3]) * 20, "node-7")],
-         [(bytes([4]) * 20, "node-9")]),
-    ]
-
-    def test_golden_bytes(self):
-        encoded = encode_routing_table(bytes(range(20)), 2, self.BUCKETS)
-        assert encoded.hex() == (
-            "da0111000102030405060708090a0b0c0d0e0f101112130202000101"
-            "01010101010101010101010101010101010101066e6f64652d31009f"
-            "01020202020202020202020202020202020202020202066e6f64652d"
-            "320303030303030303030303030303030303030303066e6f64652d37"
-            "010404040404040404040404040404040404040404066e6f64652d39"
-        )
-
-    def test_round_trip_preserves_lru_order(self):
-        encoded = encode_routing_table(bytes(range(20)), 2, self.BUCKETS)
-        owner, k, buckets = decode_routing_table(encoded)
-        assert owner == bytes(range(20))
-        assert k == 2
-        assert buckets == self.BUCKETS
-
-    def test_empty_table_round_trips(self):
-        owner, k, buckets = decode_routing_table(encode_routing_table(bytes(20), 8, []))
-        assert (owner, k, buckets) == (bytes(20), 8, [])
-
-    def test_rejects_wrong_record_type(self):
-        membership = encode_membership("u", bytes(20), "node-0", True)
-        with pytest.raises(CodecError):
-            decode_routing_table(membership)
-
-    def test_rejects_truncation(self):
-        encoded = encode_routing_table(bytes(range(20)), 2, self.BUCKETS)
-        with pytest.raises(CodecError):
-            decode_routing_table(encoded[:-3])
+            decode_value(bytes(encoded))

@@ -157,29 +157,25 @@ class TestCanonicalBytes:
         b = SignedValue.canonical_bytes("p", "00", {"y": [1, 2], "x": {"a": 2, "b": 1}})
         assert a == b
 
-    def test_canonical_form_is_domain_separated_from_legacy(self):
+    def test_canonical_form_carries_its_version_prefix(self):
         value = {"entries": {"r": 1}}
         assert SignedValue.canonical_bytes("p", "ab", value).startswith(b"2|p|ab|")
-        assert SignedValue.canonical_bytes("p", "ab", value) != (
-            SignedValue.legacy_canonical_bytes("p", "ab", value)
-        )
 
-    def test_legacy_credential_still_verifies(self):
-        """Values signed by pre-v2 builds (repr serialisation) -- including
-        the credentials pinned inside snapshot fixtures -- must keep
-        verifying through the fallback."""
+    def test_repr_signed_credential_is_refused(self):
+        """A credential over the retired ``repr`` rendering of the value
+        does not verify: the sorted canonical bytes are the only form."""
         service = CertificationService(seed=0)
         identity = service.register("alice")
         key = NodeID.hash_of("old-block")
         value = {"entries": {"r1": 1}}
-        legacy_payload = SignedValue.legacy_canonical_bytes("alice", key.hex(), value)
-        legacy = SignedValue(
+        repr_signed = SignedValue(
             publisher="alice",
             key_hex=key.hex(),
             value=value,
-            credential=identity.sign(legacy_payload),
+            credential=identity.sign(f"alice|{key.hex()}|{value!r}".encode("utf-8")),
         )
-        legacy.verify(service)
+        with pytest.raises(LikirAuthError, match="invalid credential"):
+            repr_signed.verify(service)
 
     def test_uncodecable_payload_still_signs_and_verifies(self):
         """Payloads the binary codec cannot encode fall back to repr -- they

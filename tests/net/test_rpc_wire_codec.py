@@ -231,8 +231,8 @@ class TestWireSizeEstimate:
 class TestSignedValues:
     def make_signed(self) -> SignedValue:
         identity = Identity(user="alice", node_id=A, secret=b"s" * 20)
-        # Deliberately non-sorted dict: the credential is an HMAC over
-        # repr(value), so the wire must preserve insertion order.
+        # Deliberately non-sorted dict: the wire preserves insertion order,
+        # and the credential covers the sorted rendering either way.
         return SignedValue.create(
             identity, K, {"owner": "alice", "type": "1", "entries": {"b": 2, "a": 1}}
         )
@@ -242,7 +242,7 @@ class TestSignedValues:
         frame = encode_frame(7, req(StoreRequest, key=K, value=signed))
         _, decoded = decode_frame(frame)
         assert decoded.value == signed
-        # The decoded credential still verifies: repr(value) survived intact.
+        # The decoded credential still verifies over the canonical bytes.
         payload = SignedValue.canonical_bytes(
             decoded.value.publisher, decoded.value.key_hex, decoded.value.value
         )

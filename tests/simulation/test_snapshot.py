@@ -11,7 +11,6 @@ recorder cannot perturb a deterministic run.
 import pytest
 
 from repro.analysis.audit import run_audit
-from repro.core.codec import decode_membership, decode_routing_table
 from repro.metrics import MetricsStream, read_metrics_log
 from repro.simulation.cluster import ClusterConfig, SimulatedCluster, churn_cluster_config
 from repro.simulation.experiment import run_survival_benchmark
@@ -82,7 +81,7 @@ def quiet_cluster():
 
 
 class TestSnapshotStructure:
-    def test_header_and_codec_records(self, quiet_cluster):
+    def test_header_and_plain_node_records(self, quiet_cluster):
         snapshot = snapshot_cluster(quiet_cluster)
         assert snapshot["format"] == SNAPSHOT_FORMAT
         assert snapshot["version"] == SNAPSHOT_VERSION
@@ -90,24 +89,18 @@ class TestSnapshotStructure:
         by_address = {node.address: node for node in quiet_cluster.overlay.nodes}
         assert len(snapshot["nodes"]) == len(by_address)
         for record in snapshot["nodes"]:
-            user, node_id, address, joined = decode_membership(
-                bytes.fromhex(record["membership"])
-            )
-            node = by_address[address]
-            assert node_id == node.node_id.to_bytes()
-            assert joined == node.joined
-            owner, k, buckets = decode_routing_table(bytes.fromhex(record["routing"]))
-            assert owner == node.node_id.to_bytes()
-            assert k == node.routing_table.k
+            node = by_address[record["address"]]
+            assert record["node_id"] == node.node_id.hex()
+            assert record["joined"] == node.joined
             exported = [
-                (
+                [
                     index,
-                    [(c.node_id.to_bytes(), c.address) for c in contacts],
-                    [(c.node_id.to_bytes(), c.address) for c in cache],
-                )
+                    [[c.node_id.hex(), c.address] for c in contacts],
+                    [[c.node_id.hex(), c.address] for c in cache],
+                ]
                 for index, contacts, cache in node.routing_table.export_buckets()
             ]
-            assert buckets == exported
+            assert record["buckets"] == exported
 
     def test_save_load_round_trip(self, quiet_cluster, tmp_path):
         path = tmp_path / "cluster.json"
@@ -139,11 +132,11 @@ class TestSnapshotStructure:
         restored, _, _ = restore_cluster(snapshot)
         assert snapshot_cluster(restored) == snapshot
 
-    def test_nodes_without_suspects_carry_no_suspects_key(self, quiet_cluster):
-        # No RPC failed on the quiet cluster: the failure memory must leave
-        # no trace, or every pre-existing snapshot fixture would change.
+    def test_empty_node_state_is_written_not_left_out(self, quiet_cluster):
+        # No RPC failed on the quiet cluster: the failure memory is still
+        # written, as an empty list, so a reader never guesses a default.
         snapshot = snapshot_cluster(quiet_cluster)
-        assert all("suspects" not in record for record in snapshot["nodes"])
+        assert all(record["suspects"] == [] for record in snapshot["nodes"])
 
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "not-a-snapshot.json"
@@ -160,6 +153,41 @@ class TestSnapshotStructure:
         path.write_text(json.dumps(snapshot), encoding="utf-8")
         with pytest.raises(SnapshotError, match="unsupported snapshot version"):
             load_snapshot(path)
+
+    def test_restore_refuses_a_missing_field(self, quiet_cluster):
+        snapshot = snapshot_cluster(quiet_cluster)
+        del snapshot["nodes"][0]["bucket_lookups"]
+        with pytest.raises(KeyError, match="bucket_lookups"):
+            restore_cluster(snapshot)
+
+    def test_restore_refuses_config_fields_this_build_lacks(self, quiet_cluster):
+        snapshot = snapshot_cluster(quiet_cluster)
+        snapshot["config"]["node_k"] = 8
+        with pytest.raises(SnapshotError, match="unknown \\['node_k'\\]"):
+            restore_cluster(snapshot)
+        del snapshot["config"]["node_k"]
+        del snapshot["config"]["alpha"]
+        with pytest.raises(SnapshotError, match="missing \\['alpha'\\]"):
+            restore_cluster(snapshot)
+
+
+class TestRestorePosture:
+    def test_restored_nodes_keep_the_likir_posture(self):
+        """Every restored node runs the cluster's node config, Likir
+        enforcement included, not just its Kademlia parameters."""
+        cluster = SimulatedCluster(
+            ClusterConfig(
+                num_nodes=12, clients=1, bootstrap="fast", seed=21,
+                certified_contacts=True, require_signed_writes=True,
+            )
+        )
+        restored, _, _ = restore_cluster(snapshot_cluster(cluster))
+        assert restored.config == cluster.config
+        original = {node.address: node.config for node in cluster.overlay.nodes}
+        assert {node.address: node.config for node in restored.overlay.nodes} == original
+        assert all(config == cluster.config.node_config() for config in original.values())
+        assert restored.overlay.network.config == cluster.overlay.network.config
+        assert restored.adversary is None
 
 
 class TestSnapshotGuards:
@@ -254,7 +282,7 @@ class TestDeterministicResume:
         identical resumed report above depends on it)."""
         checkpoint, _ = checkpointed
         snapshot = load_snapshot(checkpoint)
-        rows = [row for record in snapshot["nodes"] for row in record.get("suspects", ())]
+        rows = [row for record in snapshot["nodes"] for row in record["suspects"]]
         assert rows, "no node had a suspect at the checkpoint"
         assert all(strikes >= 1 and until > 0 for _, strikes, until in rows)
         restored, run, _ = restore_cluster(snapshot)
@@ -268,8 +296,10 @@ class TestDeterministicResume:
         checkpoint, _ = checkpointed
         snapshot = load_snapshot(checkpoint)
         nodes = snapshot["nodes"]
-        assert any("dominated_at" in item for record in nodes for item in record["storage"])
-        assert any(record.get("bucket_lookups") for record in nodes)
+        assert any(
+            item["dominated_at"] is not None for record in nodes for item in record["storage"]
+        )
+        assert any(record["bucket_lookups"] for record in nodes)
         loops = snapshot["maintenance"]["nodes"].values()
         assert loops and all(set(loop["last_at"]) == {"republish", "refresh"} for loop in loops)
         restored, run, _ = restore_cluster(snapshot)

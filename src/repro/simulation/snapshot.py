@@ -592,10 +592,10 @@ def restore_cluster(
         run = _restore_benchmark(snapshot["benchmark"], cluster)
 
     recorder = None
-    if metrics_stream is not None and snapshot["recorder"] is not None:
+    state = snapshot["recorder"]
+    if metrics_stream is not None and state is not None:
         from repro.metrics.stream import ClusterMetricsRecorder
 
-        state = snapshot["recorder"]
         recorder = ClusterMetricsRecorder(
             cluster,
             metrics_stream,

@@ -72,9 +72,11 @@ class TestBlocksAsValues:
             TagResourcesBlock("rock", {"nevermind": 3, "in-utero": 1}),
             TagNeighboursBlock("rock", {"grunge": 2, "alternative": 7}),
             ResourceTagsBlock("empty-res", {}),
+            TagResourcesBlock("empty-tag", {}),
             TagNeighboursBlock("lonely", {}),
             TagResourcesBlock("müsic", {"тег": 130, "日本語": 1, "café": 2**40}),
             ResourceURIBlock(owner="nevermind", uri="urn:dharma:nevermind"),
+            ResourceURIBlock(owner="emptyuri", uri=""),
             ResourceURIBlock(owner="ünïcode", uri="https://example.org/ü?q=日本"),
         ],
     )
@@ -87,6 +89,48 @@ class TestBlocksAsValues:
         assert list(decoded) == list(payload)
         if "entries" in payload:
             assert list(decoded["entries"]) == list(payload["entries"])
+
+    #: What a STORE carries for each block type: the payload dict in the
+    #: value union, keys in ``to_payload`` order.  Pinned so the stored form
+    #: of a block cannot drift silently.
+    GOLDEN = {
+        "r_bar": (
+            ResourceTagsBlock("nevermind", {"rock": 3, "grunge": 1}),
+            "0903056f776e657206096e657665726d696e64047479706506013107656e7472696573"
+            "090204726f636b0303066772756e67650301",
+        ),
+        "t_bar": (
+            TagResourcesBlock("rock", {"nevermind": 3}),
+            "0903056f776e65720604726f636b047479706506013207656e74726965730901096e65"
+            "7665726d696e640303",
+        ),
+        "t_hat": (
+            TagNeighboursBlock("rock", {"grunge": 2, "90s": 1}),
+            "0903056f776e65720604726f636b047479706506013307656e74726965730902066772"
+            "756e67650302033930730301",
+        ),
+        "r_tilde": (
+            ResourceURIBlock(owner="nevermind", uri="urn:dharma:nevermind"),
+            "0903056f776e657206096e657665726d696e6404747970650601340375726906147572"
+            "6e3a646861726d613a6e657665726d696e64",
+        ),
+        "empty_t_hat": (
+            TagNeighboursBlock("lonely", {}),
+            "0903056f776e657206066c6f6e656c79047479706506013307656e74726965730900",
+        ),
+        "unicode_t_bar": (
+            TagResourcesBlock("müsic", {"тег": 130}),
+            "0903056f776e657206066dc3bc736963047479706506013207656e7472696573090106"
+            "d182d0b5d0b3038201",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_payload_golden_bytes(self, name):
+        block, expected_hex = self.GOLDEN[name]
+        assert encode_value(block.to_payload()).hex() == expected_hex
+        decoded, _ = decode_value(bytes.fromhex(expected_hex))
+        assert type(block).from_payload(decoded) == block
 
     def test_truncated_payload_is_refused(self):
         encoded = encode_value(ResourceTagsBlock("res", {"a": 1}).to_payload())

@@ -17,11 +17,13 @@ in ``CHANGES.md`` what moved.  Pinned here:
   memory, skip-rule state, credentials, pending events);
 * resuming it reproduces the recorded report bit-for-bit: virtual clock,
   message counts, maintenance stats, availability samples;
-* a file of the previous snapshot version is refused by name.
+* a file of the previous snapshot version is refused by name;
+* every field is read strictly: dropping any one makes restore fail.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -109,6 +111,61 @@ class TestGoldenSnapshot:
         path.write_text(json.dumps({**golden, "version": 1}), encoding="utf-8")
         with pytest.raises(SnapshotError, match="unsupported snapshot version 1 "):
             load_snapshot(path)
+
+
+#: Every field a snapshot writes, by level.  ``format`` and ``version`` are
+#: checked by ``load_snapshot`` and are not read again on restore.
+HEADER_FIELDS = (
+    "clock_ms", "config", "address_floor", "certified_users", "network", "overlay",
+    "cluster", "nodes", "churn", "maintenance", "queue", "perf", "benchmark", "recorder",
+)
+NODE_FIELDS = (
+    "user", "node_id", "address", "joined", "rpcs_served", "buckets", "storage",
+    "suspects", "bucket_lookups",
+)
+STORED_FIELDS = ("key", "value", "stored_at", "writes", "reads", "dominated_at")
+LOOP_FIELDS = ("rng", "next_at", "last_at", "running")
+
+
+class TestStrictReading:
+    """No field has a default: dropping any one of them from the fixture
+    makes restore raise a ``KeyError`` that names it."""
+
+    def test_field_lists_name_every_written_field(self, golden):
+        assert set(golden) - {"format", "version"} == set(HEADER_FIELDS)
+        assert all(set(node) == set(NODE_FIELDS) for node in golden["nodes"])
+        items = [item for node in golden["nodes"] for item in node["storage"]]
+        assert items and all(set(item) == set(STORED_FIELDS) for item in items)
+        loops = golden["maintenance"]["nodes"].values()
+        assert loops and all(set(loop) == set(LOOP_FIELDS) for loop in loops)
+
+    @staticmethod
+    def refuses_without(snapshot: dict, record: dict, field: str) -> None:
+        del record[field]
+        with pytest.raises(KeyError, match=f"'{field}'"):
+            restore_cluster(snapshot)
+
+    @pytest.mark.parametrize("field", HEADER_FIELDS)
+    def test_every_header_field_is_required(self, golden, field):
+        snapshot = copy.deepcopy(golden)
+        self.refuses_without(snapshot, snapshot, field)
+
+    @pytest.mark.parametrize("field", NODE_FIELDS)
+    def test_every_node_field_is_required(self, golden, field):
+        snapshot = copy.deepcopy(golden)
+        self.refuses_without(snapshot, snapshot["nodes"][0], field)
+
+    @pytest.mark.parametrize("field", STORED_FIELDS)
+    def test_every_stored_record_field_is_required(self, golden, field):
+        snapshot = copy.deepcopy(golden)
+        item = next(item for node in snapshot["nodes"] for item in node["storage"])
+        self.refuses_without(snapshot, item, field)
+
+    @pytest.mark.parametrize("field", LOOP_FIELDS)
+    def test_every_maintenance_loop_field_is_required(self, golden, field):
+        snapshot = copy.deepcopy(golden)
+        loop = next(iter(snapshot["maintenance"]["nodes"].values()))
+        self.refuses_without(snapshot, loop, field)
 
 
 class TestGoldenResume:

@@ -122,17 +122,26 @@ def iterative_lookup(
     failed: set[int] = set()
 
     target_value = target.value
+    # The shortlist as (distance, id) pairs in ascending order.  ``ask``
+    # appends the contacts a reply names for the first time, and the list is
+    # re-sorted only when ``ranked`` next reads it after such an append (a
+    # sorted run plus a short tail).  Distances are unique per id, so this
+    # is the order of a full sort; ``ranked`` walks it and stops at k.
+    order = [(value ^ target_value, value) for value in shortlist]
+    unsorted = True
 
     def ranked() -> list[Contact]:
-        # Decorated tuples instead of a per-call key lambda: the (distance,
-        # id) prefix is unique per contact, so the sort never compares the
-        # Contact itself and the ordering matches the keyed sort exactly.
-        live = sorted(
-            (value ^ target_value, value, c)
-            for value, c in shortlist.items()
-            if value not in failed
-        )
-        return [c for _, _, c in live[:k]]
+        nonlocal unsorted
+        if unsorted:
+            order.sort()
+            unsorted = False
+        live: list[Contact] = []
+        for _, value in order:
+            if value not in failed:
+                live.append(shortlist[value])
+                if len(live) == k:
+                    break
+        return live
 
     # The suspect check sits where a candidate is about to be queried -- once
     # per RPC, not on every contact of every reply.  A suspect leaves the
@@ -142,6 +151,7 @@ def iterative_lookup(
     def ask(contact: Contact) -> bool:
         """Query *contact* unless it is suspect; True when it answered (with
         the value, which then sits in *outcome*, or with closer contacts)."""
+        nonlocal unsorted
         value = contact.node_id.value
         if is_suspect(contact.node_id):
             failed.add(value)
@@ -159,7 +169,11 @@ def iterative_lookup(
             outcome.found_value = True
         else:
             for new_contact in closer_contacts:
-                shortlist.setdefault(new_contact.node_id.value, new_contact)
+                new_value = new_contact.node_id.value
+                if new_value not in shortlist:  # the first record of an id wins
+                    shortlist[new_value] = new_contact
+                    order.append((new_value ^ target_value, new_value))
+                    unsorted = True
         return True
 
     best_distance: int | None = None
@@ -174,7 +188,7 @@ def iterative_lookup(
                 continue
             if outcome.found_value:
                 break
-            distance = contact.distance_to(target)
+            distance = contact.node_id.value ^ target_value
             if best_distance is None or distance < best_distance:
                 best_distance = distance
                 improved = True

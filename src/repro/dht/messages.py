@@ -161,7 +161,13 @@ def _value_size(value: Any) -> int:
     if isinstance(value, float):
         return 9
     if isinstance(value, dict):
-        return 2 + sum([1 + len(name) + _value_size(item) for name, item in value.items()])
+        # Counter blocks are name -> int maps: size their items inline.
+        return 2 + sum(
+            [
+                1 + len(name) + (2 if type(item) is int else _value_size(item))
+                for name, item in value.items()
+            ]
+        )
     if isinstance(value, (list, tuple)):
         return 2 + sum(map(_value_size, value))
     if isinstance(value, SignedValue):

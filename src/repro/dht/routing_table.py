@@ -16,8 +16,10 @@ Two implementations of one contract live here:
 * :class:`CompactRoutingTable` -- the table every node builds: buckets are
   allocated lazily on first contact, each bucket keeps its contacts in two
   parallel flat lists (raw 160-bit int keys next to the :class:`Contact`
-  records), and k-closest selection walks the buckets in ascending distance
-  to the target and sorts only the ones it needs instead of fully sorting
+  records), and k-closest selection visits the buckets in ascending distance
+  to the target (their indexes, taken in the order the bits of
+  ``owner ^ target`` dictate), gathers ``(distance, contact)`` pairs from
+  only the buckets it needs and sorts those once, instead of fully sorting
   every known contact with a per-call lambda on each FIND_NODE/FIND_VALUE
   answer.
 * :class:`RoutingTable` -- the original reference structure: ``ID_BITS``
@@ -328,51 +330,46 @@ class CompactKBucket:
         :meth:`KBucket.record_contact`)."""
         value = contact.node_id.value
         ids = self._ids
-        try:
-            position = ids.index(value)
-        except ValueError:
-            pass
-        else:
+        contacts = self._contacts
+        if ids and ids[-1] == value:
+            # Already the freshest: only adopt the new record (its address
+            # may have changed).
+            contacts[-1] = contact
+            return True
+        if value in ids:
             # Refresh: move to the most-recently-seen end, adopting the new
-            # contact record (its address may have changed).
+            # contact record.
+            position = ids.index(value)
             del ids[position]
-            del self._contacts[position]
+            del contacts[position]
             ids.append(value)
-            self._contacts.append(contact)
+            contacts.append(contact)
             return True
         if len(ids) < self.k:
             ids.append(value)
-            self._contacts.append(contact)
+            contacts.append(contact)
             return True
-        try:
-            position = self._repl_ids.index(value)
-        except ValueError:
-            pass
-        else:
-            del self._repl_ids[position]
+        repl_ids = self._repl_ids
+        if value in repl_ids:
+            position = repl_ids.index(value)
+            del repl_ids[position]
             del self._repl_contacts[position]
-        self._repl_ids.append(value)
+        repl_ids.append(value)
         self._repl_contacts.append(contact)
-        while len(self._repl_ids) > self.k:
-            del self._repl_ids[0]
+        while len(repl_ids) > self.k:
+            del repl_ids[0]
             del self._repl_contacts[0]
         return False
 
     def evict(self, node_id: NodeID) -> None:
         """Remove a dead contact and promote the freshest replacement, if any."""
         value = node_id.value
-        try:
+        if value in self._ids:
             position = self._ids.index(value)
-        except ValueError:
-            pass
-        else:
             del self._ids[position]
             del self._contacts[position]
-        try:
+        if value in self._repl_ids:
             position = self._repl_ids.index(value)
-        except ValueError:
-            pass
-        else:
             del self._repl_ids[position]
             del self._repl_contacts[position]
         if len(self._ids) < self.k and self._repl_ids:
@@ -403,8 +400,9 @@ class CompactRoutingTable:
     A node's table only materialises the buckets it actually uses (a
     converged Kademlia table populates ~log2(n) of its 160 buckets), and
     :meth:`closest_contacts` -- the FIND_NODE/FIND_VALUE hot path -- visits
-    buckets nearest-first and stops at ``count``: the same list, in the same
-    order, as the reference full ``(distance, id)`` sort.
+    buckets nearest-first, gathers their contacts until ``count`` are in
+    hand and sorts only those, once: the same list, in the same order, as
+    the reference full ``(distance, id)`` sort.
     """
 
     __slots__ = ("owner_id", "k", "_owner_value", "_buckets")
@@ -458,29 +456,43 @@ class CompactRoutingTable:
         target_value = target.value
         delta = self._owner_value ^ target_value
         # XOR with the target maps bucket i onto the aligned distance range
-        # that starts at delta with bit i flipped and the lower bits cleared
-        # (set bits of delta from the top down, then clear bits from the
-        # bottom up): the ranges are disjoint, so visit buckets by that
-        # start, sort inside each (distances are unique, the sort never
-        # reaches the contact) and stop once count are in hand.
-        nearest_first = sorted(
-            [((delta >> index ^ 1) << index, b) for index, b in self._buckets.items()]
-        )
-        closest: list[Contact] = []
-        for _, bucket in nearest_first:
-            ranked = sorted(zip(map(target_value.__xor__, bucket._ids), bucket._contacts))
-            closest += [contact for _, contact in ranked]
-            if len(closest) >= count:
-                break
-        return closest[:count]
+        # that starts at delta with bit i flipped and the lower bits cleared.
+        # The ranges are disjoint and ascend over the set bits of delta from
+        # the top down, then over its clear bits from the bottom up: visit
+        # the allocated buckets in that order, gather (distance, contact)
+        # pairs until count are in hand, and sort them once (distances are
+        # unique, so the sort never reaches the contact).
+        buckets = self._buckets
+        indexes = sorted(buckets)
+        pairs: list[tuple[int, Contact]] = []
+        for index in reversed(indexes):
+            if delta >> index & 1:
+                bucket = buckets[index]
+                pairs += zip(map(target_value.__xor__, bucket._ids), bucket._contacts)
+                if len(pairs) >= count:
+                    break
+        else:
+            for index in indexes:
+                if not delta >> index & 1:
+                    bucket = buckets[index]
+                    pairs += zip(map(target_value.__xor__, bucket._ids), bucket._contacts)
+                    if len(pairs) >= count:
+                        break
+        pairs.sort()
+        return [contact for _, contact in pairs[:count]]
 
     # -- updates ----------------------------------------------------------- #
 
     def record_contact(self, contact: Contact) -> bool:
         """Record a freshly seen contact; silently ignores the owner itself."""
-        if contact.node_id.value == self._owner_value:
+        distance = self._owner_value ^ contact.node_id.value
+        if not distance:
             return True
-        return self.bucket(self.bucket_index(contact.node_id)).record_contact(contact)
+        index = distance.bit_length() - 1
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = CompactKBucket(self.k)
+        return bucket.record_contact(contact)
 
     def evict(self, node_id: NodeID) -> None:
         """Drop a contact that stopped responding."""

@@ -165,6 +165,53 @@ class TestClosestContactsProperty:
             assert legacy.closest_contacts(target, count) == expected
 
 
+class TestRecordingAContactTheBucketHolds:
+    """Re-recording a contact a full bucket already holds, at its fresh end
+    or in its replacement cache: both buckets, and both tables' exports."""
+
+    OWNER = NodeID(0)
+
+    @staticmethod
+    def contact(value: int, address: str | None = None) -> Contact:
+        # Ids 4..7 all fall in bucket 2 of owner 0.
+        return Contact(NodeID(value), address or f"addr-{value}")
+
+    def record_everywhere(self, k, contacts):
+        buckets = (KBucket(k=k), CompactKBucket(k=k))
+        tables = (RoutingTable(self.OWNER, k=k), CompactRoutingTable(self.OWNER, k=k))
+        for contact in contacts:
+            results = {holder.record_contact(contact) for holder in buckets + tables}
+            assert len(results) == 1, contact
+        return buckets, tables
+
+    def test_freshest_contact_under_a_new_address_adopts_the_new_record(self):
+        members = [self.contact(v) for v in (4, 5, 6)]
+        moved = self.contact(6, "addr-6-moved")
+        buckets, tables = self.record_everywhere(3, members + [moved])
+        for bucket in buckets:
+            assert bucket.contacts() == [members[0], members[1], moved]
+            assert bucket.replacement_candidates() == []
+        legacy, compact = tables
+        assert legacy.export_buckets() == compact.export_buckets()
+        assert compact.export_buckets() == [(2, [members[0], members[1], moved], [])]
+
+    def test_parked_replacement_moves_to_the_fresh_end(self):
+        members = [self.contact(4), self.contact(5)]
+        parked = [self.contact(6), self.contact(7)]
+        again = self.contact(6, "addr-6-again")
+        buckets, tables = self.record_everywhere(2, members + parked + [again])
+        for bucket in buckets:
+            assert bucket.contacts() == members
+            assert bucket.replacement_candidates() == [parked[1], again]
+            # The freshest replacement is the one promoted.
+            bucket.evict(members[0].node_id)
+            assert bucket.contacts() == [members[1], again]
+            assert bucket.replacement_candidates() == [parked[1]]
+        legacy, compact = tables
+        assert legacy.export_buckets() == compact.export_buckets()
+        assert compact.export_buckets() == [(2, members, [parked[1], again])]
+
+
 class TestCompactSpecifics:
     def test_buckets_allocate_lazily(self):
         rng = random.Random(3)

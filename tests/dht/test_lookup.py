@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.dht.lookup import iterative_lookup
+from repro.dht.lookup import MAX_ROUNDS, LookupOutcome, iterative_lookup
 from repro.dht.node_id import NodeID
 from repro.dht.routing_table import Contact
 
@@ -208,3 +210,132 @@ class TestFinishingSweep:
         assert [n.value for n in transport.queried] == [16, 1, 3, 6, 7]
         assert (outcome.rounds, outcome.messages, outcome.failures) == (3, 5, 0)
         assert [c.node_id.value for c in outcome.closest] == [1, 2, 3, 6]
+
+
+def reference_lookup(transport, target, seeds, k, alpha=3, find_value=False, top_n=None):
+    """The procedure with a ranking that re-sorts the whole shortlist on every
+    call: the plain reading of the algorithm, kept as the reference that the
+    incremental ranking of :func:`iterative_lookup` must reproduce."""
+    outcome = LookupOutcome(target=target)
+    shortlist = {c.node_id.value: c for c in seeds}
+    queried, failed = set(), set()
+
+    def ranked():
+        live = sorted((v ^ target.value, v, c) for v, c in shortlist.items() if v not in failed)
+        return [c for _, _, c in live[:k]]
+
+    def ask(contact):
+        if transport.is_suspect(contact.node_id):
+            failed.add(contact.node_id.value)
+            return False
+        queried.add(contact.node_id.value)
+        outcome.messages += 1
+        reply = transport.query(contact, target, find_value, top_n)
+        if reply is None:
+            outcome.failures += 1
+            failed.add(contact.node_id.value)
+            return False
+        if find_value and reply[1] is not None:
+            outcome.value, outcome.found_value = reply[1], True
+        else:
+            for c in reply[0]:
+                shortlist.setdefault(c.node_id.value, c)
+        return True
+
+    best = None
+    while outcome.rounds < MAX_ROUNDS and not outcome.found_value:
+        candidates = [c for c in ranked() if c.node_id.value not in queried]
+        if not candidates:
+            break
+        outcome.rounds += 1
+        improved = False
+        for contact in candidates[:alpha]:
+            if not ask(contact):
+                continue
+            if outcome.found_value:
+                break
+            if best is None or contact.distance_to(target) < best:
+                best, improved = contact.distance_to(target), True
+        if not improved and not outcome.found_value:
+            for contact in [c for c in ranked() if c.node_id.value not in queried]:
+                if ask(contact) and outcome.found_value:
+                    break
+            break
+    outcome.closest = ranked()
+    return outcome
+
+
+class LoggingTransport(ScriptedTransport):
+    """Records every suspect check and every query, in call order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def is_suspect(self, node_id):
+        self.log.append(("suspect?", node_id.value))
+        return super().is_suspect(node_id)
+
+    def query(self, target_contact, target, find_value, top_n):
+        self.log.append(("query", target_contact.node_id.value, target_contact.address))
+        return super().query(target_contact, target, find_value, top_n)
+
+
+def random_scenario(rng: random.Random):
+    """A scripted overlay of up to 60 nodes: each knows a random handful of
+    others (some under a second address, so first-record-wins matters), and
+    some are dead, suspect or hold the value."""
+    ids = rng.sample(range(1, 1 << 12), rng.randint(1, 60))
+    population = [contact(v) for v in ids]
+
+    def named(c):
+        return Contact(c.node_id, f"alt-{c.node_id.value}") if rng.random() < 0.15 else c
+
+    topology = {
+        c: [named(p) for p in rng.sample(population, min(len(population), rng.randint(0, 8)))]
+        for c in population
+    }
+    dead = {c.node_id for c in population if rng.random() < 0.2}
+    suspects = {c.node_id for c in population if rng.random() < 0.1}
+    values = {c.node_id: {"entries": {"hit": c.node_id.value}}
+              for c in population if rng.random() < 0.05}
+    seeds = [named(c) for c in rng.sample(population, rng.randint(0, min(5, len(population))))]
+    lookup = dict(
+        target=NodeID(rng.randrange(1 << 12)),
+        seeds=seeds,
+        k=rng.choice([1, 2, 3, 5, 8, 20]),
+        alpha=rng.choice([1, 2, 3]),
+        find_value=rng.random() < 0.5,
+    )
+    return (topology, values, dead, suspects), lookup
+
+
+class TestAgainstTheSortEveryCallReference:
+    """The incremental ranking issues the same checks and queries, in the
+    same order, and returns an equal outcome, as a full re-sort per call."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_queries_and_outcome_on_random_overlays(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            script, lookup = random_scenario(rng)
+            ours, theirs = LoggingTransport(*script), LoggingTransport(*script)
+            outcome = iterative_lookup(ours, **lookup)
+            expected = reference_lookup(theirs, **lookup)
+            assert ours.log == theirs.log
+            assert outcome == expected
+
+    def test_scenarios_reach_every_path(self):
+        """The generator is not vacuous: it finds values, loses RPCs, skips
+        suspects and runs finishing sweeps."""
+        rng = random.Random(0)
+        found = failed = skipped = swept = 0
+        for _ in range(200):
+            script, lookup = random_scenario(rng)
+            transport = LoggingTransport(*script)
+            outcome = reference_lookup(transport, **lookup)
+            found += outcome.found_value
+            failed += outcome.failures > 0
+            skipped += outcome.messages < sum(1 for e in transport.log if e[0] == "suspect?")
+            swept += outcome.messages > outcome.rounds * lookup["alpha"]
+        assert min(found, failed, skipped, swept) >= 10, (found, failed, skipped, swept)

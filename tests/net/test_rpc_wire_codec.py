@@ -217,6 +217,25 @@ class TestWireSizeEstimate:
 
         assert {type(m) for m in self.REPRESENTATIVE} == set(_ENCODERS)
 
+    def test_counter_block_response_size_is_pinned(self):
+        """The exact size the simulator charges for a FIND_VALUE hit on a
+        signed counter block whose entries hold every scalar kind and a
+        nested map (``bool`` sizes as an ``int``)."""
+        block = {
+            "owner": "album-1",
+            "type": "1",
+            "entries": {"rock": 3, "live": True, "w": 0.5, "sub": {"a": 1}},
+        }
+        identity = Identity(user="alice", node_id=A, secret=b"s" * 20)
+        value = SignedValue.create(identity, K, block)
+        message = FindValueResponse(responder_id=B, found=True, value=value)
+        # entries: 2 + rock (1+4+2) + live (1+4+2) + w (1+1+9) + sub (1+3+2+(1+1+2)) = 37
+        # block: 2 + owner (1+5+2+7) + type (1+4+2+1) + entries (1+7+37) = 70
+        # signed: 43 + "alice" 5 + credential 20 + block 70 = 138
+        # frame: head 24 + found/envelope 2 + signed 138 + empty contact list 1
+        assert len(value.credential) == 20
+        assert wire_size(message) == 24 + 2 + 138 + 1 == 165
+
     def test_grows_with_contacts_and_entries(self):
         def one(n):
             return wire_size(FindNodeResponse(responder_id=B, contacts=_contacts(n)))

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datasets import generate_lastfm_like
 from repro.dht.messages import FindNodeRequest, PingRequest, PingResponse, wire_size
 from repro.dht.node_id import NodeID
 from repro.net.base import Transport, TransportStats
 from repro.net.simulated import SimulatedTransport
+from repro.simulation.cluster import ClusterConfig, SimulatedCluster
 from repro.simulation.network import (
     MessageDropped,
     NetworkConfig,
@@ -31,6 +33,7 @@ from repro.simulation.network import (
     NodeUnreachable,
     SimulatedNetwork,
 )
+from repro.simulation.workload import TaggingWorkload
 
 A = NodeID.hash_of("a")
 B = NodeID.hash_of("b")
@@ -197,3 +200,28 @@ class TestLedgerTotals:
         assert stats.rpcs_failed_unreachable == 0
         network.send("a", "b", PING)
         assert booked(network) == (1, 1, 0)
+
+
+class TestByteLedgerPin:
+    """The exact totals of one small seeded cluster run.
+
+    The other ledger tests compare ``bytes_transferred`` with ``wire_size``
+    itself, so a change to how a message is sized, how often a reply is
+    charged or which messages a run sends would pass them all; these
+    literals catch it.  A change meant to move them re-records them here.
+    """
+
+    def test_tags_and_searches_on_a_seeded_cluster(self):
+        # 64 nodes join iteratively, so the join traffic is in the totals.
+        cluster = SimulatedCluster(ClusterConfig(num_nodes=64, clients=2, seed=3))
+        workload = TaggingWorkload.from_triples(generate_lastfm_like("tiny").triples())
+        result = cluster.run_workload(workload, limit=30, ignore_errors=False)
+        for tag in ("pop", "hip-hop", "punk"):
+            cluster.services[0].faceted_search(tag)
+        stats = cluster.overlay.network.stats
+        assert (result.insert_ops, result.tag_ops, result.errors) == (16, 14, 0)
+        assert (stats.messages_sent, stats.bytes_transferred, cluster.overlay.clock.now) == (
+            2636,
+            380649,
+            7911.769275918824,
+        )
